@@ -19,15 +19,12 @@ from .util import central_first
 
 MatrixFn = Callable[[float], np.ndarray]
 
-# central 2nd derivative, O(h^4)
-_CEN2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-
 
 @dataclass(frozen=True)
 class HermitianFamily:
     """A curve of Hermitian matrices with optional analytic derivatives.
 
-    ``matrix``, ``deriv``, ``deriv2`` all produce unit-scale values; the true
+    ``matrix`` and ``deriv`` both produce unit-scale values; the true
     operator is ``scale_prefactor * matrix(t)``.  Families must be pure
     functions defined on all of R (derivative probes step outside any stated
     range of interest).
@@ -37,9 +34,7 @@ class HermitianFamily:
     dim: int
     matrix: MatrixFn
     deriv: MatrixFn | None = None
-    deriv2: MatrixFn | None = None
     scale_prefactor: float = 1.0
-    params: tuple = ()
     tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
@@ -80,36 +75,9 @@ class HermitianFamily:
         """True-scale A'(t): analytic when available, else O(h^2+) central FD."""
         return self.scale_prefactor * self.unit_deriv(t)
 
-    def unit_deriv2(self, t: float) -> np.ndarray:
-        t = float(t)
-        if self.deriv2 is not None:
-            return self._checked(self.deriv2(t))
-        h = self.tol.h_fd2 * max(1.0, abs(t))
-        samples = np.stack([self.unit(t + k * h) for k in (-2, -1, 0, 1, 2)])
-        D = np.tensordot(_CEN2, samples, axes=(0, 0)) / h**2
-        return 0.5 * (D + D.conj().T)
-
-    def second_derivative(self, t: float) -> np.ndarray:
-        return self.scale_prefactor * self.unit_deriv2(t)
-
-
-def derivative_family(family: HermitianFamily) -> MatrixFn:
-    """The curve t -> A'(t) at true scale."""
-    return family.derivative
-
-
-@dataclass(frozen=True)
-class GraphNorm:
-    """The norm ||u||_t with ||u||_t^2 = ||u||^2 + ||A(t)u||^2."""
-
-    family: HermitianFamily
-    t: float
-
-    def __call__(self, u) -> float:
-        return graph_norm(self.family, self.t, u)
-
 
 def graph_norm(family: HermitianFamily, t: float, u) -> float:
+    """The norm ||u||_t with ||u||_t^2 = ||u||^2 + ||A(t)u||^2."""
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (family.dim,):
         raise ValueError(f"vector has shape {u.shape}, family dimension is {family.dim}")
@@ -190,6 +158,5 @@ class ExprMatrixSpec:
             dim=m,
             matrix=matrix,
             scale_prefactor=1.0,
-            params=(("dim", m),),
             tol=tol,
         )

@@ -129,13 +129,9 @@ class CurveLemmaFamily:
         def deriv(sigma: float) -> np.ndarray:
             return np.array([[0.0, 1.0], [1.0, 0.0]])
 
-        def deriv2(sigma: float) -> np.ndarray:
-            return np.zeros((2, 2))
-
         return HermitianFamily(
             name=f"collision-window-{n}", dim=2, matrix=matrix, deriv=deriv,
-            deriv2=deriv2, scale_prefactor=2.0 ** (-n * n),
-            params=(("n", n),), tol=self.tol,
+            scale_prefactor=2.0 ** (-n * n), tol=self.tol,
         )
 
     def global_family(self) -> HermitianFamily:
@@ -181,7 +177,7 @@ class CurveLemmaFamily:
 
         return HermitianFamily(
             name="curve-lemma", dim=2, matrix=matrix, deriv=deriv,
-            scale_prefactor=1.0, params=(("n_max", self.n_max),), tol=self.tol,
+            scale_prefactor=1.0, tol=self.tol,
         )
 
     def full_range(self) -> tuple[float, float]:
@@ -230,7 +226,7 @@ def holder_quotient(n: int, alpha: float, use_prefactor: bool = True,
         fam = HermitianFamily(
             name=fam.name + "-flat", dim=2,
             matrix=lambda sigma: f * inner(sigma),
-            scale_prefactor=1.0, params=fam.params, tol=tol,
+            scale_prefactor=1.0, tol=tol,
         )
     # sigma grid [-1.25, 1.25]: step 2.5/(grid_size-1); the default 161 gives
     # step 1/64 exactly, with sigma = 0 and sigma = 1 on grid
@@ -321,7 +317,7 @@ class ResolventExampleFamily:
 
         return HermitianFamily(
             name="resolvent-example", dim=self.m, matrix=matrix, deriv=deriv,
-            scale_prefactor=1.0, params=(("m", self.m),), tol=self.tol,
+            scale_prefactor=1.0, tol=self.tol,
         )
 
     def quotients(self, t: float) -> np.ndarray:
@@ -400,8 +396,7 @@ class SchrodingerFamily:
 
         name = "schrodinger" if self.potential is None else f"schrodinger[{self.potential}]"
         return HermitianFamily(
-            name=name, dim=m, matrix=matrix, deriv=deriv, scale_prefactor=1.0,
-            params=(("m", m), ("potential", str(self.potential))), tol=self.tol,
+            name=name, dim=m, matrix=matrix, deriv=deriv, scale_prefactor=1.0, tol=self.tol,
         )
 
     def free_eigenvalues(self) -> np.ndarray:
@@ -416,11 +411,10 @@ class SchrodingerFamily:
 
 
 def schrodinger_track(V, m: int, t_range, grid_size: int, order: int = 1,
-                      tol: Tolerances = DEFAULT_TOL,
-                      workers: int | None = None) -> BranchSet:
+                      tol: Tolerances = DEFAULT_TOL) -> BranchSet:
     """Track the Dirichlet Schrodinger spectrum under the potential V(t, x)."""
     fam = SchrodingerFamily(m=m, potential=V, tol=tol).family()
-    return track_branches(fam, t_range, grid_size, order=order, tol=tol, workers=workers)
+    return track_branches(fam, t_range, grid_size, order=order, tol=tol)
 
 
 # ---------------------------------------------------------------------------

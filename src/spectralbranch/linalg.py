@@ -58,17 +58,10 @@ class EigenDecomposition:
 
 def _canonical_phases(V: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive."""
-    V = V.copy()
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        idx = int(np.argmax(mags > 1e-12 * top))
-        phase = col[idx] / abs(col[idx])
-        V[:, j] = col * np.conj(phase)
-    return V
+    mags = np.abs(V)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    lead = V[first, np.arange(V.shape[1])]
+    return V * np.conj(lead / np.abs(lead))
 
 
 def _order_exact_ties(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,12 +85,12 @@ def _order_exact_ties(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
     return w, V
 
 
-def hermitian_eig(A, tol: Tolerances = DEFAULT_TOL, validate: bool = True) -> EigenDecomposition:
+def hermitian_eig(A, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
     Returns ascending eigenvalues and unitary eigenvectors with canonical
     phases.  Validates the reconstruction and orthonormality residuals against
-    eig_tol unless ``validate`` is switched off.
+    eig_tol.
     """
     A = ensure_hermitian(A, tol)
     if A.shape[0] == 0:
@@ -108,15 +101,14 @@ def hermitian_eig(A, tol: Tolerances = DEFAULT_TOL, validate: bool = True) -> Ei
         raise EigenConvergenceError(f"eigensolver failed: {exc}") from exc
     V = _canonical_phases(V)
     w, V = _order_exact_ties(w, V)
-    if validate:
-        scale = max(1.0, float(np.linalg.norm(A)))
-        resid = float(np.linalg.norm(A @ V - V * w))
-        ortho = float(np.linalg.norm(V.conj().T @ V - np.eye(V.shape[0])))
-        if resid > tol.eig_tol * scale or ortho > tol.eig_tol * V.shape[0]:
-            raise EigenConvergenceError(
-                f"eigendecomposition residuals too large: |AV-VW|={resid:.3e}, "
-                f"|V*V-I|={ortho:.3e}"
-            )
+    scale = max(1.0, float(np.linalg.norm(A)))
+    resid = float(np.linalg.norm(A @ V - V * w))
+    ortho = float(np.linalg.norm(V.conj().T @ V - np.eye(V.shape[0])))
+    if resid > tol.eig_tol * scale or ortho > tol.eig_tol * V.shape[0]:
+        raise EigenConvergenceError(
+            f"eigendecomposition residuals too large: |AV-VW|={resid:.3e}, "
+            f"|V*V-I|={ortho:.3e}"
+        )
     return EigenDecomposition(np.asarray(w, dtype=float), V)
 
 

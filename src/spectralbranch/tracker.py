@@ -14,7 +14,6 @@ threshold; reported values and derivatives are exact rescalings.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .contour import Contour, riesz_projector
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
 from .linalg import hermitian_eig, numerical_rank, operator_norm
-from .util import one_sided_first, one_sided_second, remove_nearest, worker_count
+from .util import one_sided_first, one_sided_second, remove_nearest
 
 _SIDES = ("left", "right")
 
@@ -406,47 +405,35 @@ def _assemble(grid: np.ndarray, values_true: np.ndarray,
     slot_of = np.arange(m)
     out = np.empty_like(values_true)
     finished: list[CrossingEvent] = []
-    ptr = 0
-    for k in range(rows):
-        while ptr < len(pending) and pending[ptr].t_star < grid[k]:
-            ev = pending[ptr]
-            label_at = np.empty(m, dtype=int)
-            label_at[slot_of] = np.arange(m)
-            labels = tuple(int(label_at[s]) for s in ev.slots)
-            sigma_abs = tuple(ev.slots[j] for j in ev.sigma_local)
-            slot_map = {ev.slots[i]: sigma_abs[i] for i in range(len(ev.slots))}
-            for j in range(m):
-                slot_of[j] = slot_map.get(slot_of[j], slot_of[j])
-            finished.append(CrossingEvent(
-                t_star=ev.t_star, grid_span=ev.grid_span, slots=ev.slots,
-                labels=labels, sigma=sigma_abs, report=ev.report, contour=ev.contour,
-            ))
-            ptr += 1
-        out[k] = values_true[k, slot_of]
-    # events at or beyond the last grid point still get reported
-    while ptr < len(pending):
-        ev = pending[ptr]
+    k = 0
+    for ev in pending:
+        # rows up to t_star keep the permutation before this event; events
+        # at or beyond the last grid point are still reported
+        while k < rows and grid[k] <= ev.t_star:
+            out[k] = values_true[k, slot_of]
+            k += 1
         label_at = np.empty(m, dtype=int)
         label_at[slot_of] = np.arange(m)
         labels = tuple(int(label_at[s]) for s in ev.slots)
         sigma_abs = tuple(ev.slots[j] for j in ev.sigma_local)
+        slot_map = {ev.slots[i]: sigma_abs[i] for i in range(len(ev.slots))}
+        for j in range(m):
+            slot_of[j] = slot_map.get(slot_of[j], slot_of[j])
         finished.append(CrossingEvent(
             t_star=ev.t_star, grid_span=ev.grid_span, slots=ev.slots,
             labels=labels, sigma=sigma_abs, report=ev.report, contour=ev.contour,
         ))
-        ptr += 1
+    out[k:] = values_true[k:, slot_of]
     return out, tuple(finished)
 
 
 def track_branches(family: HermitianFamily, t_range, grid_size: int, order: int = 1,
-                   tol: Tolerances | None = None,
-                   workers: int | None = None) -> BranchSet:
+                   tol: Tolerances | None = None) -> BranchSet:
     """Track all eigenvalue branches of the family over t_range.
 
-    Eigensolves run per grid point (concurrently when workers > 1, result
-    order fixed by index); collisions are matched so each output column has
-    one-sided derivatives that agree across every crossing within the
-    matching residual.
+    Eigensolves run per grid point; collisions are matched so each output
+    column has one-sided derivatives that agree across every crossing within
+    the matching residual.
     """
     tol = tol if tol is not None else family.tol
     t0, t1 = float(t_range[0]), float(t_range[1])
@@ -456,18 +443,8 @@ def track_branches(family: HermitianFamily, t_range, grid_size: int, order: int 
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    workers = worker_count(1) if workers is None else max(1, int(workers))
     grid = np.linspace(t0, t1, grid_size)
-
-    def solve(t: float) -> np.ndarray:
-        return _unit_sorted(family, t, tol)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve, grid))
-    else:
-        rows = [solve(t) for t in grid]
-    values_unit = np.array(rows)
+    values_unit = np.array([_unit_sorted(family, t, tol) for t in grid])
     pending = _grid_events(family, grid, values_unit, order, tol, with_contours=True)
     values_true = values_unit * family.scale_prefactor
     matched, events = _assemble(grid, values_true, pending)

@@ -1,8 +1,6 @@
 """Small shared numeric helpers: difference stencils, multiset matching."""
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 # One-sided first derivative, nodes f(x0 + j*h) for j = 0..4, error O(h^4).
@@ -76,14 +74,3 @@ def remove_nearest(values: np.ndarray, target: float) -> tuple[np.ndarray, float
     dist = float(abs(values[idx] - target))
     return np.delete(values, idx), dist
 
-
-def worker_count(default: int = 1) -> int:
-    """Worker cap from SPECTRAL_BRANCH_THREADS; falls back to ``default``."""
-    raw = os.environ.get("SPECTRAL_BRANCH_THREADS", "")
-    if not raw:
-        return default
-    try:
-        n = int(raw)
-    except ValueError:
-        return default
-    return max(1, n)

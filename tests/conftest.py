@@ -29,5 +29,4 @@ def make_offdiag_t_family():
     def deriv(t):
         return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-    return HermitianFamily(name="offdiag-t", dim=2, matrix=matrix, deriv=deriv,
-                           deriv2=lambda t: np.zeros((2, 2), dtype=complex))
+    return HermitianFamily(name="offdiag-t", dim=2, matrix=matrix, deriv=deriv)

@@ -153,15 +153,6 @@ def test_determinism_byte_identical(tmp_path):
     assert (out1 / "branches.report.txt").read_bytes() == (out2 / "branches.report.txt").read_bytes()
 
 
-def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
-    cfg = write(tmp_path / "run.cfg", TRACK_CFG)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["--config", cfg, "--out", str(out1)]) == 0
-    monkeypatch.setenv("SPECTRAL_BRANCH_THREADS", "4")
-    assert main(["--config", cfg, "--out", str(out2)]) == 0
-    assert (out1 / "branches.csv").read_bytes() == (out2 / "branches.csv").read_bytes()
-
-
 def test_verbose_echoes_report(tmp_path, capsys):
     cfg = write(tmp_path / "run.cfg", TRACK_CFG)
     assert main(["--config", cfg, "--out", str(tmp_path), "--verbose"]) == 0

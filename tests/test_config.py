@@ -14,6 +14,7 @@ from spectralbranch import (
     parse_config,
     serialize_config,
 )
+from spectralbranch.cli import main
 
 TRACK = """
 [run]
@@ -139,6 +140,18 @@ def test_tolerance_overrides_flow_into_tolerances():
 def test_unknown_tolerance_rejected():
     with pytest.raises(ConfigError, match="fudge"):
         parse_config(TRACK + "\n[tolerances]\nfudge = 1e-3\n")
+
+
+@pytest.mark.parametrize("key", ["solve_tol", "deriv_tol"])
+def test_removed_tolerance_keys_rejected(key, tmp_path, capsys):
+    # [tolerances] accepts exactly the Tolerances fields
+    text = TRACK + f"\n[tolerances]\n{key} = 1e-6\n"
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_nonpositive_tolerance_rejected():

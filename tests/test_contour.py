@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectralbranch import (
@@ -11,7 +11,6 @@ from spectralbranch import (
     SeparationError,
     cluster_eigenvalues,
     hermitian_eig,
-    lowrank_trace,
     newton_sums,
     newton_to_sigma,
     random_hermitian,
@@ -118,37 +117,6 @@ def test_quadrature_nonconvergence_raises():
         riesz_projector(fam, 0.0, g, tol=fam.tol.replace(max_nodes=64))
 
 
-def test_lowrank_trace_oracles(rng):
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    w = rng.normal(size=4) + 1j * rng.normal(size=4)
-    tr, block = lowrank_trace(np.outer(v, w.conj()), 1)
-    assert tr == pytest.approx(np.vdot(w, v), abs=1e-10)
-    assert block.shape == (1, 1)
-
-    P = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    tr, block = lowrank_trace(P, 2)
-    assert tr == pytest.approx(2.0, abs=1e-10)
-    assert block.shape == (2, 2)
-
-    tr, _ = lowrank_trace(np.zeros((3, 3), dtype=complex), 2)
-    assert tr == pytest.approx(0.0, abs=1e-12)
-
-
-def test_lowrank_trace_rank_excess():
-    with pytest.raises(ValueError):
-        lowrank_trace(np.eye(3, dtype=complex), 2)
-
-
-def test_lowrank_trace_matches_full_trace(rng):
-    A = random_hermitian(rng, 5)
-    P = riesz_projector(
-        HermitianFamily(name="c", dim=5, matrix=lambda t: A), 0.0,
-        _isolating_contour(A, {0, 1}))
-    T = P @ A @ P
-    tr, _ = lowrank_trace(T, 2)
-    assert abs(tr - np.trace(T)) <= 1e-10 * max(1.0, abs(np.trace(T)))
-
-
 def _isolating_contour(A, indices, nodes=64):
     w = np.linalg.eigvalsh(A)
     inside = sorted(indices)
@@ -207,6 +175,7 @@ def test_newton_matches_projected_power_traces(rng):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 100_000))
+@example(seed=194)  # converges only at the 1024-node cap
 def test_projector_exactness_property(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 9))

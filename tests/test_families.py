@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from spectralbranch import (
     ExprMatrixSpec,
-    GraphNorm,
     HermitianFamily,
     NotHermitianError,
-    derivative_family,
     graph_norm,
     graph_norm_equivalence_ratio,
 )
@@ -64,13 +62,13 @@ def test_hermiticity_on_gallery_families(rng):
 
 def test_analytic_derivative_oracle():
     fam = make_offdiag_t_family()
-    D = derivative_family(fam)(0.37)
+    D = fam.derivative(0.37)
     assert np.allclose(D, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
 
 def test_constant_family_zero_derivative():
     fam = make_diag_family(1.0, 2.0, 5.0)
-    assert np.linalg.norm(derivative_family(fam)(0.9)) == 0.0
+    assert np.linalg.norm(fam.derivative(0.9)) == 0.0
 
 
 def test_richardson_ratio_second_order():
@@ -95,13 +93,6 @@ def test_fd_fallback_matches_analytic():
         assert np.linalg.norm(bare.derivative(t) - bare.derivative(t).conj().T) == 0.0
 
 
-def test_second_derivative_fd():
-    fam = smooth_family()
-    D2 = fam.second_derivative(0.4)
-    expect = np.array([[-np.sin(0.4), 6 * 0.4], [6 * 0.4, -4 * np.cos(0.8)]])
-    assert np.linalg.norm(D2 - expect) < 1e-6
-
-
 def test_graph_norm_oracles():
     zero = make_diag_family(0.0, 0.0)
     u = np.array([3.0, 4.0])
@@ -115,12 +106,6 @@ def test_graph_norm_oracles():
 def test_graph_norm_dimension_mismatch():
     with pytest.raises(ValueError):
         graph_norm(make_diag_family(1.0, 2.0), 0.0, np.array([1.0, 2.0, 3.0]))
-
-
-def test_graph_norm_callable_type():
-    fam = make_diag_family(3.0)
-    gn = GraphNorm(fam, 0.0)
-    assert gn(np.array([1.0])) == pytest.approx(np.sqrt(10.0))
 
 
 def test_graph_norm_dominates_euclidean(rng):

@@ -295,22 +295,6 @@ def test_track_rejects_bad_args():
         track_branches(fam, (-1.0, 1.0), 11, order=3)
 
 
-def test_track_threads_deterministic():
-    fam = make_offdiag_t_family()
-    a = track_branches(fam, (-1.0, 1.0), 101, workers=1)
-    b = track_branches(fam, (-1.0, 1.0), 101, workers=4)
-    assert np.array_equal(a.values, b.values)
-
-
-def test_track_workers_env(monkeypatch):
-    monkeypatch.setenv("SPECTRAL_BRANCH_THREADS", "3")
-    fam = make_offdiag_t_family()
-    a = track_branches(fam, (-1.0, 1.0), 51)
-    monkeypatch.delenv("SPECTRAL_BRANCH_THREADS")
-    b = track_branches(fam, (-1.0, 1.0), 51)
-    assert np.array_equal(a.values, b.values)
-
-
 def test_track_derivative_consistency_at_crossing():
     # glued branch slopes at the event match the Rayleigh formula
     fam = make_offdiag_t_family()
