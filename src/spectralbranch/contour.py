@@ -245,10 +245,9 @@ def spectral_cluster(family: HermitianFamily, t: float, gamma: Contour,
     N = int(round(s0))
     if abs(s0 - N) > 1e-8:
         raise QuadratureError(f"enclosed eigenvalue count is not integral: s_0 = {s0!r}")
-    if numerical_rank(P, 0.5) != N:
-        raise QuadratureError(
-            f"projector rank {numerical_rank(P, 0.5)} disagrees with s_0 count {N}"
-        )
+    rank = numerical_rank(P, 0.5)
+    if rank != N:
+        raise QuadratureError(f"projector rank {rank} disagrees with s_0 count {N}")
     if N == 0:
         return SpectralCluster(
             t=float(t), projector=P, rank=0,

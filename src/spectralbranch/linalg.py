@@ -1,7 +1,7 @@
 """Dense complex Hermitian linear algebra used by every other module.
 
 Matrices are plain numpy complex128 arrays; the helpers here add the contract
-checks (Hermiticity, residual bounds, pivot guards) and deterministic
+checks (Hermiticity, finiteness, residual bounds, pivot guards) and deterministic
 post-processing (ascending eigenvalues, canonical eigenvector phases, stable
 ordering of exactly-tied eigenvalues) that the rest of the package relies on.
 """
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import zhetrf, zhetrf_lwork
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import EigenConvergenceError, NotHermitianError, SpectrumTouchError
@@ -34,7 +35,10 @@ def hermitian_defect(A: np.ndarray) -> float:
 
 def ensure_hermitian(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     A = as_matrix(A)
-    scale = max(1.0, float(np.linalg.norm(A)))
+    norm = float(np.linalg.norm(A))
+    if not np.isfinite(norm):
+        raise NotHermitianError(f"matrix has non-finite entries: frobenius norm is {norm}")
+    scale = max(1.0, norm)
     defect = hermitian_defect(A)
     if defect > tol.hermitian_tol * scale:
         raise NotHermitianError(
@@ -104,7 +108,8 @@ def hermitian_eig(A, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
     scale = max(1.0, float(np.linalg.norm(A)))
     resid = float(np.linalg.norm(A @ V - V * w))
     ortho = float(np.linalg.norm(V.conj().T @ V - np.eye(V.shape[0])))
-    if resid > tol.eig_tol * scale or ortho > tol.eig_tol * V.shape[0]:
+    # written so that a NaN residual fails the test
+    if not (resid <= tol.eig_tol * scale and ortho <= tol.eig_tol * V.shape[0]):
         raise EigenConvergenceError(
             f"eigendecomposition residuals too large: |AV-VW|={resid:.3e}, "
             f"|V*V-I|={ortho:.3e}"
@@ -137,6 +142,55 @@ def solve_shifted(A, z: complex, B, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
             f"is below the working-precision floor {floor:.3e}"
         )
     return lu_solve((lu, piv), B)
+
+
+def _negative_count(A: np.ndarray, s: float, tol: Tolerances) -> int:
+    """Negative eigenvalues of A - sI: the inertia of D in A - sI = L D L^H.
+
+    D from Bunch-Kaufman (zhetrf, lower storage) is block diagonal with 1x1
+    and 2x2 Hermitian blocks; a 2x2 block is marked by a pair of negative
+    ipiv entries.  A pivot (an eigenvalue of a block) at or below
+    pivot_floor x max(1, largest pivot) raises SpectrumTouchError.
+    """
+    m = A.shape[0]
+    lwork, _ = zhetrf_lwork(m, lower=1)
+    ldu, ipiv, _ = zhetrf(A - s * np.eye(m), lower=1, lwork=int(lwork.real), overwrite_a=1)
+    d = ldu.diagonal().real
+    paired = ipiv < 0
+    k = np.flatnonzero(paired & (np.cumsum(paired) % 2 == 1))  # first row of each 2x2
+    one = d[~paired]
+    a, c = d[k], d[k + 1]
+    b2 = np.abs(ldu[k + 1, k]) ** 2
+    det, tr = a * c - b2, a + c
+    big = 0.5 * np.abs(tr) + np.sqrt(0.25 * (a - c) ** 2 + b2)
+    pivots = np.concatenate([np.abs(one), big, np.abs(det) / big])
+    floor = tol.pivot_floor * max(1.0, float(pivots.max()))
+    if not float(pivots.min()) > floor:
+        raise SpectrumTouchError(
+            f"shift {s!r} touches the spectrum: D pivot {pivots.min():.3e} is at or "
+            f"below the working-precision floor {floor:.3e}"
+        )
+    # Bunch-Kaufman takes a 2x2 pivot only when its off-diagonal dominates,
+    # so det < 0 there in practice; the trace term keeps the rule exact for
+    # any Hermitian 2x2 block.
+    return int(np.count_nonzero(one < 0.0) + np.count_nonzero(det < 0.0)
+               + 2 * np.count_nonzero((det > 0.0) & (tr < 0.0)))
+
+
+def eigenvalue_count(A, lo: float, hi: float, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Exact number of eigenvalues of Hermitian A in the open interval (lo, hi).
+
+    Sylvester's law of inertia: A - sI has as many negative eigenvalues as A
+    has below s, so the count is nu(A - hi I) - nu(A - lo I), read off two
+    LDL^H factorizations (spectrum slicing).  An endpoint on the spectrum to
+    working precision raises SpectrumTouchError instead of returning a count.
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
+    A = ensure_hermitian(A, tol)
+    if A.shape[0] == 0:
+        return 0
+    return _negative_count(A, hi, tol) - _negative_count(A, lo, tol)
 
 
 def numerical_rank(A, tol_abs: float) -> int:

@@ -5,8 +5,9 @@ where branches cross.  This module detects the collisions on a grid, refines
 the collision parameter, estimates one-sided derivatives of the colliding
 slots from both sides, pairs them by sorted order (curvature-refined at
 order 2), and applies the resulting permutation so each output column is a
-differentiable branch.  A contour around each collision verifies that the
-enclosed eigenvalue count is constant across the detection box.
+differentiable branch.  Each collision is verified by exact inertia counts
+at the contour's real endpoints over a probe window: the contour must
+enclose the same number of eigenvalues at every probe time.
 
 Collision detection and stencil arithmetic run at the family's unit scale so
 tiny overall prefactors do not collapse every gap below the detection
@@ -23,7 +24,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .contour import Contour, riesz_projector
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
-from .linalg import hermitian_eig, numerical_rank, operator_norm
+from .linalg import eigenvalue_count, hermitian_eig, numerical_rank, operator_norm
 from .util import one_sided_first, one_sided_second, remove_nearest
 
 _SIDES = ("left", "right")
@@ -31,6 +32,20 @@ _SIDES = ("left", "right")
 
 def _unit_sorted(family: HermitianFamily, t: float, tol: Tolerances) -> np.ndarray:
     return hermitian_eig(family.unit(t), tol).eigenvalues
+
+
+def _disk_count(A: np.ndarray, g: Contour, tol: Tolerances) -> int:
+    """Exact count of the eigenvalues of Hermitian A inside the circle g, by inertia.
+
+    The eigenvalues are real, so the disk holds exactly those in the open
+    interval where the circle meets the real axis.
+    """
+    c = complex(g.center)
+    half_sq = g.radius**2 - c.imag**2
+    if half_sq <= 0.0:
+        return 0
+    half = float(np.sqrt(half_sq))
+    return eigenvalue_count(A, c.real - half, c.real + half, tol)
 
 
 def sorted_eigenvalues(family: HermitianFamily, t: float,
@@ -144,8 +159,9 @@ def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour
     """Eigenvalues of the compressed operator P A'(t*) P on range P, ascending.
 
     These are the one-sided derivatives (from either side) of the branches
-    colliding inside gamma at t_star.  The projector rank is probed on the
-    requested side; a change means the box is too large.
+    colliding inside gamma at t_star.  The enclosed eigenvalue count is
+    probed on the requested side by inertia; a change means the box is too
+    large.
     """
     tol = tol if tol is not None else family.tol
     if side not in _SIDES:
@@ -154,13 +170,13 @@ def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour
     P = riesz_projector(family, t_star, gamma, tol)
     N = numerical_rank(P, 0.5)
     h = tol.h_fd * max(1.0, abs(t_star))
+    g = gamma.scaled(family.scale_prefactor)
     for j in (1, 2):
-        Pj = riesz_projector(family, t_star + sgn * j * h, gamma, tol)
-        rank_j = numerical_rank(Pj, 0.5)
-        if rank_j != N:
+        count = _disk_count(family.unit(t_star + sgn * j * h), g, tol)
+        if count != N:
             raise RankDriftError(
                 f"box too large: contour encloses {N} eigenvalues at t={t_star!r} "
-                f"but {rank_j} at t={t_star + sgn * j * h!r}"
+                f"but {count} at t={t_star + sgn * j * h!r}"
             )
     if N == 0:
         return np.zeros(0)
@@ -303,18 +319,22 @@ _PROBE_OFFSETS = (0.0, -3.0, -1.5, 1.5, 3.0)  # units of the grid step
 
 def _event_contour(family: HermitianFamily, t_star: float, w_star_unit: np.ndarray,
                    glo: int, ghi: int, dt: float, tol: Tolerances) -> Contour:
-    """Verification contour around the value group [glo, ghi], with rank probes.
+    """Verification contour around the value group [glo, ghi], with count probes.
 
     The radius must cover the cluster's drift across the probe box (3 grid
     steps each side) while keeping the rest of the spectrum outside, so it is
-    sized from eigensolves at the probe times, not from t_star alone.
+    sized from eigensolves at the probe times, not from t_star alone.  The
+    enclosed count at each probe time is exact, from inertia on the same
+    probe matrices.
     """
     f = family.scale_prefactor
     center = float(np.mean(w_star_unit[glo:ghi + 1])) * f
-    probes = [(t_star + off * dt, _unit_sorted(family, t_star + off * dt, tol) * f
-               if off != 0.0 else w_star_unit * f) for off in _PROBE_OFFSETS]
-    spread = max(np.max(np.abs(w[glo:ghi + 1] - center)) for _, w in probes)
-    rest = [np.concatenate([w[:glo], w[ghi + 1:]]) for _, w in probes]
+    times = [t_star + off * dt for off in _PROBE_OFFSETS]
+    mats = [family.unit(t) for t in times]
+    values = [hermitian_eig(A, tol).eigenvalues * f if off != 0.0 else w_star_unit * f
+              for off, A in zip(_PROBE_OFFSETS, mats)]
+    spread = max(np.max(np.abs(w[glo:ghi + 1] - center)) for w in values)
+    rest = [np.concatenate([w[:glo], w[ghi + 1:]]) for w in values]
     d_out = min((float(np.min(np.abs(r - center))) for r in rest if r.size),
                 default=np.inf)
     radius = max(1.3 * spread, 0.5 * d_out if np.isfinite(d_out) else 0.5 * max(1.0, abs(center)))
@@ -326,12 +346,12 @@ def _event_contour(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
     gamma = Contour(center=center, radius=radius)
     gamma.validate_against(w_star_unit * f, tol)
     expected = ghi - glo + 1
-    for t_probe, _ in probes:
-        P = riesz_projector(family, t_probe, gamma, tol)
-        rank = numerical_rank(P, 0.5)
-        if rank != expected:
+    g = gamma.scaled(f)
+    for t_probe, A in zip(times, mats):
+        count = _disk_count(A, g, tol)
+        if count != expected:
             raise RankDriftError(
-                f"rank drift: contour around {center!r} encloses {rank} eigenvalues "
+                f"rank drift: contour around {center!r} encloses {count} eigenvalues "
                 f"at t={t_probe!r}, expected {expected}"
             )
     return gamma

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from scipy.linalg.lapack import zhetrf
 
 from spectralbranch import (
     NotHermitianError,
+    SpectrumTouchError,
     ensure_hermitian,
     hermitian_defect,
     hermitian_eig,
@@ -14,7 +17,7 @@ from spectralbranch import (
     random_hermitian,
     solve_shifted,
 )
-from spectralbranch.linalg import as_matrix
+from spectralbranch.linalg import as_matrix, eigenvalue_count
 
 
 def test_eig_2x2_oracle():
@@ -110,3 +113,81 @@ def test_unitary_invariance_of_spectrum(seed):
     w1 = hermitian_eig(A).eigenvalues
     w2 = hermitian_eig(Q @ A @ Q.conj().T).eigenvalues
     assert np.allclose(w1, w2, atol=1e-9)
+
+
+# ------------------------------------------------------------ inertia counts
+
+
+def test_eigenvalue_count_2x2_pivot_oracle():
+    # [[0,1],[1,0]] has eigenvalues -1, +1; the shift 0 leaves a zero diagonal,
+    # so Bunch-Kaufman must take a 2x2 pivot
+    A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    assert np.all(zhetrf(A, lower=1)[1] < 0)
+    assert eigenvalue_count(A, 0.0, 2.0) == 1
+    assert eigenvalue_count(A, -2.0, 0.0) == 1
+    assert eigenvalue_count(A, -2.0, 2.0) == 2
+    assert eigenvalue_count(A, -0.5, 0.5) == 0
+
+
+def _zero_diagonal_hermitian(rng, m):
+    A = random_hermitian(rng, m)
+    np.fill_diagonal(A, 0.0)
+    return A
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), m=st.integers(1, 60), zero_diag=st.booleans())
+def test_eigenvalue_count_matches_eigvalsh(seed, m, zero_diag):
+    rng = np.random.default_rng(seed)
+    if zero_diag:
+        # the shift 0 keeps the zero diagonal, forcing 2x2 pivots for m >= 2
+        A = _zero_diagonal_hermitian(rng, m)
+        ends = [0.0, float(rng.normal(scale=3.0))]
+    else:
+        A = random_hermitian(rng, m)
+        ends = list(rng.normal(scale=3.0, size=2))
+    lo, hi = min(ends), max(ends)
+    w = np.linalg.eigvalsh(A)
+    # an endpoint on the spectrum raises by design (tested below)
+    assume(lo < hi and np.min(np.abs(np.subtract.outer(w, [lo, hi]))) > 1e-8)
+    want = int(np.count_nonzero((w > lo) & (w < hi)))
+    assert eigenvalue_count(A, lo, hi) == want
+
+
+def test_eigenvalue_count_zero_diagonal_uses_2x2_pivots():
+    rng = np.random.default_rng(7)
+    for m in (2, 5, 12, 40):
+        A = _zero_diagonal_hermitian(rng, m)
+        assert np.any(zhetrf(A, lower=1)[1] < 0)
+        w = np.linalg.eigvalsh(A)
+        assert eigenvalue_count(A, 0.0, 50.0) == np.count_nonzero(w > 0.0)
+        assert eigenvalue_count(A, -50.0, 0.0) == np.count_nonzero(w < 0.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_eigenvalue_count_shift_on_eigenvalue_raises(seed):
+    rng = np.random.default_rng(seed)
+    spectrum = np.array([-1.5, -0.25, 0.5, 0.5, 2.0])
+    A = hermitian_with_spectrum(rng, spectrum)
+    for lo, hi in ((0.5, 3.0), (-3.0, 0.5), (-1.5, 0.0), (0.0, 2.0)):
+        with pytest.raises(SpectrumTouchError):
+            eigenvalue_count(A, lo, hi)
+    D = np.diag(spectrum).astype(complex)
+    with pytest.raises(SpectrumTouchError):
+        eigenvalue_count(D, -0.25, 1.0)
+
+
+def test_eigenvalue_count_rejects_empty_interval():
+    with pytest.raises(ValueError):
+        eigenvalue_count(np.eye(2, dtype=complex), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_rejected(bad):
+    A = np.array([[1.0, bad], [bad, 2.0]], dtype=complex)
+    with pytest.raises(NotHermitianError):
+        ensure_hermitian(A)
+    with pytest.raises(NotHermitianError):
+        hermitian_eig(A)
+    with pytest.raises(NotHermitianError):
+        eigenvalue_count(A, 0.0, 3.0)

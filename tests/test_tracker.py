@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spectralbranch.contour
+import spectralbranch.linalg
+import spectralbranch.tracker
 from spectralbranch import (
     Contour,
     CountingError,
     GapCollapseError,
     HermitianFamily,
+    NotHermitianError,
     RankDriftError,
     estimate_derivative_bound,
     extend_parameterization,
@@ -332,6 +336,83 @@ def test_track_star_crossing_property(seed, m):
         b = bs.branch(j)
         s = (b[-1] - b[0]) / 2.0
         assert np.allclose(b, s * bs.grid + shift, atol=1e-7)
+
+
+def _planted_pairs_family():
+    """Three pairs of lines, each pair crossing once, in a dense basis."""
+    centers = np.array([-3.0, 0.0, 3.0])
+    t_cross = np.array([-0.55, 0.05, 0.6])
+    slopes = np.array([0.8, 0.5, 1.1])
+    rng = np.random.default_rng(3)
+    U = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+
+    def matrix(t):
+        d = slopes * (t - t_cross)
+        return U @ np.diag(np.concatenate([centers + d, centers - d])) @ U.conj().T
+
+    return HermitianFamily(name="three-pairs", dim=6, matrix=matrix)
+
+
+def test_track_verifies_crossings_without_shifted_solves(monkeypatch):
+    # every crossing is still counted at its probe times, by inertia: the
+    # contour quadrature's shifted solves are never reached
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_shifted called during tracking")
+
+    monkeypatch.setattr(spectralbranch.contour, "solve_shifted", forbidden)
+    monkeypatch.setattr(spectralbranch.linalg, "solve_shifted", forbidden)
+    for fam, t_range, n_events in ((make_offdiag_t_family(), (-1.0, 1.0), 1),
+                                   (_planted_pairs_family(), (-1.0, 1.0), 3)):
+        bs = track_branches(fam, t_range, 81)
+        assert len(bs.crossings) == n_events
+        assert all(ev.contour is not None for ev in bs.crossings)
+
+
+def test_track_rank_drift_names_probe(monkeypatch):
+    # a count mismatch at a probe time raises with t and both counts
+    real = spectralbranch.tracker.eigenvalue_count
+    calls = []
+
+    def off_by_one(A, lo, hi, tol):
+        calls.append((lo, hi))
+        return real(A, lo, hi, tol) + (1 if len(calls) == 3 else 0)
+
+    monkeypatch.setattr(spectralbranch.tracker, "eigenvalue_count", off_by_one)
+    with pytest.raises(RankDriftError, match=r"encloses 3 eigenvalues at t=.*expected 2"):
+        track_branches(make_offdiag_t_family(), (-1.0, 1.0), 81)
+
+
+def test_one_sided_derivatives_runs_one_quadrature(monkeypatch):
+    real = spectralbranch.tracker.riesz_projector
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectralbranch.tracker, "riesz_projector", counting)
+    d = one_sided_derivatives(make_offdiag_t_family(), 0.0, Contour(center=0.0, radius=0.5))
+    assert np.allclose(d, [-1.0, 1.0], atol=1e-10)
+    assert calls == [0.0]
+
+
+def test_one_sided_derivatives_off_axis_center():
+    # the disk about 0.3i of radius 0.5 meets the real axis in (-0.4, 0.4):
+    # it holds 0 but not 0.45, so the count probes must agree with rank P = 1
+    fam = make_diag_family(0.0, 0.45)
+    d = one_sided_derivatives(fam, 0.0, Contour(center=0.3j, radius=0.5))
+    assert d.shape == (1,)
+    assert abs(d[0]) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_track_rejects_non_finite_family(bad):
+    def matrix(t):
+        return np.array([[t, bad], [bad, -t]], dtype=complex)
+
+    fam = HermitianFamily(name="non-finite", dim=2, matrix=matrix)
+    with pytest.raises(NotHermitianError):
+        track_branches(fam, (-1.0, 1.0), 11)
 
 
 # ------------------------------------------------------------------- gronwall
