@@ -8,6 +8,7 @@ every parse error is annotated with the offending line.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass
 
@@ -194,14 +195,21 @@ def _as_int(section: dict, key: str) -> int | None:
         raise ConfigError(f"key {key!r}: expected an integer, got {value!r}", lineno)
 
 
+def _finite(value: str, key: str, lineno: int) -> float:
+    try:
+        parsed = float(value)
+    except ValueError:
+        parsed = math.nan
+    if not math.isfinite(parsed):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {value!r}", lineno)
+    return parsed
+
+
 def _as_float(section: dict, key: str) -> float | None:
     if key not in section:
         return None
     lineno, value = section[key]
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {value!r}", lineno)
+    return _finite(value, key, lineno)
 
 
 def _as_str(section: dict, key: str) -> str | None:
@@ -217,10 +225,7 @@ def _as_float_pair(section: dict, key: str) -> tuple[float, float] | None:
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != 2:
         raise ConfigError(f"key {key!r}: expected two comma-separated numbers", lineno)
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected numbers, got {value!r}", lineno)
+    return (_finite(parts[0], key, lineno), _finite(parts[1], key, lineno))
 
 
 def _as_int_list(section: dict, key: str) -> tuple[int, ...] | None:
@@ -335,12 +340,8 @@ def parse_config(text: str) -> RunConfig:
     overrides = []
     if "tolerances" in sections:
         tsec = sections["tolerances"]
-        for key in tsec:
-            lineno, value = tsec[key]
-            try:
-                parsed = int(value) if key == "max_nodes" else float(value)
-            except ValueError:
-                raise ConfigError(f"tolerance {key!r}: expected a number, got {value!r}", lineno)
+        for key, (lineno, _) in tsec.items():
+            parsed = _as_int(tsec, key) if key == "max_nodes" else _as_float(tsec, key)
             if parsed <= 0:
                 raise ConfigError(f"tolerance {key!r} must be positive", lineno)
             overrides.append((key, float(parsed)))
@@ -369,6 +370,8 @@ def parse_config(text: str) -> RunConfig:
         resolvent = ResolventSpec(**{k: v for k, v in values.items() if v is not None})
         if min(dataclasses.astuple(resolvent)) < 1:
             raise ConfigError("[resolvent] values must be positive", min(ln for ln, _ in rsec.values()))
+        if resolvent.n_max < 2:
+            raise ConfigError("resolvent n_max must be >= 2", rsec["n_max"][0])
         if resolvent.m < resolvent.k_fixed:
             raise ConfigError("resolvent m must be >= k_fixed", min(ln for ln, _ in rsec.values()))
 

@@ -7,6 +7,10 @@ count and double (reusing all previously computed nodes) until both the
 projector and the requested power sums stabilize below proj_tol, capped at
 max_nodes.
 
+The enclosed eigenvalue count needs no quadrature: it is exact by inertia
+(``Contour.inertia_count``), so ``spectral_cluster`` knows N first and one
+quadrature yields the projector and s_0..s_{2N} together.
+
 All linear solves run at the family's unit scale: a contour given in true
 coordinates maps to unit coordinates via z -> z/f with f = scale_prefactor,
 the projector is invariant under that substitution, and s_p rescales exactly
@@ -21,7 +25,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import QuadratureError, RootRealityError, SeparationError
 from .families import HermitianFamily
-from .linalg import numerical_rank, solve_shifted
+from .linalg import eigenvalue_count, numerical_rank, solve_shifted
 
 # Geometric node error e_M ~ rho**M: the step from M/2 to M nodes is about
 # e_{M/2}, so e_M is about step**2 up to a constant this factor covers.
@@ -49,10 +53,6 @@ class Contour:
             return np.inf
         return float(np.min(np.abs(np.abs(values - self.center) - self.radius)))
 
-    def count_enclosed(self, values) -> int:
-        values = np.atleast_1d(np.asarray(values, dtype=np.complex128))
-        return int(np.sum(np.abs(values - self.center) < self.radius))
-
     def validate_against(self, spectrum, tol: Tolerances = DEFAULT_TOL) -> None:
         """Require separation_margin * radius clearance from the given spectrum."""
         d = self.circle_distance(spectrum)
@@ -62,6 +62,19 @@ class Contour:
                 f"contour (center {self.center}, radius {self.radius:g}) passes within "
                 f"{d:.3e} of the spectrum; margin requires {need:.3e}"
             )
+
+    def inertia_count(self, A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+        """Exact count of the eigenvalues of Hermitian A inside the circle, by inertia.
+
+        The eigenvalues are real, so the disk holds exactly those in the open
+        interval where the circle meets the real axis.
+        """
+        c = complex(self.center)
+        half_sq = self.radius**2 - c.imag**2
+        if half_sq <= 0.0:
+            return 0
+        half = float(np.sqrt(half_sq))
+        return eigenvalue_count(A, c.real - half, c.real + half, tol)
 
     def scaled(self, f: float) -> "Contour":
         """Image of the contour under z -> z/f (map to unit coordinates)."""
@@ -232,39 +245,38 @@ def spectral_cluster(family: HermitianFamily, t: float, gamma: Contour,
                      tol: Tolerances | None = None) -> SpectralCluster:
     """Full contour pipeline at one parameter value.
 
-    First pass fixes the enclosed count N from s_0 and the projector; second
-    pass collects s_1..s_{2N}.  Symmetric-function recovery runs at unit
-    scale (exact rescaling at the end) so tiny prefactors cannot underflow
-    the polynomial coefficients.
+    The enclosed count N comes first, exact by inertia; one quadrature then
+    yields the projector and s_0..s_{2N}, and N must agree with s_0 and with
+    the projector's rank.  Symmetric-function recovery runs at unit scale
+    (exact rescaling at the end) so tiny prefactors cannot underflow the
+    polynomial coefficients.
     """
     tol = tol if tol is not None else family.tol
     f = family.scale_prefactor
-    P, s_zero, _ = _unit_quadrature(family, t, gamma, 0, tol)
+    N = gamma.scaled(f).inertia_count(family.unit(t), tol)
+    P, s_complex, _ = _unit_quadrature(family, t, gamma, 2 * N, tol)
     _check_projector(P, tol)
-    s0 = float(_realize(s_zero, tol)[0])
-    N = int(round(s0))
+    s_unit = _realize(s_complex, tol)
+    s0 = float(s_unit[0])
     if abs(s0 - N) > 1e-8:
-        raise QuadratureError(f"enclosed eigenvalue count is not integral: s_0 = {s0!r}")
+        raise QuadratureError(f"s_0 = {s0!r} disagrees with the inertia count {N}")
     rank = numerical_rank(P, 0.5)
     if rank != N:
-        raise QuadratureError(f"projector rank {rank} disagrees with s_0 count {N}")
+        raise QuadratureError(f"projector rank {rank} disagrees with the inertia count {N}")
     if N == 0:
         return SpectralCluster(
             t=float(t), projector=P, rank=0,
             newton_sums=np.array([0.0]), sigma=np.zeros(0), eigenvalues=np.zeros(0),
         )
-    _, s_unit_c, _ = _unit_quadrature(family, t, gamma, 2 * N, tol)
-    s_unit = _realize(s_unit_c, tol)
     sigma_unit = newton_to_sigma(s_unit, N)
     eig_unit = cluster_eigenvalues(sigma_unit, N, tol)
     for p in (1, 2):
-        if p <= 2 * N:
-            direct = float(np.sum(eig_unit**p))
-            if abs(direct - s_unit[p]) > tol.recover_tol * (1.0 + abs(s_unit[p])):
-                raise QuadratureError(
-                    f"recovered eigenvalues fail to reproduce s_{p}: "
-                    f"{direct!r} vs {s_unit[p]!r}"
-                )
+        direct = float(np.sum(eig_unit**p))
+        if abs(direct - s_unit[p]) > tol.recover_tol * (1.0 + abs(s_unit[p])):
+            raise QuadratureError(
+                f"recovered eigenvalues fail to reproduce s_{p}: "
+                f"{direct!r} vs {s_unit[p]!r}"
+            )
     powers = f ** np.arange(2 * N + 1)
     return SpectralCluster(
         t=float(t),

@@ -176,20 +176,16 @@ def _run_holder(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path
 
 def _run_resolvent(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path, list[str]]:
     rs = config.resolvent if config.resolvent is not None else ResolventSpec()
+    _require(rs.n_max >= 2, f"resolvent n_max must be >= 2, got {rs.n_max}")
     reciprocal = [1.0 / j for j in range(2, rs.n_max + 1)]
     dyadic = [2.0**-j for j in range(1, rs.small_t_count + 1)]
     ts = sorted(set(reciprocal) | set(dyadic), reverse=True)
-    rows = []
-    floor = np.inf
-    for t in ts:
-        pw, nq = resolvent_weak_vs_norm(rs.m, t, rs.k_fixed)
-        rows.append((t, pw, nq))
-    for t in reciprocal:
-        _, nq = resolvent_weak_vs_norm(rs.m, t, rs.k_fixed)
-        floor = min(floor, nq)
+    quotients = {t: resolvent_weak_vs_norm(rs.m, t, rs.k_fixed) for t in ts}
+    rows = [(t, pw, nq) for t, (pw, nq) in quotients.items()]
+    floor = min(quotients[t][1] for t in reciprocal)
+    pw_last = quotients[dyadic[-1]][0]
     csv_path = out_dir / config.output_name()
     _write_csv(csv_path, ["t", "pointwise_max", "norm_quotient"], rows)
-    pw_last, _ = resolvent_weak_vs_norm(rs.m, dyadic[-1], rs.k_fixed)
     verdict = "OK" if floor >= tol.jump_floor else "BELOW FLOOR"
     lines = [
         "command: counterexample-resolvent",

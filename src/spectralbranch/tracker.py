@@ -24,7 +24,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .contour import Contour, riesz_projector
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
-from .linalg import eigenvalue_count, hermitian_eig, numerical_rank, operator_norm
+from .linalg import hermitian_eig, operator_norm
 from .util import one_sided_first, one_sided_second, remove_nearest
 
 _SIDES = ("left", "right")
@@ -32,20 +32,6 @@ _SIDES = ("left", "right")
 
 def _unit_sorted(family: HermitianFamily, t: float, tol: Tolerances) -> np.ndarray:
     return hermitian_eig(family.unit(t), tol).eigenvalues
-
-
-def _disk_count(A: np.ndarray, g: Contour, tol: Tolerances) -> int:
-    """Exact count of the eigenvalues of Hermitian A inside the circle g, by inertia.
-
-    The eigenvalues are real, so the disk holds exactly those in the open
-    interval where the circle meets the real axis.
-    """
-    c = complex(g.center)
-    half_sq = g.radius**2 - c.imag**2
-    if half_sq <= 0.0:
-        return 0
-    half = float(np.sqrt(half_sq))
-    return eigenvalue_count(A, c.real - half, c.real + half, tol)
 
 
 def sorted_eigenvalues(family: HermitianFamily, t: float,
@@ -168,11 +154,12 @@ def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     sgn = 1.0 if side == "right" else -1.0
     P = riesz_projector(family, t_star, gamma, tol)
-    N = numerical_rank(P, 0.5)
+    U, S, _ = np.linalg.svd(P)
+    N = int(np.count_nonzero(S > 0.5))
     h = tol.h_fd * max(1.0, abs(t_star))
     g = gamma.scaled(family.scale_prefactor)
     for j in (1, 2):
-        count = _disk_count(family.unit(t_star + sgn * j * h), g, tol)
+        count = g.inertia_count(family.unit(t_star + sgn * j * h), tol)
         if count != N:
             raise RankDriftError(
                 f"box too large: contour encloses {N} eigenvalues at t={t_star!r} "
@@ -186,7 +173,6 @@ def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour
         samples = np.stack([family.unit(t_star + sgn * j * h) for j in range(5)])
         D = one_sided_first(samples, h, side)
         Ad = family.scale_prefactor * 0.5 * (D + D.conj().T)
-    U, _, _ = np.linalg.svd(P)
     F = U[:, :N]
     C = F.conj().T @ Ad @ F
     C = 0.5 * (C + C.conj().T)
@@ -348,7 +334,7 @@ def _event_contour(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
     expected = ghi - glo + 1
     g = gamma.scaled(f)
     for t_probe, A in zip(times, mats):
-        count = _disk_count(A, g, tol)
+        count = g.inertia_count(A, tol)
         if count != expected:
             raise RankDriftError(
                 f"rank drift: contour around {center!r} encloses {count} eigenvalues "

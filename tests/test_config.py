@@ -12,6 +12,7 @@ from spectralbranch import (
     ResolventSpec,
     RunConfig,
     parse_config,
+    run,
     serialize_config,
 )
 from spectralbranch.cli import main
@@ -152,6 +153,47 @@ def test_removed_tolerance_keys_rejected(key, tmp_path, capsys):
     cfg.write_text(text)
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
+
+
+PROJECT = """
+[run]
+command = project
+t = 0.0
+
+[family]
+name = expr
+dim = 2
+row0 = 1, 0
+row1 = 0, 2
+
+[contour]
+center = 1.0
+radius = 0.5
+"""
+
+
+@pytest.mark.parametrize("text, line", [
+    (PROJECT.replace("radius = 0.5", "radius = inf"), 14),
+    (PROJECT + "\n[tolerances]\ncluster_tol = nan\n", 17),
+    (TRACK.replace("t_range = -1.0, 1.0", "t_range = 0, inf"), 4),
+    (PROJECT.replace("t = 0.0", "t = nan"), 4),
+], ids=["radius-inf", "cluster_tol-nan", "t_range-inf", "t-nan"])
+def test_non_finite_number_rejected(text, line, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=f"line {line}: .*finite"):
+        parse_config(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_resolvent_n_max_below_two_rejected(tmp_path, capsys):
+    text = "[run]\ncommand = counterexample-resolvent\n[resolvent]\nm = 20\nn_max = 1\n"
+    with pytest.raises(ConfigError, match="line 5: .*n_max"):
+        parse_config(text)
+    cfg = RunConfig(command="counterexample-resolvent", resolvent=ResolventSpec(m=20, n_max=1))
+    assert run(cfg, out_dir=str(tmp_path)) == 2
+    assert "n_max" in capsys.readouterr().err
 
 
 def test_nonpositive_tolerance_rejected():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spectralbranch.contour
 from spectralbranch import (
     Contour,
     HermitianFamily,
@@ -86,7 +87,7 @@ def test_cluster_eigenvalues_rejects_complex_roots():
 def test_contour_geometry():
     g = Contour(center=1.5, radius=1.0)
     spectrum = np.array([1.0, 2.0, 5.0])
-    assert g.count_enclosed(spectrum) == 2
+    assert g.inertia_count(np.diag(spectrum).astype(complex)) == 2
     assert g.circle_distance(spectrum) == pytest.approx(0.5)
     g.validate_against(spectrum)  # margin 0.5 >= 0.1 * 1.0
 
@@ -158,6 +159,49 @@ def test_spectral_cluster_prefactor_invariance():
     s_scaled = newton_sums(fam_scaled, 0.0, g, p_max=2)
     assert s_scaled[1] == pytest.approx(3.0 * f, rel=1e-10)
     assert s_scaled[2] == pytest.approx(5.0 * f**2, rel=1e-10)
+
+
+def test_spectral_cluster_runs_one_quadrature(monkeypatch):
+    # the inertia count fixes N first, so one quadrature yields P and s_0..s_2N
+    real = spectralbranch.contour._unit_quadrature
+    calls = []
+
+    def counting(family, t, gamma, p_max, tol):
+        calls.append(p_max)
+        return real(family, t, gamma, p_max, tol)
+
+    monkeypatch.setattr(spectralbranch.contour, "_unit_quadrature", counting)
+    cl = spectral_cluster(make_diag_family(1.0, 2.0, 5.0), 0.0, Contour(center=1.5, radius=1.0))
+    assert calls == [4]
+    assert cl.rank == 2
+    assert np.allclose(cl.newton_sums, [2.0, 3.0, 5.0, 9.0, 17.0], atol=1e-10)
+    assert np.allclose(cl.eigenvalues, [1.0, 2.0], atol=1e-10)
+
+
+def test_spectral_cluster_inertia_count_mismatch_raises(monkeypatch):
+    real = spectralbranch.contour.eigenvalue_count
+    monkeypatch.setattr(spectralbranch.contour, "eigenvalue_count",
+                        lambda A, lo, hi, tol: real(A, lo, hi, tol) + 1)
+    with pytest.raises(QuadratureError, match=r"s_0 = [\d.]+ disagrees with the inertia count 3"):
+        spectral_cluster(make_diag_family(1.0, 2.0, 5.0), 0.0, Contour(center=1.5, radius=1.0))
+
+
+def test_spectral_cluster_projector_rank_mismatch_raises(monkeypatch):
+    real = spectralbranch.contour.numerical_rank
+    monkeypatch.setattr(spectralbranch.contour, "numerical_rank",
+                        lambda A, tol_abs: real(A, tol_abs) + 1)
+    with pytest.raises(QuadratureError, match="projector rank 3 disagrees with the inertia count 2"):
+        spectral_cluster(make_diag_family(1.0, 2.0, 5.0), 0.0, Contour(center=1.5, radius=1.0))
+
+
+@pytest.mark.parametrize("center", [10.0, 1.5 + 3.0j])
+def test_spectral_cluster_empty_circle(center):
+    # the second circle never meets the real axis, so it encloses nothing
+    cl = spectral_cluster(make_diag_family(1.0, 2.0, 5.0), 0.0, Contour(center=center, radius=1.0))
+    assert cl.rank == 0
+    assert cl.eigenvalues.size == 0 and cl.sigma.size == 0
+    assert np.array_equal(cl.newton_sums, [0.0])
+    assert np.linalg.norm(cl.projector) < 1e-10
 
 
 def test_newton_matches_projected_power_traces(rng):

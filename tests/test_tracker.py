@@ -370,14 +370,14 @@ def test_track_verifies_crossings_without_shifted_solves(monkeypatch):
 
 def test_track_rank_drift_names_probe(monkeypatch):
     # a count mismatch at a probe time raises with t and both counts
-    real = spectralbranch.tracker.eigenvalue_count
+    real = spectralbranch.contour.eigenvalue_count
     calls = []
 
     def off_by_one(A, lo, hi, tol):
         calls.append((lo, hi))
         return real(A, lo, hi, tol) + (1 if len(calls) == 3 else 0)
 
-    monkeypatch.setattr(spectralbranch.tracker, "eigenvalue_count", off_by_one)
+    monkeypatch.setattr(spectralbranch.contour, "eigenvalue_count", off_by_one)
     with pytest.raises(RankDriftError, match=r"encloses 3 eigenvalues at t=.*expected 2"):
         track_branches(make_offdiag_t_family(), (-1.0, 1.0), 81)
 
