@@ -284,6 +284,28 @@ def _parse_family(section: dict) -> FamilySpec:
     )
 
 
+def _check_resolvent(spec: ResolventSpec, section: dict | None = None) -> None:
+    """Raise ConfigError for the first invalid value of ``spec``.
+
+    ``section`` is the parsed ``[resolvent]`` section when the spec came from
+    a file; it supplies the line numbers.
+    """
+    lines = section or {}
+
+    def fail(message: str, key: str | None = None):
+        line = lines[key][0] if key in lines else min((ln for ln, _ in lines.values()), default=None)
+        raise ConfigError(message, line)
+
+    values = dataclasses.asdict(spec)
+    bad = [key for key, value in values.items() if value < 1]
+    if bad:
+        fail(f"[resolvent] values must be positive, got {bad[0]} = {values[bad[0]]}")
+    if spec.n_max < 2:
+        fail(f"resolvent n_max must be >= 2, got {spec.n_max}", "n_max")
+    if spec.m < spec.k_fixed:
+        fail(f"resolvent m must be >= k_fixed, got m = {spec.m}, k_fixed = {spec.k_fixed}")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a validated RunConfig.
 
@@ -368,12 +390,7 @@ def parse_config(text: str) -> RunConfig:
             key: _as_int(rsec, key) for key in ("m", "n_max", "k_fixed", "small_t_count")
         }
         resolvent = ResolventSpec(**{k: v for k, v in values.items() if v is not None})
-        if min(dataclasses.astuple(resolvent)) < 1:
-            raise ConfigError("[resolvent] values must be positive", min(ln for ln, _ in rsec.values()))
-        if resolvent.n_max < 2:
-            raise ConfigError("resolvent n_max must be >= 2", rsec["n_max"][0])
-        if resolvent.m < resolvent.k_fixed:
-            raise ConfigError("resolvent m must be >= k_fixed", min(ln for ln, _ in rsec.values()))
+        _check_resolvent(resolvent, rsec)
 
     given = None
     if "extend" in sections:

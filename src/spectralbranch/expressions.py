@@ -11,14 +11,17 @@ Grammar (whitespace insensitive):
 Numbers allow decimals and scientific notation.  The known functions are
 sin, cos, exp, sqrt and abs; variables default to just ``t``.  Every parse or
 evaluation failure raises ExpressionError annotated with the 0-based source
-position.
+position.  Parsing compiles the tree to closures once; a variable may hold a
+numpy array, and the result is then bit-equal to evaluating each element.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import ExpressionError
 
@@ -144,45 +147,79 @@ class _Parser:
         raise ExpressionError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
 
 
-def _eval(node, env: dict[str, float]) -> float:
+def _elementwise(fn, *args):
+    """fn on plain floats, once per element when any argument is an array.
+
+    ``call`` and ``pow`` go through here so they use ``math`` and
+    ``float.__pow__`` exactly as a scalar evaluation would; numpy's ``exp``
+    and ``**`` round differently in the last bit.
+    """
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return fn(*(float(a) for a in args))
+    cols = np.broadcast_arrays(*args)
+    flat = zip(*(c.ravel().tolist() for c in cols))
+    return np.array([fn(*vals) for vals in flat], dtype=np.float64).reshape(cols[0].shape)
+
+
+def _compile(node):
+    """Closure env -> value for one AST node.
+
+    Values are floats or, when a variable holds a numpy array, arrays of the
+    same shape.  ``num``, ``var``, ``neg`` and the four arithmetic operators
+    are exact IEEE operations, so evaluating over an array gives the same
+    bits as evaluating each element on its own.
+    """
     op = node[0]
     if op == "num":
-        return node[1]
+        value = node[1]
+        return lambda env: value
     if op == "var":
-        return env[node[1]]
+        name = node[1]
+        return lambda env: env[name]
     if op == "neg":
-        return -_eval(node[1], env)
+        arg = _compile(node[1])
+        return lambda env: -arg(env)
     if op == "call":
-        _, name, arg, pos = node
-        x = _eval(arg, env)
-        try:
-            value = FUNCTIONS[name](x)
-        except (ValueError, OverflowError) as exc:
-            raise ExpressionError(f"{name}({x!r}) failed: {exc}", pos) from exc
-        return float(value)
+        _, name, arg_node, pos = node
+        fn, arg = FUNCTIONS[name], _compile(arg_node)
+
+        def call(x: float) -> float:
+            try:
+                return float(fn(x))
+            except (ValueError, OverflowError) as exc:
+                raise ExpressionError(f"{name}({x!r}) failed: {exc}", pos) from exc
+
+        return lambda env: _elementwise(call, arg(env))
     if op == "pow":
         _, base_node, exp_node, pos = node
-        base = _eval(base_node, env)
-        exponent = _eval(exp_node, env)
-        rounded = round(exponent)
-        if abs(exponent - rounded) > 1e-9 * (1.0 + abs(exponent)):
-            raise ExpressionError(f"exponent must be an integer, got {exponent!r}", pos)
-        try:
-            return float(base ** int(rounded))
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise ExpressionError(f"power {base!r}^{int(rounded)} failed: {exc}", pos) from exc
+        base_fn, exp_fn = _compile(base_node), _compile(exp_node)
+
+        def power(base: float, exponent: float) -> float:
+            rounded = round(exponent)
+            if abs(exponent - rounded) > 1e-9 * (1.0 + abs(exponent)):
+                raise ExpressionError(f"exponent must be an integer, got {exponent!r}", pos)
+            try:
+                return float(base ** int(rounded))
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise ExpressionError(f"power {base!r}^{int(rounded)} failed: {exc}", pos) from exc
+
+        return lambda env: _elementwise(power, base_fn(env), exp_fn(env))
     _, a_node, b_node, pos = node
-    a = _eval(a_node, env)
-    b = _eval(b_node, env)
+    a, b = _compile(a_node), _compile(b_node)
     if op == "add":
-        return a + b
+        return lambda env: a(env) + b(env)
     if op == "sub":
-        return a - b
+        return lambda env: a(env) - b(env)
     if op == "mul":
-        return a * b
-    if b == 0.0:
-        raise ExpressionError("division by zero", pos)
-    return a / b
+        return lambda env: a(env) * b(env)
+
+    def div(env):
+        num, den = a(env), b(env)
+        if np.any(den == 0.0):
+            raise ExpressionError("division by zero", pos)
+        return num / den
+
+    return div
 
 
 @dataclass(frozen=True)
@@ -191,13 +228,14 @@ class Expression:
 
     source: str
     variables: tuple[str, ...]
-    _ast: tuple
+    _fn: Callable[[dict], float] = field(compare=False, repr=False)
 
     def evaluate(self, **env: float) -> float:
+        """The value at ``env``; an array if any variable holds an array."""
         missing = [v for v in self.variables if v not in env]
         if missing:
             raise ExpressionError(f"missing variable value for {missing[0]!r}")
-        return _eval(self._ast, env)
+        return self._fn(env)
 
     def __call__(self, t: float, **extra: float) -> float:
         return self.evaluate(t=t, **extra)
@@ -211,4 +249,4 @@ def parse_expression(src: str, variables: Iterable[str] = ("t",)) -> Expression:
     """
     variables = tuple(variables)
     ast = _Parser(src, variables).parse()
-    return Expression(source=src, variables=variables, _ast=ast)
+    return Expression(source=src, variables=variables, _fn=_compile(ast))

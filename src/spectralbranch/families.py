@@ -76,13 +76,17 @@ class HermitianFamily:
         return self.scale_prefactor * self.unit_deriv(t)
 
 
+def _graph_norm(A: np.ndarray, u: np.ndarray) -> float:
+    Au = A @ u
+    return float(np.sqrt(np.vdot(u, u).real + np.vdot(Au, Au).real))
+
+
 def graph_norm(family: HermitianFamily, t: float, u) -> float:
     """The norm ||u||_t with ||u||_t^2 = ||u||^2 + ||A(t)u||^2."""
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (family.dim,):
         raise ValueError(f"vector has shape {u.shape}, family dimension is {family.dim}")
-    Au = family.eval(t) @ u
-    return float(np.sqrt(np.vdot(u, u).real + np.vdot(Au, Au).real))
+    return _graph_norm(family.eval(t), u)
 
 
 def graph_norm_equivalence_ratio(
@@ -108,12 +112,11 @@ def graph_norm_equivalence_ratio(
     for _ in range(samples):
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         vectors.append(v)
+    A_s, A_t = family.eval(s), family.eval(t)
     best = 0.0
     for v in vectors:
-        ns = graph_norm(family, s, v)
-        nt = graph_norm(family, t, v)
         # ||.||_s >= ||.|| > 0 for v != 0, so no division guard needed
-        best = max(best, nt / ns)
+        best = max(best, _graph_norm(A_t, v) / _graph_norm(A_s, v))
     return best
 
 

@@ -354,7 +354,8 @@ class SchrodingerFamily:
 
     Second-order finite differences: tridiagonal (2I - shift - shift^T)/h^2
     plus diag(V(t, x_i)), h = 1/(m+1), x_i = i h.  The potential is an
-    expression in (t, x) or any callable V(t, x).
+    expression in (t, x), evaluated over all x_i at once, or any callable
+    V(t, x), called once per grid point.
     """
 
     m: int = 99
@@ -366,14 +367,15 @@ class SchrodingerFamily:
             raise ValueError(f"need at least 3 grid points, got m={self.m}")
 
     def _potential_fn(self):
+        """V(t, xs) over the whole grid xs at once."""
         V = self.potential
         if V is None:
-            return lambda t, x: 0.0
+            return lambda t, xs: np.zeros(xs.shape)
         if isinstance(V, str):
             expr = parse_expression(V, variables=("t", "x"))
-            return lambda t, x: expr.evaluate(t=t, x=x)
+            return lambda t, xs: np.broadcast_to(expr.evaluate(t=t, x=xs), xs.shape)
         if callable(V):
-            return V
+            return lambda t, xs: np.array([V(t, x) for x in xs])
         raise TypeError(f"potential must be None, an expression string, or callable, got {type(V)}")
 
     def family(self) -> HermitianFamily:
@@ -384,14 +386,14 @@ class SchrodingerFamily:
         vf = self._potential_fn()
 
         def matrix(t: float) -> np.ndarray:
-            return lap + np.diag([vf(t, x) for x in xs])
+            return lap + np.diag(vf(t, xs))
 
         def deriv(t: float) -> np.ndarray:
             # The Laplacian part is t-independent, so difference only the
             # potential: the O(1/h^2) diagonal drops exactly instead of
             # through roundoff.
             ht = 1e-6 * max(1.0, abs(t))
-            vp = [(vf(t + ht, x) - vf(t - ht, x)) / (2.0 * ht) for x in xs]
+            vp = (vf(t + ht, xs) - vf(t - ht, xs)) / (2.0 * ht)
             return np.diag(vp).astype(np.complex128)
 
         name = "schrodinger" if self.potential is None else f"schrodinger[{self.potential}]"

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import HolderSpec, ResolventSpec, RunConfig, Tolerances
+from .config import HolderSpec, ResolventSpec, RunConfig, Tolerances, _check_resolvent
 from .contour import Contour, spectral_cluster
 from .errors import ConfigError, ExpressionError, NUMERICAL_FAILURES
 from .families import HermitianFamily, graph_norm_equivalence_ratio
@@ -176,7 +176,7 @@ def _run_holder(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path
 
 def _run_resolvent(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path, list[str]]:
     rs = config.resolvent if config.resolvent is not None else ResolventSpec()
-    _require(rs.n_max >= 2, f"resolvent n_max must be >= 2, got {rs.n_max}")
+    _check_resolvent(rs)
     reciprocal = [1.0 / j for j in range(2, rs.n_max + 1)]
     dyadic = [2.0**-j for j in range(1, rs.small_t_count + 1)]
     ts = sorted(set(reciprocal) | set(dyadic), reverse=True)

@@ -196,6 +196,17 @@ def test_resolvent_n_max_below_two_rejected(tmp_path, capsys):
     assert "n_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [
+    ResolventSpec(small_t_count=0), ResolventSpec(m=3, k_fixed=5), ResolventSpec(m=0),
+], ids=["small_t_count-0", "m-below-k_fixed", "m-0"])
+def test_run_rejects_invalid_resolvent_spec(spec, tmp_path, capsys):
+    # a RunConfig built without parse_config gets the same checks
+    cfg = RunConfig(command="counterexample-resolvent", resolvent=spec)
+    assert run(cfg, out_dir=str(tmp_path)) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_nonpositive_tolerance_rejected():
     with pytest.raises(ConfigError, match="positive"):
         parse_config(TRACK + "\n[tolerances]\ncluster_tol = -1\n")

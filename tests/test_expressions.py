@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectralbranch import ExpressionError, parse_expression
+from spectralbranch.expressions import FUNCTIONS
+from spectralbranch.gallery import SchrodingerFamily
 
 
 def ev(src, **env):
@@ -127,3 +130,86 @@ def test_arithmetic_matches_python(a, b):
 def test_trig_identity(t):
     e = parse_expression("sin(t)^2 + cos(t)^2")
     assert e(t) == pytest.approx(1.0, abs=1e-12)
+
+
+# ------------------------------------------------- evaluation over an x array
+
+# Every node kind, x-free potentials, and negative bases under odd powers.
+CORPUS = [
+    "t*x", "-x", "x - t", "x/(1 + t^2)", "t^2", "3", "-(t)", "t/4 - 1",
+    "sin(x)*cos(t)", "exp(-x^2) + exp(t)", "sqrt(x*x + t*t + 1)", "abs(x - 0.5)",
+    "x^3", "(x - 1)^3", "(x - 2)^(-3)", "(t*x - 0.7)^5", "2^(-(3*3))*x",
+    "12.5*t*x + 3.25*sin(4.5*x + 2*t) - 7.75*t^2*x^2", "x^(3 + 0*t)", "cos(t)^2",
+]
+XS = {"interior": np.arange(1, 100) / 100.0, "signed": np.linspace(-1.7, 1.3, 37)}
+
+
+def per_element(expr, t, xs):
+    """The scalar reference: one evaluation per grid point, in grid order."""
+    return np.array([expr.evaluate(t=t, x=x) for x in xs], dtype=np.float64)
+
+
+def over_grid(expr, t, xs):
+    return np.broadcast_to(np.asarray(expr.evaluate(t=t, x=xs), dtype=np.float64), xs.shape)
+
+
+@pytest.mark.parametrize("grid", sorted(XS))
+@pytest.mark.parametrize("src", CORPUS)
+def test_array_evaluation_bit_equal_to_per_element(src, grid):
+    expr = parse_expression(src, variables=("t", "x"))
+    xs = XS[grid]
+    for t in (0.0, -1.0, 0.3, 2.0, 3.0, -0.45):
+        want = per_element(expr, t, xs)
+        assert over_grid(expr, t, xs).tobytes() == want.tobytes(), (src, t)
+
+
+def _expressions():
+    leaves = st.sampled_from(["t", "x", "0.5", "3", "0.001", "2.25", "70"])
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(lambda a: f"-({a})", sub),
+        st.builds(lambda f, a: f"{f}({a})", st.sampled_from(sorted(FUNCTIONS)), sub),
+        st.builds(lambda a, op, b: f"({a}) {op} ({b})", sub, st.sampled_from("+-*/"), sub),
+        st.builds(lambda a, k: f"({a})^({k})", sub, st.integers(-3, 5)),
+    ), max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(src=_expressions(), t=st.floats(-3, 3, allow_nan=False))
+def test_random_expression_array_matches_per_element(src, t):
+    expr = parse_expression(src, variables=("t", "x"))
+    xs = XS["signed"]
+    with np.errstate(all="ignore"):
+        try:
+            want = per_element(expr, t, xs)
+        except ExpressionError:
+            with pytest.raises(ExpressionError):
+                over_grid(expr, t, xs)
+            return
+        got = over_grid(expr, t, xs)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("src, t", [
+    ("1 + 1/(x - 0.5)", 0.0),        # division by zero at one grid point
+    ("t + sqrt(x - t)", 0.42),       # math domain error
+    ("exp(800*x)", 0.0),             # math range error
+    ("2*(x - 0.25)^(-1)", 0.0),      # zero to a negative power
+    ("(x + 1)^t", 0.5),              # non-integer exponent
+])
+def test_array_errors_keep_message_and_position(src, t):
+    expr = parse_expression(src, variables=("t", "x"))
+    xs = XS["interior"]
+    with pytest.raises(ExpressionError) as scalar:
+        per_element(expr, t, xs)
+    with pytest.raises(ExpressionError) as array:
+        expr.evaluate(t=t, x=xs)
+    assert str(array.value) == str(scalar.value)
+    assert array.value.position == scalar.value.position
+
+
+def test_error_names_plain_float():
+    fam = SchrodingerFamily(m=7, potential="sqrt(x + t)").family()
+    with pytest.raises(ExpressionError) as err:
+        fam.unit(-2.5)
+    assert str(err.value).startswith("sqrt(-2.375) failed: ")
+    assert err.value.position == 0

@@ -174,3 +174,19 @@ def test_with_tol_replaces():
     fam2 = fam.with_tol(fam.tol.replace(h_fd=1e-6))
     assert fam2.tol.h_fd == 1e-6
     assert fam.tol.h_fd != 1e-6
+
+
+def test_equivalence_ratio_builds_each_matrix_once():
+    # reference: two graph_norm calls per sample vector, as the ratio is defined
+    fam = smooth_family()
+    calls = []
+    counted = HermitianFamily(name="counted", dim=2, matrix=lambda t: calls.append(t) or fam.matrix(t))
+    vectors = list(np.eye(2, dtype=complex))
+    draws = np.random.default_rng(5)
+    for _ in range(6):
+        vectors.append(draws.standard_normal(2) + 1j * draws.standard_normal(2))
+    want = max(graph_norm(fam, 0.9, v) / graph_norm(fam, -0.4, v) for v in vectors)
+    got = graph_norm_equivalence_ratio(counted, -0.4, 0.9, samples=6,
+                                       rng=np.random.default_rng(5))
+    assert got == want
+    assert calls == [-0.4, 0.9]

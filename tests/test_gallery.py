@@ -9,6 +9,7 @@ from spectralbranch import (
     eigenvector_jump,
     holder_quotient,
     make_family,
+    parse_expression,
     resolvent_weak_vs_norm,
     schrodinger_track,
     smooth_step,
@@ -228,6 +229,43 @@ def test_schrodinger_potential_types():
         SchrodingerFamily(m=7, potential=3).family()
     with pytest.raises(ValueError):
         SchrodingerFamily(m=2)
+
+
+def per_point_schrodinger(src, m, t):
+    """A(t) and A'(t) with the potential evaluated one grid point at a time."""
+    expr = parse_expression(src, variables=("t", "x"))
+    fam = SchrodingerFamily(m=m)
+    xs = fam.grid_points()
+    h = 1.0 / (m + 1)
+    lap = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / h**2
+    A = lap + np.diag([expr.evaluate(t=t, x=x) for x in xs])
+    ht = 1e-6 * max(1.0, abs(t))
+    vp = [(expr.evaluate(t=t + ht, x=x) - expr.evaluate(t=t - ht, x=x)) / (2.0 * ht) for x in xs]
+    return A.astype(np.complex128), np.diag(vp).astype(np.complex128)
+
+
+@pytest.mark.parametrize("m", [7, 99, 200])
+@pytest.mark.parametrize("src", [
+    "t*x", "t^2", "-3.5", "sin(3*x + t)*exp(-t)", "(x - 0.5)^3*t", "sqrt(x + t^2)/(1 + t)",
+    "abs(x - t) - 40*t*x^2", "12.5*t*x + 3.25*sin(4.5*x + 2*t) - 7.75*t^2*x^2",
+])
+def test_schrodinger_grid_potential_bit_equal_to_per_point(src, m):
+    fam = SchrodingerFamily(m=m, potential=src).family()
+    for t in (0.0, 0.37, -1.25, 1.0):
+        A, dA = per_point_schrodinger(src, m, t)
+        assert fam.unit(t).tobytes() == A.tobytes(), t
+        assert fam.unit_deriv(t).tobytes() == dA.tobytes(), t
+
+
+def test_schrodinger_callable_potential_called_per_point():
+    seen = []
+
+    def V(t, x):
+        seen.append(x)
+        return t * x
+
+    SchrodingerFamily(m=7, potential=V).family().unit(0.5)
+    assert len(seen) == 7 and all(np.ndim(x) == 0 for x in seen)
 
 
 def test_schrodinger_grid_points():

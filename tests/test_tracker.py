@@ -22,7 +22,8 @@ from spectralbranch import (
     sorted_eigenvalues,
     track_branches,
 )
-from spectralbranch.gallery import CurveLemmaFamily
+from spectralbranch.gallery import CurveLemmaFamily, SchrodingerFamily
+from spectralbranch.linalg import hermitian_eig, random_hermitian
 from spectralbranch.tracker import one_sided_slot_derivatives
 from spectralbranch.util import multiset_distance
 
@@ -455,6 +456,96 @@ def test_estimate_derivative_bound_identity_curve():
                           deriv=lambda t: np.array([[1.0]], dtype=complex))
     a = estimate_derivative_bound(fam, np.linspace(0.0, 1.0, 11))
     assert a == pytest.approx(1.0, abs=1e-12)
+
+
+def brute_force_bound(family, grid):
+    """The unscreened estimate: an SVD norm at every grid point."""
+    best = 0.0
+    for t in grid:
+        dec = hermitian_eig(family.unit(float(t)), family.tol)
+        w = dec.eigenvalues * family.scale_prefactor
+        V = dec.eigenvectors
+        damp = (V * (1.0 / np.sqrt(1.0 + w**2))) @ V.conj().T
+        best = max(best, float(np.linalg.norm(family.derivative(float(t)) @ damp, 2)))
+    return best
+
+
+def quadratic_family(seed, m, scale=1.0, deriv_scale=1.0, analytic=True):
+    """A(t) = scale (H0 + t H1 + t^2 H2), with A' supplied or by differences."""
+    rng = np.random.default_rng(seed)
+    H0, H1, H2 = (random_hermitian(rng, m) for _ in range(3))
+    return HermitianFamily(
+        name=f"quadratic-{seed}", dim=m,
+        matrix=lambda t: scale * (H0 + t * H1 + t * t * H2),
+        deriv=(lambda t: deriv_scale * scale * (H1 + 2.0 * t * H2)) if analytic else None,
+    )
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    calls = []
+    original = spectralbranch.tracker.operator_norm
+
+    def counting(A):
+        calls.append(A.shape)
+        return original(A)
+
+    monkeypatch.setattr(spectralbranch.tracker, "operator_norm", counting)
+    return calls
+
+
+def test_screened_bound_equals_brute_force(norm_calls):
+    grid = np.linspace(-1.0, 1.5, 26)
+    for seed in range(44):
+        m = 2 + (seed * 13) % 59
+        fam = quadratic_family(seed, m, scale=(0.05, 1.0, 20.0)[seed % 3],
+                               analytic=seed % 4 != 0)
+        before = len(norm_calls)
+        assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid), seed
+        assert len(norm_calls) - before < grid.size, seed
+
+
+def test_screened_bound_constant_family(norm_calls):
+    fam = make_diag_family(1.0, 2.0, -3.0)
+    assert estimate_derivative_bound(fam, np.linspace(0.0, 1.0, 201)) == 0.0
+    assert len(norm_calls) == 1
+
+
+@pytest.mark.parametrize("deriv_scale", [1e-170, 1e150])
+def test_screened_bound_extreme_entries(deriv_scale, norm_calls):
+    # X = A'(t) damp(t) has entries near deriv_scale; at 1e-170, X^H X would
+    # underflow to zero without the power-of-two scaling
+    fam = quadratic_family(7, 9, deriv_scale=deriv_scale)
+    grid = np.linspace(-1.0, 1.0, 41)
+    a = estimate_derivative_bound(fam, grid)
+    assert a == brute_force_bound(fam, grid)
+    assert 0.0 < a < np.inf
+    assert len(norm_calls) <= 3
+
+
+def test_screened_bound_near_ties(norm_calls):
+    # A(t) = 0 and A'(t) = Q(t) diag(s) Q(t)^H with a different unitary Q(t)
+    # at every point: every norm is max(s) up to rounding, so the estimates
+    # cannot order the points and the screen must take every exact norm
+    s = np.array([3.0, -1.5, 0.25, 2.0, -2.75])
+
+    def deriv(t):
+        Z = np.random.default_rng(int(round(t * 1e6))).standard_normal((5, 10)).view(complex)
+        Q, _ = np.linalg.qr(Z)
+        return (Q * s) @ Q.conj().T
+
+    fam = HermitianFamily(name="near-ties", dim=5, matrix=lambda t: np.zeros((5, 5)),
+                          deriv=deriv)
+    grid = np.linspace(0.0, 1.0, 30)
+    assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid)
+    assert len(norm_calls) == grid.size
+
+
+def test_screened_bound_shipped_schrodinger_family(norm_calls):
+    # configs/schrodinger.cfg: m = 99, V = t*x, estimate grid of 201 points
+    fam = SchrodingerFamily(m=99, potential="t*x").family()
+    assert estimate_derivative_bound(fam, np.linspace(0.0, 1.0, 201)) > 0.0
+    assert len(norm_calls) <= 3
 
 
 # ------------------------------------------------------------------ extension
