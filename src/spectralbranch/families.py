@@ -27,7 +27,9 @@ class HermitianFamily:
     ``matrix`` and ``deriv`` both produce unit-scale values; the true
     operator is ``scale_prefactor * matrix(t)``.  Families must be pure
     functions defined on all of R (derivative probes step outside any stated
-    range of interest).
+    range of interest).  A real symmetric tridiagonal family may also give
+    ``tridiagonal(t) -> (d, e)``, the diagonal and off-diagonal of the same
+    ``matrix(t)``; the tracker's eigensolves then never form the dense matrix.
     """
 
     name: str
@@ -36,6 +38,7 @@ class HermitianFamily:
     deriv: MatrixFn | None = None
     scale_prefactor: float = 1.0
     tol: Tolerances = DEFAULT_TOL
+    tridiagonal: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if self.dim < 1:

@@ -388,6 +388,12 @@ class SchrodingerFamily:
         def matrix(t: float) -> np.ndarray:
             return lap + np.diag(vf(t, xs))
 
+        diag, off = lap.diagonal().copy(), lap.diagonal(1).copy()
+
+        def tridiagonal(t: float) -> tuple[np.ndarray, np.ndarray]:
+            # the same sums as the diagonal of matrix(t), so the same bits
+            return diag + vf(t, xs), off
+
         def deriv(t: float) -> np.ndarray:
             # The Laplacian part is t-independent, so difference only the
             # potential: the O(1/h^2) diagonal drops exactly instead of
@@ -399,6 +405,7 @@ class SchrodingerFamily:
         name = "schrodinger" if self.potential is None else f"schrodinger[{self.potential}]"
         return HermitianFamily(
             name=name, dim=m, matrix=matrix, deriv=deriv, scale_prefactor=1.0, tol=self.tol,
+            tridiagonal=tridiagonal,
         )
 
     def free_eigenvalues(self) -> np.ndarray:

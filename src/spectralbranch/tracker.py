@@ -25,14 +25,26 @@ from .config import DEFAULT_TOL, Tolerances
 from .contour import Contour, riesz_projector
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
-from .linalg import hermitian_eig, operator_norm
+from .linalg import (EigenDecomposition, canonical_eig, hermitian_eig, operator_norm,
+                     tridiagonal_eig)
 from .util import one_sided_first, one_sided_second, remove_nearest
 
 _SIDES = ("left", "right")
 
 
-def _unit_sorted(family: HermitianFamily, t: float, tol: Tolerances) -> np.ndarray:
-    return hermitian_eig(family.unit(t), tol).eigenvalues
+def _unit_eig(family: HermitianFamily, t: float, tol: Tolerances) -> EigenDecomposition:
+    """hermitian_eig(family.unit(t)), solved on (d, e) for a tridiagonal family."""
+    if family.tridiagonal is None:
+        return hermitian_eig(family.unit(t), tol)
+    return canonical_eig(*tridiagonal_eig(*family.tridiagonal(float(t)), tol))
+
+
+def _unit_sorted(family: HermitianFamily, t: float, tol: Tolerances,
+                 A: np.ndarray | None = None) -> np.ndarray:
+    """Ascending unit-scale eigenvalues at t; A is family.unit(t) if already built."""
+    if family.tridiagonal is not None:
+        return tridiagonal_eig(*family.tridiagonal(float(t)), tol)[0]
+    return hermitian_eig(family.unit(t) if A is None else A, tol).eigenvalues
 
 
 def sorted_eigenvalues(family: HermitianFamily, t: float,
@@ -318,8 +330,8 @@ def _event_contour(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
     center = float(np.mean(w_star_unit[glo:ghi + 1])) * f
     times = [t_star + off * dt for off in _PROBE_OFFSETS]
     mats = [family.unit(t) for t in times]
-    values = [hermitian_eig(A, tol).eigenvalues * f if off != 0.0 else w_star_unit * f
-              for off, A in zip(_PROBE_OFFSETS, mats)]
+    values = [_unit_sorted(family, t, tol, A) * f if off != 0.0 else w_star_unit * f
+              for off, t, A in zip(_PROBE_OFFSETS, times, mats)]
     spread = max(np.max(np.abs(w[glo:ghi + 1] - center)) for w in values)
     rest = [np.concatenate([w[:glo], w[ghi + 1:]]) for w in values]
     d_out = min((float(np.min(np.abs(r - center))) for r in rest if r.size),
@@ -518,7 +530,7 @@ _SCREEN_SLACK = 1e-8
 
 def _damped_derivative(family: HermitianFamily, t: float, tol: Tolerances) -> np.ndarray:
     """X = A'(t) (I + A(t)^2)^{-1/2} at true scale."""
-    dec = hermitian_eig(family.unit(t), tol)
+    dec = _unit_eig(family, t, tol)
     w = dec.eigenvalues * family.scale_prefactor
     V = dec.eigenvectors
     damp = (V * (1.0 / np.sqrt(1.0 + w**2))) @ V.conj().T

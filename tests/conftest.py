@@ -30,3 +30,19 @@ def make_offdiag_t_family():
         return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
     return HermitianFamily(name="offdiag-t", dim=2, matrix=matrix, deriv=deriv)
+
+
+def assert_dense_bits(dense, w, V):
+    """(w, V) from tridiagonal_eig give hermitian_eig's decomposition bit for bit.
+
+    Below 26 rows zheevd runs QR on complex vectors, whose rotations leave
+    -0.0 where the real rotations of dstevd leave +0.0; adding 0.0 maps both
+    to +0.0 and leaves every other value as it is.
+    """
+    from spectralbranch.linalg import canonical_eig
+
+    dec = canonical_eig(w, V)
+    assert dec.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+    if w.size > 25:
+        assert dec.eigenvectors.tobytes() == dense.eigenvectors.tobytes()
+    assert (dec.eigenvectors + 0.0).tobytes() == (dense.eigenvectors + 0.0).tobytes()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import spectralbranch.contour
 from spectralbranch import (
+    DEFAULT_TOL,
     Contour,
     HermitianFamily,
     QuadratureError,
@@ -220,6 +221,8 @@ def test_newton_matches_projected_power_traces(rng):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 100_000))
 @example(seed=194)  # converges only at the 1024-node cap
+@example(seed=216)  # the filter needs about 1,236 nodes: QuadratureError
+@example(seed=287)  # the filter needs about 1,024.3 nodes: QuadratureError
 def test_projector_exactness_property(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 9))
@@ -233,7 +236,23 @@ def test_projector_exactness_property(seed):
     lo, hi = w[0], w[k - 1]
     radius = 0.5 * (hi - lo) + 0.4 * (w[k] - hi)
     g = Contour(center=0.5 * (lo + hi), radius=radius)
-    P = riesz_projector(fam, 0.0, g)
+    # The M-node trapezoid rule is the rational filter 1/(1 - z^M) in
+    # z = (lambda - c)/r, so its error is about max(|z_in|^M, |z_out|^-M):
+    # proj_tol needs log(proj_tol) / log(rho) nodes, rho the larger base.
+    z = np.abs((w - g.center) / g.radius)
+    rho = max(z[:k].max(), 1.0 / z[k:].min())
+    needed = np.log(DEFAULT_TOL.proj_tol) / np.log(rho)
+    if needed > DEFAULT_TOL.max_nodes:
+        with pytest.raises(QuadratureError):
+            riesz_projector(fam, 0.0, g)
+        return
+    try:
+        P = riesz_projector(fam, 0.0, g)
+    except QuadratureError:
+        # between half the cap and the cap the last doubling step may not
+        # certify the projector; below half the cap it always does
+        assert needed > DEFAULT_TOL.max_nodes / 2
+        return
     indicator = np.zeros(m)
     indicator[:k] = 1.0
     exact = V @ np.diag(indicator) @ V.conj().T

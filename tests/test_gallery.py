@@ -21,6 +21,9 @@ from spectralbranch.gallery import (
     SchrodingerFamily,
     bump_prime,
 )
+from spectralbranch.linalg import hermitian_eig, tridiagonal_eig
+
+from conftest import assert_dense_bits
 
 
 # ------------------------------------------------------------ curve lemma
@@ -266,6 +269,30 @@ def test_schrodinger_callable_potential_called_per_point():
 
     SchrodingerFamily(m=7, potential=V).family().unit(0.5)
     assert len(seen) == 7 and all(np.ndim(x) == 0 for x in seen)
+
+
+SWEEP_STYLE = [None, "12.5*t*x + 3.25*sin(4.5*x + 2*t) - 7.75*t^2*x^2",
+               "-41.25*t*x + 17.5*sin(8.5*x + 1.5*t) + 33.0*t^2*x^2", "(x - 0.5)^3*t"]
+
+
+@pytest.mark.parametrize("m", [3, 7, 25, 26, 99, 200])
+@pytest.mark.parametrize("src", SWEEP_STYLE)
+def test_schrodinger_tridiagonal_is_the_unit_matrix(src, m):
+    # (d, e) written out dense is unit(t) bit for bit, and its dstevd
+    # solution is hermitian_eig's on unit(t) bit for bit
+    fam = SchrodingerFamily(m=m, potential=src).family()
+    for t in (0.0, 0.37, -1.0, 2.0):
+        d, e = fam.tridiagonal(t)
+        A = fam.unit(t)
+        dense = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).astype(complex)
+        assert dense.tobytes() == A.tobytes(), t
+        assert_dense_bits(hermitian_eig(A), *tridiagonal_eig(d, e))
+
+
+def test_schrodinger_tridiagonal_callable_potential():
+    fam = SchrodingerFamily(m=9, potential=lambda t, x: t * x - 1e-14j * x).family()
+    d, e = fam.tridiagonal(0.5)
+    assert_dense_bits(hermitian_eig(fam.unit(0.5)), *tridiagonal_eig(d, e))
 
 
 def test_schrodinger_grid_points():

@@ -17,7 +17,11 @@ from spectralbranch import (
     random_hermitian,
     solve_shifted,
 )
-from spectralbranch.linalg import as_matrix, eigenvalue_count
+import spectralbranch.linalg
+from spectralbranch import EigenConvergenceError
+from spectralbranch.linalg import as_matrix, eigenvalue_count, tridiagonal_eig
+
+from conftest import assert_dense_bits
 
 
 def test_eig_2x2_oracle():
@@ -191,3 +195,115 @@ def test_non_finite_matrix_rejected(bad):
         hermitian_eig(A)
     with pytest.raises(NotHermitianError):
         eigenvalue_count(A, 0.0, 3.0)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e300])
+def test_large_finite_matrices_accepted(scale):
+    # the plain Frobenius norm overflows from entries near 1.3e154
+    A = scale * np.eye(2, dtype=complex)
+    assert ensure_hermitian(A) is not None
+    dec = hermitian_eig(A)
+    assert np.allclose(dec.eigenvalues, scale, rtol=1e-15, atol=0.0)
+    w, V = tridiagonal_eig(np.full(2, scale), np.zeros(1))
+    assert np.allclose(w, scale, rtol=1e-15, atol=0.0)
+    assert np.allclose(np.abs(V), np.eye(2), rtol=0.0, atol=1e-15)
+    with pytest.raises(NotHermitianError, match="not Hermitian"):
+        ensure_hermitian(np.array([[scale, scale], [0.0, scale]], dtype=complex))
+
+
+def test_residual_check_holds_at_large_scale(monkeypatch):
+    # with an overflowing scale every residual would pass
+    real = np.linalg.eigh
+
+    def wrong_values(A):
+        w, V = real(A)
+        return 1.5 * w, V
+
+    A = 1e300 * np.diag([1.0, 2.0]).astype(complex)
+    monkeypatch.setattr(np.linalg, "eigh", wrong_values)
+    with pytest.raises(EigenConvergenceError, match="residuals too large"):
+        hermitian_eig(A)
+
+
+def test_empty_matrix():
+    E = np.zeros((0, 0), dtype=complex)
+    assert ensure_hermitian(E).shape == (0, 0)
+    assert hermitian_eig(E).eigenvalues.size == 0
+    assert eigenvalue_count(E, 0.0, 1.0) == 0
+
+
+# -------------------------------------------------------------- tridiagonal
+
+
+def tridiagonal_dense(d, e):
+    return (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).astype(complex)
+
+
+def split_tridiagonal(rng, m):
+    """Two equal blocks split by a zero off-diagonal: every eigenvalue is an
+    exact tie, and a second zero splits each block again."""
+    h = m // 2
+    d = rng.standard_normal(m)
+    e = rng.standard_normal(m - 1)
+    d[h:2 * h], e[h:2 * h - 1] = d[:h], e[:h - 1]
+    e[h - 1] = 0.0
+    e[h // 2] = e[h + h // 2] = 0.0
+    return d, e
+
+
+@pytest.mark.parametrize("m", [3, 7, 25, 26, 99, 200])
+def test_tridiagonal_eig_split_and_ties_bit_equal_to_dense(rng, m):
+    for scale in (1.0, 1e-100, 1e300):
+        d, e = split_tridiagonal(rng, m)
+        d, e = scale * d, scale * e
+        w, V = tridiagonal_eig(d, e)
+        if m >= 4:
+            assert np.any(w[1:] == w[:-1])
+        assert_dense_bits(hermitian_eig(tridiagonal_dense(d, e)), w, V)
+
+
+def test_tridiagonal_eig_checks_its_input():
+    with pytest.raises(ValueError):
+        tridiagonal_eig(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError):
+        tridiagonal_eig(np.zeros(0), np.zeros(0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            tridiagonal_eig(np.array([1.0, bad, 2.0]), np.ones(2))
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            tridiagonal_eig(np.ones(3), np.array([1.0, bad]))
+    with pytest.raises(NotHermitianError, match="not Hermitian"):
+        tridiagonal_eig(np.array([1.0, 2.0 + 1e-6j, 3.0]), np.ones(2))
+    # a negligible imaginary part is dropped, as zheevd drops it
+    d = np.array([1.0, 2.0 + 1e-15j, 3.0])
+    w, V = tridiagonal_eig(d, np.ones(2))
+    assert_dense_bits(hermitian_eig(tridiagonal_dense(d, np.ones(2))), w, V)
+    w, V = tridiagonal_eig(np.array([-2.5]), np.zeros(0))
+    assert np.array_equal(w, [-2.5]) and np.array_equal(V, [[1.0]])
+
+
+def test_tridiagonal_eig_rejects_failed_solves(monkeypatch):
+    real = spectralbranch.linalg.dstevd
+    d, e = np.arange(6.0), np.ones(5)
+
+    def not_converged(*args, **kwargs):
+        w, V, _ = real(*args, **kwargs)
+        return w, V, 2
+
+    def wrong_vector(*args, **kwargs):
+        w, V, info = real(*args, **kwargs)
+        V = V.copy()
+        V[:, 0] = V[:, 1]
+        return w, V, info
+
+    def wrong_value(*args, **kwargs):
+        w, V, info = real(*args, **kwargs)
+        return w + 1e-6, V, info
+
+    monkeypatch.setattr(spectralbranch.linalg, "dstevd", not_converged)
+    with pytest.raises(EigenConvergenceError, match="info=2"):
+        tridiagonal_eig(d, e)
+    for corrupt in (wrong_vector, wrong_value):
+        monkeypatch.setattr(spectralbranch.linalg, "dstevd", corrupt)
+        with pytest.raises(EigenConvergenceError, match="residuals too large"):
+            tridiagonal_eig(d, e)

@@ -22,6 +22,8 @@ from spectralbranch import (
     sorted_eigenvalues,
     track_branches,
 )
+import dataclasses
+
 from spectralbranch.gallery import CurveLemmaFamily, SchrodingerFamily
 from spectralbranch.linalg import hermitian_eig, random_hermitian
 from spectralbranch.tracker import one_sided_slot_derivatives
@@ -416,6 +418,36 @@ def test_track_rejects_non_finite_family(bad):
         track_branches(fam, (-1.0, 1.0), 11)
 
 
+def test_track_schrodinger_solves_without_dense_matrices(monkeypatch):
+    # every grid eigensolve runs on (d, e); the values equal the dense path's
+    fam = SchrodingerFamily(m=60, potential="12.5*t*x + 3.25*sin(4.5*x + 2*t)").family()
+    dense = track_branches(dataclasses.replace(fam, tridiagonal=None), (0.0, 1.0), 41)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense matrix built or solved on the tridiagonal path")
+
+    monkeypatch.setattr(spectralbranch.tracker, "hermitian_eig", forbidden)
+    monkeypatch.setattr(HermitianFamily, "unit", forbidden)
+    bs = track_branches(fam, (0.0, 1.0), 41)
+    assert not bs.crossings
+    assert bs.values.tobytes() == dense.values.tobytes()
+
+
+@pytest.mark.parametrize("potential, message", [
+    (lambda t, x: t * x + 1e-3j, "not Hermitian"),
+    (lambda t, x: np.inf if x > 0.5 else t, "non-finite"),
+    (lambda t, x: np.nan * t, "non-finite"),
+])
+def test_track_schrodinger_rejects_bad_callable_potentials(potential, message):
+    fam = SchrodingerFamily(m=30, potential=potential).family()
+    with pytest.raises(NotHermitianError, match=message):
+        sorted_eigenvalues(fam, 0.5)
+    with pytest.raises(NotHermitianError, match=message):
+        track_branches(fam, (0.0, 1.0), 5)
+    with pytest.raises(NotHermitianError, match=message):
+        estimate_derivative_bound(fam, [0.5])
+
+
 # ------------------------------------------------------------------- gronwall
 
 
@@ -539,6 +571,14 @@ def test_screened_bound_near_ties(norm_calls):
     grid = np.linspace(0.0, 1.0, 30)
     assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid)
     assert len(norm_calls) == grid.size
+
+
+@pytest.mark.parametrize("m", [5, 25, 26, 99])
+def test_schrodinger_bound_equals_dense_brute_force(m):
+    # the damping built from dstevd's vectors equals the dense one bit for bit
+    fam = SchrodingerFamily(m=m, potential="-41.25*t*x + 17.5*sin(8.5*x + 1.5*t)").family()
+    grid = np.linspace(-1.0, 1.0, 9)
+    assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid)
 
 
 def test_screened_bound_shipped_schrodinger_family(norm_calls):
