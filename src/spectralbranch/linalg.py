@@ -5,11 +5,17 @@ checks (Hermiticity, finiteness, residual bounds, pivot guards) and deterministi
 post-processing (ascending eigenvalues, canonical eigenvector phases, stable
 ordering of exactly-tied eigenvalues) that the rest of the package relies on.
 Real symmetric tridiagonal matrices have their own checked eigensolver, which
-never forms the dense matrix.
+never forms the dense matrix.  The tracker's entry points run every OpenBLAS
+pool on one thread (``_one_blas_thread``), because at their sizes the pools'
+threads cost more CPU than the work they share.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -77,10 +83,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
 
 
 def _canonical_phases(V: np.ndarray) -> np.ndarray:
@@ -188,10 +190,8 @@ def tridiagonal_eig(d, e, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np
     R = d[:, None] * V - V * w
     R[:-1] += e[:, None] * V[1:]
     R[1:] += e[:, None] * V[:-1]
-    # V^T V through scipy's BLAS, whose threads dstevd has just used: numpy's
-    # own OpenBLAS threads, woken here, would compete with them for the cores
-    # (4.0 against 0.5 ms per call at m = 200 on 2 cores).  dsyrk fills the
-    # upper triangle and leaves the lower one zero.
+    # V^T V by dsyrk, which computes only the upper triangle (half the flops
+    # of V.T @ V) and leaves the lower one zero.
     G = dsyrk(1.0, V, trans=1)
     G += np.triu(G, 1).T
     G.flat[::m + 1] -= 1.0
@@ -296,6 +296,83 @@ def operator_norm(A) -> float:
     if A.size == 0:
         return 0.0
     return float(np.linalg.norm(A, 2))
+
+
+# Thread-count API of the OpenBLAS that numpy's wheel bundles (64-bit
+# integers) and of the one scipy's wheel bundles.
+_THREAD_API = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+               ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
+
+
+@functools.cache
+def _blas_pools() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count functions of every OpenBLAS in the process.
+
+    numpy and scipy each load their own OpenBLAS, each with its own thread
+    pool.  The libraries are found once, by name in /proc/self/maps; where
+    that file or a library's thread API is missing, that pool is left out.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            # address, perms, offset, device, inode, path
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_API:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pools.append((get, set_))
+                break
+    return tuple(pools)
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Run every OpenBLAS pool on one thread inside the block or decorated call.
+
+    The tracker's work is many small eigensolves, LDL^H factorizations and
+    products, and it switches between numpy's and scipy's OpenBLAS; on each
+    switch the other pool's threads wake and spin.  One thread per pool
+    does the same work at a fraction of the CPU.
+
+    The thread counts are process-global.  The first entry saves each pool's
+    count and sets it to 1; the last exit restores it, on return and on an
+    exception.  The entries are counted under a lock, so nested calls and
+    calls overlapping in several Python threads restore the count saved
+    before any of them, never an inner 1.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._active = 0
+        self._saved: list[tuple[Callable[[int], None], int]] = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._active == 0:
+                self._saved = [(set_, get()) for get, set_ in _blas_pools()]
+                for set_, _ in self._saved:
+                    set_(1)
+            self._active += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._active -= 1
+            if self._active == 0:
+                for set_, count in self._saved:
+                    set_(count)
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 def random_hermitian(rng: np.random.Generator, m: int, scale: float = 1.0) -> np.ndarray:

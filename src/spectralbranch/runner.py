@@ -16,6 +16,7 @@ from .contour import Contour, spectral_cluster
 from .errors import ConfigError, ExpressionError, NUMERICAL_FAILURES
 from .families import HermitianFamily, graph_norm_equivalence_ratio
 from .gallery import holder_quotient, make_family, resolvent_weak_vs_norm
+from .linalg import _one_blas_thread
 from .tracker import (
     BranchSet,
     estimate_derivative_bound,
@@ -237,6 +238,7 @@ _DISPATCH = {
 }
 
 
+@_one_blas_thread
 def run(config: RunConfig, out_dir="." , verbose: bool = False) -> int:
     """Execute one config; returns the process exit code (0, 2, or 3)."""
     out = Path(out_dir)

@@ -25,8 +25,8 @@ from .config import DEFAULT_TOL, Tolerances
 from .contour import Contour, riesz_projector
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
-from .linalg import (EigenDecomposition, canonical_eig, hermitian_eig, operator_norm,
-                     tridiagonal_eig)
+from .linalg import (EigenDecomposition, _one_blas_thread, canonical_eig, hermitian_eig,
+                     operator_norm, tridiagonal_eig)
 from .util import one_sided_first, one_sided_second, remove_nearest
 
 _SIDES = ("left", "right")
@@ -383,7 +383,7 @@ def _sigma_from_pairing(pairing, n: int) -> tuple[int, ...]:
 
 
 def _grid_events(family: HermitianFamily, grid: np.ndarray, values_unit: np.ndarray,
-                 order: int, tol: Tolerances, with_contours: bool) -> list[_PendingEvent]:
+                 order: int, tol: Tolerances) -> list[_PendingEvent]:
     m = values_unit.shape[1]
     scale = max(1.0, float(np.max(np.abs(values_unit))))
     threshold = tol.cluster_tol * scale
@@ -406,9 +406,7 @@ def _grid_events(family: HermitianFamily, grid: np.ndarray, values_unit: np.ndar
             )
         for glo, ghi in _tight_runs(w_star[det.lo:det.hi + 1], threshold):
             slots = tuple(range(det.lo + glo, det.lo + ghi + 1))
-            contour = None
-            if with_contours:
-                contour = _event_contour(family, t_star, w_star, slots[0], slots[-1], dt, tol)
+            contour = _event_contour(family, t_star, w_star, slots[0], slots[-1], dt, tol)
             report, sigma_local = _match_group(family, t_star, slots, order, tol)
             events.append(_PendingEvent(
                 t_star=t_star, grid_span=(det.k_start, det.k_end), slots=slots,
@@ -446,6 +444,7 @@ def _assemble(grid: np.ndarray, values_true: np.ndarray,
     return out, tuple(finished)
 
 
+@_one_blas_thread
 def track_branches(family: HermitianFamily, t_range, grid_size: int, order: int = 1,
                    tol: Tolerances | None = None) -> BranchSet:
     """Track all eigenvalue branches of the family over t_range.
@@ -464,7 +463,7 @@ def track_branches(family: HermitianFamily, t_range, grid_size: int, order: int 
         raise ValueError(f"order must be 1 or 2, got {order}")
     grid = np.linspace(t0, t1, grid_size)
     values_unit = np.array([_unit_sorted(family, t, tol) for t in grid])
-    pending = _grid_events(family, grid, values_unit, order, tol, with_contours=True)
+    pending = _grid_events(family, grid, values_unit, order, tol)
     values_true = values_unit * family.scale_prefactor
     matched, events = _assemble(grid, values_true, pending)
     return BranchSet(grid=grid, values=matched, crossings=events, order=order,
@@ -550,6 +549,7 @@ def _norm_estimate(X: np.ndarray) -> float:
     return math.ldexp(math.sqrt(max(lam, 0.0)), k)
 
 
+@_one_blas_thread
 def estimate_derivative_bound(family: HermitianFamily, grid,
                               tol: Tolerances | None = None) -> float:
     """max over the grid of ||A'(t) (I + A(t)^2)^{-1/2}||, the growth constant.

@@ -490,8 +490,14 @@ def test_estimate_derivative_bound_identity_curve():
     assert a == pytest.approx(1.0, abs=1e-12)
 
 
+@spectralbranch.linalg._one_blas_thread
 def brute_force_bound(family, grid):
-    """The unscreened estimate: an SVD norm at every grid point."""
+    """The unscreened estimate: an SVD norm at every grid point.
+
+    It runs on one BLAS thread, as estimate_derivative_bound does, so both
+    take the same kernels: a finite-difference A' at m = 54 (np.tensordot
+    over five samples) differs in the last bits between one thread and two.
+    """
     best = 0.0
     for t in grid:
         dec = hermitian_eig(family.unit(float(t)), family.tol)
@@ -635,3 +641,173 @@ def test_extend_glues_completion_through_crossing():
     mu = bs.grid.reshape(-1, 1)
     completed = extend_parameterization(bs, mu)
     assert np.allclose(completed[:, 0], -bs.grid, atol=1e-9)
+
+
+# -- one BLAS thread per pool inside the entry points ------------------------
+
+
+class _FakePool:
+    """A thread-count API that only records."""
+
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    pools = [_FakePool(4), _FakePool(3)]
+    monkeypatch.setattr(spectralbranch.linalg, "_blas_pools",
+                        lambda: tuple((p.get, p.set) for p in pools))
+    return pools
+
+
+def _recording_family(pools, seen):
+    def matrix(t):
+        seen.append([p.count for p in pools])
+        return np.array([[t, 0.5], [0.5, -t]], dtype=complex)
+
+    return HermitianFamily(name="recording", dim=2, matrix=matrix)
+
+
+def test_entry_points_run_on_one_blas_thread(fake_pools):
+    for call in (lambda fam: track_branches(fam, (-1.0, 1.0), 11),
+                 lambda fam: estimate_derivative_bound(fam, np.linspace(0.0, 1.0, 5))):
+        seen = []
+        call(_recording_family(fake_pools, seen))
+        assert seen and all(counts == [1, 1] for counts in seen)
+        assert [p.count for p in fake_pools] == [4, 3]
+    assert [p.sets for p in fake_pools] == [[1, 4, 1, 4], [1, 3, 1, 3]]
+
+
+def test_one_blas_thread_restored_after_error(fake_pools):
+    def matrix(t):
+        return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+    with pytest.raises(NotHermitianError):
+        track_branches(HermitianFamily(name="upper", dim=2, matrix=matrix), (-1.0, 1.0), 11)
+    assert [p.count for p in fake_pools] == [4, 3]
+    assert [p.sets for p in fake_pools] == [[1, 4], [1, 3]]
+
+
+def test_one_blas_thread_nested_run(fake_pools, monkeypatch, tmp_path):
+    # run -> track_branches -> estimate_derivative_bound: only the outer
+    # entry sets and restores
+    from spectralbranch import parse_config, run
+
+    real = spectralbranch.tracker._unit_sorted
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append([p.count for p in fake_pools])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectralbranch.tracker, "_unit_sorted", recording)
+    config = parse_config("[run]\ncommand = track\nt_range = -1.0, 1.0\ngrid_size = 21\n\n"
+                          "[family]\nname = expr\ndim = 2\nrow0 = 0, t\nrow1 = t, 0\n")
+    assert run(config, out_dir=tmp_path) == 0
+    assert seen and all(counts == [1, 1] for counts in seen)
+    assert [p.sets for p in fake_pools] == [[1, 4], [1, 3]]
+
+
+def test_one_blas_thread_overlapping_threads(fake_pools):
+    # entries that overlap in two Python threads restore the count saved
+    # before both, whichever leaves first
+    import threading
+
+    ctx = spectralbranch.linalg._one_blas_thread
+    inside, leave = threading.Event(), threading.Event()
+
+    def worker():
+        with ctx:
+            inside.set()
+            leave.wait(10.0)
+
+    thread = threading.Thread(target=worker)
+    with ctx:
+        thread.start()
+        assert inside.wait(10.0)
+    assert [p.count for p in fake_pools] == [1, 1]
+    leave.set()
+    thread.join(10.0)
+    assert not thread.is_alive()
+    assert [p.count for p in fake_pools] == [4, 3]
+
+
+def test_spectral_cluster_keeps_blas_threads(fake_pools):
+    from spectralbranch import spectral_cluster
+
+    cl = spectral_cluster(make_diag_family(1.0, 2.0, 5.0), 0.0, Contour(center=1.5, radius=1.0))
+    assert np.allclose(np.sort(cl.eigenvalues.real), [1.0, 2.0], atol=1e-9)
+    assert [p.sets for p in fake_pools] == [[], []]
+
+
+def test_one_blas_thread_without_pools(monkeypatch):
+    monkeypatch.setattr(spectralbranch.linalg, "_blas_pools", lambda: ())
+    bs = track_branches(make_offdiag_t_family(), (-1.0, 1.0), 21)
+    assert len(bs.crossings) == 1
+
+
+def test_one_blas_thread_real_pools():
+    pools = spectralbranch.linalg._blas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS thread API in this process")
+    before = [get() for get, _ in pools]
+    seen = []
+
+    def matrix(t):
+        seen.append([get() for get, _ in pools])
+        if t > 0.5:
+            raise NotHermitianError("stop")
+        return np.array([[t, 0.5], [0.5, -t]], dtype=complex)
+
+    fam = HermitianFamily(name="probe", dim=2, matrix=matrix)
+    track_branches(fam, (-1.0, 0.0), 11)
+    assert [get() for get, _ in pools] == before
+    with pytest.raises(NotHermitianError):
+        track_branches(fam, (-1.0, 1.0), 11)
+    assert [get() for get, _ in pools] == before
+    assert seen and all(counts == [1] * len(pools) for counts in seen)
+
+
+def _planted_crossings_family(m, pairs, seed):
+    """``pairs`` line pairs c +- s (t - tau) crossing on points of
+    linspace(-1, 1, 201) and m - 2 pairs slowly drifting spectators, each
+    pair and spectator in its own band, in a dense random unitary frame."""
+    rng = np.random.default_rng(seed)
+    taus = np.linspace(-1.0, 1.0, 201)[rng.choice(np.arange(20, 181), pairs, replace=False)]
+    slopes = rng.uniform(0.5, 1.0, pairs)
+    centers = 5.0 * (np.arange(m - pairs) - 0.5 * (m - pairs))
+    drift = rng.uniform(-0.05, 0.05, m - 2 * pairs)
+    U = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+
+    def matrix(t):
+        d = slopes * (t - taus)
+        levels = np.concatenate([centers[:pairs] + d, centers[:pairs] - d,
+                                 centers[pairs:] + drift * t])
+        A = (U * levels) @ U.conj().T
+        return 0.5 * (A + A.conj().T)
+
+    return HermitianFamily(name="planted", dim=m, matrix=matrix)
+
+
+def test_one_blas_thread_keeps_tracker_bits(monkeypatch):
+    # on a multi-core machine this compares the tracker on one BLAS thread
+    # with the tracker on the default threads, byte for byte, at a size
+    # (m = 40) where the default runs some OpenBLAS calls threaded
+    import pickle
+
+    fam = _planted_crossings_family(40, 4, 11)
+    single = track_branches(fam, (-1.0, 1.0), 201)
+    monkeypatch.setattr(spectralbranch.linalg, "_blas_pools", lambda: ())
+    default = track_branches(fam, (-1.0, 1.0), 201)
+    assert len(single.crossings) == 4
+    assert single.values.tobytes() == default.values.tobytes()
+    assert pickle.dumps(single.crossings) == pickle.dumps(default.crossings)
