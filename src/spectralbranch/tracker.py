@@ -25,8 +25,8 @@ from .config import DEFAULT_TOL, Tolerances
 from .contour import Contour, riesz_projector
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
-from .linalg import (EigenDecomposition, _one_blas_thread, canonical_eig, hermitian_eig,
-                     operator_norm, tridiagonal_eig)
+from .linalg import (EigenDecomposition, _frobenius, _one_blas_thread, canonical_eig,
+                     hermitian_eig, operator_norm, tridiagonal_eig)
 from .util import one_sided_first, one_sided_second, remove_nearest
 
 _SIDES = ("left", "right")
@@ -491,8 +491,14 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = values[:, None]
-    if not a > 0.0:
-        raise ValueError(f"growth constant a must be positive, got {a}")
+    # written so that a = NaN fails the test
+    if not 0.0 < a < np.inf:
+        raise ValueError(f"growth constant a must be positive and finite, got {a}")
+    if grid.ndim != 1 or values.ndim != 2 or values.shape[0] != grid.shape[0]:
+        raise ValueError(f"need a 1-D grid and one row of values per grid point, "
+                         f"got grid {grid.shape} and values {values.shape}")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        raise ValueError("grid and values must be finite")
     rows, m = values.shape
     growth = np.expm1(a * np.abs(grid[:, None] - grid[None, :]))
     off_diag = ~np.eye(rows, dtype=bool)
@@ -504,7 +510,7 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
         lhs = np.abs(v[:, None] - v[None, :])
         rhs = (1.0 + np.abs(v)[None, :]) * growth
         margin = rhs - lhs
-        worst = min(worst, float(np.min(margin[off_diag])))
+        worst = min(worst, float(np.min(margin[off_diag], initial=np.inf)))
         total += int(np.count_nonzero(off_diag))
         bad = np.argwhere((lhs > rhs) & off_diag)
         for k1, k2 in bad[:20]:
@@ -515,15 +521,37 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
     )
 
 
-# Relative slack of the screen in estimate_derivative_bound: a point is
-# skipped only when its estimate times (1 + slack) is at most an SVD norm
-# already taken.  For an m x m product X, the estimate and the SVD norm both
-# lie within a relative O(m^2 u) of sigma_max(X), u = 2^-53.  Forming Y^H Y
-# errs by at most gamma_m ||Y||_F^2 <= m gamma_m ||Y||_2^2 (Higham, Accuracy
-# and Stability of Numerical Algorithms, 2nd ed., 2002, sec. 3.5), and the
-# Hermitian eigensolver and the SVD are backward stable, so by Weyl's
-# inequality each moves its extreme value by O(m u) relative.  That is about
-# 1e-12 at m = 99; the slack grows as m^2 u only past m = 9000.
+# The screen in estimate_derivative_bound skips a point only when an upper
+# bound on its SVD norm s is at most a norm already taken.  The SVD is of
+# X = fl(A' fl(V F V^H)), F = diag(f), f = (1 + w^2)^{-1/2}, and the estimate
+# e = sqrt(lambda_max(Y^H Y)) is of Y = fl(A' fl(V F)), the same product
+# without V^H.  With u = 2^-53 and g = ||V^H V - I||_F <= eig_tol m, which
+# the eigensolver checks:
+#
+#   s <= sigma_max(X) (1 + O(m u))            backward-stable SVD
+#   sigma_max(X) <= ||A' V F V^H|| + ||dX||
+#   ||A' V F V^H|| <= ||A' V F|| ||V|| <= ||A' V F|| (1 + g/2)
+#   ||A' V F|| <= sigma_max(Y) + ||dY||
+#   sigma_max(Y) <= e (1 + O(m^2 u))
+#
+# The last line holds because forming Y^H Y errs by at most
+# gamma_m ||Y||_F^2 <= m gamma_m ||Y||_2^2 (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., 2002, sec. 3.5) and eigvalsh is backward
+# stable, so by Weyl's inequality lambda_max moves by O(m^2 u) relative.
+# The relative terms stay below _SCREEN_SLACK up to m of about 9000, and
+# max(_SCREEN_SLACK, m^2 u) past it; g/2 is covered by eig_tol m.  The
+# rounding of the products is relative to ||A'|| ||F||, not to ||X||.  A
+# complex product errs entrywise by at most sqrt(2) gamma_{m+2} |A| |B|
+# (sec. 3.6), and ||V||_F^2 <= m (1 + g), ||F||_F <= sqrt(m) max f,
+# ||A'||_2 <= ||A'||_F, so
+#
+#   ||dY|| <= sqrt(2) gamma_{m+3} sqrt(m) (1 + g) ||A'||_F max f
+#   ||dX|| <= sqrt(2) gamma_{m+3} (m + sqrt(m)) (1 + g) ||A'||_F max f
+#
+# whose sum is below 4 (m + 2)^2 u ||A'||_F max f.  That term dominates when
+# A' is large only where F is small: a derivative of 1e10 along an
+# eigenvector with eigenvalue 1e12 adds 1e-2 to X but 1e10 to ||A'||.  So a
+# point's bound is e (1 + slack + eig_tol m) + 4 (m + 2)^2 u ||A'||_F max f.
 _SCREEN_SLACK = 1e-8
 
 
@@ -536,17 +564,41 @@ def _damped_derivative(family: HermitianFamily, t: float, tol: Tolerances) -> np
     return family.derivative(t) @ damp
 
 
-def _norm_estimate(X: np.ndarray) -> float:
-    """sqrt(lambda_max(X^H X)), the largest singular value up to O(m^2 u).
+def _norm_estimate(Y: np.ndarray) -> float:
+    """sqrt(lambda_max(Y^H Y)), the largest singular value up to O(m^2 u).
 
-    Y = X 2^-k has its largest entry in [1/2, 1): the power of two is exact,
-    and Y^H Y then neither underflows nor overflows (gallery entries reach
+    Z = Y 2^-k has its largest entry in [1/2, 1): the power of two is exact,
+    and Z^H Z then neither underflows nor overflows (gallery entries reach
     2^-144).  k stays above -1022 so that 2^-k is finite.
     """
-    k = max(math.frexp(float(np.max(np.abs(X))))[1], -1021)
-    Y = X * math.ldexp(1.0, -k)
-    lam = float(np.linalg.eigvalsh(Y.conj().T @ Y)[-1])
+    k = max(math.frexp(float(np.max(np.abs(Y))))[1], -1021)
+    Z = Y * math.ldexp(1.0, -k)
+    lam = float(np.linalg.eigvalsh(Z.conj().T @ Z)[-1])
     return math.ldexp(math.sqrt(max(lam, 0.0)), k)
+
+
+def _screen_bound(family: HermitianFamily, t: float, tol: Tolerances) -> float:
+    """Upper bound on the SVD norm of _damped_derivative(family, t, tol).
+
+    It estimates Y = A'(t) V F, not X = Y V^H: with V unitary both have the
+    same singular values whatever V's column phases, so a tridiagonal
+    family's V is used as dstevd returns it.  Y is real when V and A'(t)
+    are.  The terms of the bound are derived above _SCREEN_SLACK.
+    """
+    if family.tridiagonal is None:
+        dec = hermitian_eig(family.unit(t), tol)
+        w, V = dec.eigenvalues, dec.eigenvectors
+    else:
+        w, V = tridiagonal_eig(*family.tridiagonal(t), tol)
+    w = w * family.scale_prefactor
+    f = 1.0 / np.sqrt(1.0 + w**2)
+    Ad = family.derivative(t)
+    if not np.iscomplexobj(V) and not np.any(Ad.imag):
+        Ad = np.ascontiguousarray(Ad.real)
+    m = family.dim
+    slack = max(_SCREEN_SLACK, m * m * 2.0**-53) + tol.eig_tol * m
+    rounding = 4.0 * (m + 2) ** 2 * 2.0**-53 * _frobenius(Ad) * float(np.max(f))
+    return _norm_estimate(Ad @ (V * f)) * (1.0 + slack) + rounding
 
 
 @_one_blas_thread
@@ -558,19 +610,21 @@ def estimate_derivative_bound(family: HermitianFamily, grid,
     Rayleigh quotient of A'(t) at a unit eigenvector, and (I + A^2)^{1/2}
     stretches that eigenvector by sqrt(1 + lambda^2) <= 1 + |lambda|.
 
-    A cheap eigenvalue estimate of each point's norm orders the points;
-    exact SVD norms are then taken, largest estimate first, until no
-    remaining estimate can reach the running maximum.  The maximum does not
-    depend on the order, so the result equals the maximum of every point's
-    SVD norm.
+    A cheap upper bound on each point's norm orders the points; exact SVD
+    norms are then taken, largest bound first, until no remaining bound can
+    exceed the running maximum.  The maximum does not depend on the order,
+    so the result equals the maximum of every point's SVD norm.
     """
     tol = tol if tol is not None else family.tol
-    ts = [float(t) for t in np.asarray(grid, dtype=np.float64)]
-    estimates = np.array([_norm_estimate(_damped_derivative(family, t, tol)) for t in ts])
-    slack = max(_SCREEN_SLACK, family.dim**2 * 2.0**-53)
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ValueError(f"grid must be a non-empty 1-D array of finite values, "
+                         f"got shape {grid.shape}")
+    ts = [float(t) for t in grid]
+    bounds = np.array([_screen_bound(family, t, tol) for t in ts])
     best = 0.0
-    for n, i in enumerate(np.argsort(-estimates, kind="stable")):
-        if n and estimates[i] * (1.0 + slack) <= best:
+    for n, i in enumerate(np.argsort(-bounds, kind="stable")):
+        if n and bounds[i] <= best:
             break
         # recomputed rather than kept: 201 products at m = 99 hold 31 MB
         best = max(best, operator_norm(_damped_derivative(family, ts[i], tol)))

@@ -474,6 +474,32 @@ def test_gronwall_requires_positive_rate():
         gronwall_screen(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]), 0.0)
 
 
+@pytest.mark.parametrize("values, a", [
+    (np.array([[0.0], [np.nan]]), 0.1),
+    (np.array([[0.0], [np.inf]]), 0.1),
+    (np.array([[0.0], [1.0]]), np.inf),
+    (np.array([[0.0], [1.0]]), np.nan),
+])
+def test_gronwall_rejects_non_finite_input(values, a):
+    with pytest.raises(ValueError):
+        gronwall_screen(np.array([0.0, 1.0]), values, a)
+
+
+def test_gronwall_rejects_non_finite_grid():
+    with pytest.raises(ValueError, match="finite"):
+        gronwall_screen(np.array([0.0, np.nan]), np.array([[0.0], [1.0]]), 0.1)
+
+
+def test_gronwall_rejects_row_mismatch():
+    with pytest.raises(ValueError, match="one row of values per grid point"):
+        gronwall_screen(np.array([0.0, 0.5, 1.0]), np.array([[0.0], [1.0]]), 0.1)
+
+
+def test_gronwall_single_point_has_no_pairs():
+    rep = gronwall_screen(np.array([0.0]), np.array([[2.0]]), 0.1)
+    assert rep.passed and rep.pairs_checked == 0 and rep.worst_margin == np.inf
+
+
 def test_gronwall_passes_on_tracked_family():
     fam = make_offdiag_t_family()
     bs = track_branches(fam, (-1.0, 1.0), 101)
@@ -592,6 +618,125 @@ def test_screened_bound_shipped_schrodinger_family(norm_calls):
     fam = SchrodingerFamily(m=99, potential="t*x").family()
     assert estimate_derivative_bound(fam, np.linspace(0.0, 1.0, 201)) > 0.0
     assert len(norm_calls) <= 3
+
+
+@pytest.fixture
+def damped_calls(monkeypatch):
+    calls = []
+    original = spectralbranch.tracker._damped_derivative
+
+    def counting(family, t, tol):
+        calls.append(t)
+        return original(family, t, tol)
+
+    monkeypatch.setattr(spectralbranch.tracker, "_damped_derivative", counting)
+    return calls
+
+
+@pytest.fixture
+def estimate_dtypes(monkeypatch):
+    dtypes = []
+    original = spectralbranch.tracker._norm_estimate
+
+    def recording(Y):
+        dtypes.append(Y.dtype)
+        return original(Y)
+
+    monkeypatch.setattr(spectralbranch.tracker, "_norm_estimate", recording)
+    return dtypes
+
+
+def test_screened_bound_covers_rounding_of_damped_large_derivative(norm_calls):
+    # In a fixed frame Q0, A(t) turns its null vector v0(t) within span(q0, q1)
+    # and has eigenvalues 1e12 to 3e12 elsewhere; A' is constant, equal to 1
+    # on that plane, coupled to q2 and q3, and 1e10 to 3e10 off it.  So
+    # ||A' F|| is sqrt(2) up to 1e-5 at every point while the products round
+    # at u ||A'|| ||F||, about 1e-6 of it: the estimates and the SVD norms
+    # order the points differently, and only the per-point rounding term
+    # keeps the screen from skipping the maximum
+    m = 6
+    Z = np.random.default_rng(11).standard_normal((m, 2 * m)).view(complex)
+    Q0 = np.linalg.qr(Z)[0]
+    M = np.diag([1.0, 1.0, 1e10, 1e10, -2e10, 3e10]).astype(complex)
+    M[0, 2] = M[2, 0] = M[1, 3] = M[3, 1] = 1.0
+    Ad = Q0 @ M @ Q0.conj().T
+    Ad = 0.5 * (Ad + Ad.conj().T)
+    lam = np.array([0.0, 1e12, 2e12, 2e12, 2.5e12, 3e12])
+
+    def matrix(t):
+        c, s = np.cos(np.pi * t), np.sin(np.pi * t)
+        R = np.eye(m)
+        R[:2, :2] = [[c, -s], [s, c]]
+        Q = Q0 @ R
+        A = (Q * lam) @ Q.conj().T
+        return 0.5 * (A + A.conj().T)
+
+    fam = HermitianFamily(name="damped-large-derivative", dim=m, matrix=matrix,
+                          deriv=lambda t: Ad)
+    damped = spectralbranch.tracker._damped_derivative(fam, 0.0, fam.tol)
+    assert np.linalg.norm(Ad, 2) / np.linalg.norm(damped, 2) >= 1e10
+    grid = np.linspace(0.0, 1.0, 40)
+    assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid)
+    assert len(norm_calls) == grid.size
+
+
+def test_screened_bound_tridiagonal_family_with_complex_derivative(estimate_dtypes):
+    # real tridiagonal A(t), solved by dstevd, with a Hermitian A'(t) that
+    # has imaginary off-diagonal entries: the estimate runs in complex
+    m = 40
+    d0 = np.linspace(-3.0, 5.0, m)
+    off = np.full(m - 1, 0.75)
+    slope = np.cos(np.arange(m))
+
+    def diagonal(t):
+        return d0 + t * slope + t * t
+
+    def matrix(t):
+        return (np.diag(diagonal(t)) + np.diag(off, 1) + np.diag(off, -1)).astype(complex)
+
+    def deriv(t):
+        D = np.diag(slope + 2.0 * t).astype(complex)
+        D += np.diag(np.full(m - 1, 0.5j * (2.0 + t)), 1)
+        return D + np.diag(np.full(m - 1, -0.5j * (2.0 + t)), -1)
+
+    fam = HermitianFamily(name="tridiagonal-complex-derivative", dim=m, matrix=matrix,
+                          deriv=deriv, tridiagonal=lambda t: (diagonal(t), off))
+    grid = np.linspace(-1.0, 1.0, 25)
+    assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid)
+    assert len(estimate_dtypes) == grid.size
+    assert all(dt == np.complex128 for dt in estimate_dtypes)
+
+
+@pytest.mark.parametrize("m", [3, 25, 26, 64, 120])
+def test_screened_bound_seeded_schrodinger_potentials(m, estimate_dtypes):
+    # the tridiagonal family's estimates run in real arithmetic
+    for seed in range(3):
+        c = np.random.default_rng(1000 * m + seed).uniform(-40.0, 40.0, size=5).tolist()
+        potential = (f"{c[0]!r}*t*x + {c[1]!r}*sin({c[2]!r}*x + {c[3]!r}*t) "
+                     f"+ {c[4]!r}*t*t*x*x")
+        fam = SchrodingerFamily(m=m, potential=potential).family()
+        grid = np.linspace(-1.0, 1.0, 17)
+        assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid), potential
+    assert len(estimate_dtypes) == 3 * grid.size
+    assert all(dt == np.float64 for dt in estimate_dtypes)
+
+
+def test_screen_estimates_form_no_damped_product(norm_calls, damped_calls):
+    # the estimate pass builds A' V F, never X = A' V F V^H: every X formed
+    # is one the exact pass takes the SVD of
+    grid = np.linspace(-1.0, 1.0, 31)
+    for fam in (quadratic_family(3, 17), quadratic_family(4, 6, analytic=False),
+                SchrodingerFamily(m=40, potential="t*x").family(),
+                make_diag_family(1.0, 2.0, -3.0)):
+        estimate_derivative_bound(fam, grid)
+        assert len(damped_calls) == len(norm_calls) > 0, fam.name
+
+
+@pytest.mark.parametrize("grid", [[], np.zeros((3, 2)), [0.0, np.inf], [0.0, np.nan, 1.0],
+                                  5.0])
+def test_estimate_derivative_bound_rejects_bad_grids(grid):
+    with pytest.raises(ValueError, match="grid"):
+        estimate_derivative_bound(make_offdiag_t_family(), grid)
 
 
 # ------------------------------------------------------------------ extension
