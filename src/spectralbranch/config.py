@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -40,27 +41,36 @@ class Tolerances:
     def replace(self, **overrides) -> "Tolerances":
         return dataclasses.replace(self, **overrides)
 
-    def validate(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not value > 0:
-                raise ValueError(f"tolerance {f.name} must be positive, got {value!r}")
-
 
 DEFAULT_TOL = Tolerances()
 
 _TOLERANCE_FIELDS = {f.name: f.type for f in dataclasses.fields(Tolerances)}
 
-COMMANDS = (
-    "track",
-    "project",
-    "counterexample-holder",
-    "counterexample-resolvent",
-    "schrodinger",
-    "extend",
-)
+# command -> (default output file, the RunConfig fields it requires)
+COMMANDS = {
+    "track": ("branches.csv", ("family", "t_range")),
+    "project": ("cluster.csv", ("family", "t", "contour")),
+    "counterexample-holder": ("holder.csv", ()),
+    "counterexample-resolvent": ("resolvent.csv", ()),
+    "schrodinger": ("branches.csv", ("family", "t_range")),
+    "extend": ("extension.csv", ("family", "t_range", "given")),
+}
 
-FAMILY_NAMES = ("curve-lemma", "resolvent-example", "schrodinger", "expr")
+_WHERE = {
+    "family": "a [family] section",
+    "t_range": "t_range in [run]",
+    "t": "t in [run]",
+    "contour": "a [contour] section",
+    "given": "an [extend] section with 'given'",
+}
+
+# family name -> the FamilySpec fields it reads (``rows`` are the row<k> keys)
+_FAMILY_KEYS = {
+    "curve-lemma": ("n_max",),
+    "resolvent-example": ("m",),
+    "schrodinger": ("m", "potential"),
+    "expr": ("dim", "rows"),
+}
 
 
 @dataclass(frozen=True)
@@ -118,21 +128,10 @@ class RunConfig:
         kw = {}
         for name, value in self.tolerance_overrides:
             kw[name] = int(value) if name == "max_nodes" else value
-        tol = DEFAULT_TOL.replace(**kw) if kw else DEFAULT_TOL
-        tol.validate()
-        return tol
+        return DEFAULT_TOL.replace(**kw) if kw else DEFAULT_TOL
 
     def output_name(self) -> str:
-        if self.output is not None:
-            return self.output
-        return {
-            "track": "branches.csv",
-            "project": "cluster.csv",
-            "counterexample-holder": "holder.csv",
-            "counterexample-resolvent": "resolvent.csv",
-            "schrodinger": "branches.csv",
-            "extend": "extension.csv",
-        }[self.command]
+        return self.output if self.output is not None else COMMANDS[self.command][0]
 
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_-]+)\]$")
@@ -185,9 +184,17 @@ def _scan(text: str) -> dict[str, dict[str, tuple[int, str]]]:
     return sections
 
 
-def _as_int(section: dict, key: str) -> int | None:
+def _line(section: dict | None, key: str | None = None) -> int | None:
+    """Line of ``key`` in a scanned section, else the section's first line."""
+    section = section or {}
+    if key in section:
+        return section[key][0]
+    return min((ln for ln, _ in section.values()), default=None)
+
+
+def _as_int(section: dict, key: str, default: int | None = None) -> int | None:
     if key not in section:
-        return None
+        return default
     lineno, value = section[key]
     try:
         return int(value)
@@ -205,9 +212,9 @@ def _finite(value: str, key: str, lineno: int) -> float:
     return parsed
 
 
-def _as_float(section: dict, key: str) -> float | None:
+def _as_float(section: dict, key: str, default: float | None = None) -> float | None:
     if key not in section:
-        return None
+        return default
     lineno, value = section[key]
     return _finite(value, key, lineno)
 
@@ -228,9 +235,9 @@ def _as_float_pair(section: dict, key: str) -> tuple[float, float] | None:
     return (_finite(parts[0], key, lineno), _finite(parts[1], key, lineno))
 
 
-def _as_int_list(section: dict, key: str) -> tuple[int, ...] | None:
+def _as_int_list(section: dict, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
     if key not in section:
-        return None
+        return default
     lineno, value = section[key]
     parts = [p.strip() for p in value.split(",") if p.strip()]
     if not parts:
@@ -242,197 +249,180 @@ def _as_int_list(section: dict, key: str) -> tuple[int, ...] | None:
 
 
 def _parse_family(section: dict) -> FamilySpec:
-    name = _as_str(section, "name")
-    if name is None:
-        lineno = min(ln for ln, _ in section.values()) if section else None
-        raise ConfigError("[family] requires a 'name' key", lineno)
-    if name not in FAMILY_NAMES:
-        raise ConfigError(
-            f"unknown family {name!r} (expected one of {', '.join(FAMILY_NAMES)})",
-            section["name"][0],
-        )
-    rows = None
-    if name == "expr":
-        dim = _as_int(section, "dim")
-        if dim is None or dim < 1:
-            raise ConfigError("expr family requires dim >= 1", section["name"][0])
-        collected = []
-        for k in range(dim):
-            key = f"row{k}"
-            if key not in section:
-                raise ConfigError(f"expr family with dim={dim} is missing {key!r}", section["name"][0])
-            lineno, value = section[key]
-            entries = tuple(e.strip() for e in value.split(","))
-            if len(entries) != dim:
-                raise ConfigError(f"{key!r} must have {dim} comma-separated entries", lineno)
-            collected.append(entries)
-        extra = [k for k in section if re.match(r"^row\d+$", k) and int(k[3:]) >= dim]
-        if extra:
-            raise ConfigError(f"unexpected row key {extra[0]!r} for dim={dim}", section[extra[0]][0])
-        rows = tuple(collected)
-    else:
-        for k in section:
-            if re.match(r"^row\d+$", k) or k == "dim":
-                raise ConfigError(f"key {k!r} only applies to the expr family", section[k][0])
+    if "name" not in section:
+        raise ConfigError("[family] requires a 'name' key", _line(section))
+    rows = []
+    while f"row{len(rows)}" in section:
+        rows.append(tuple(e.strip() for e in section[f"row{len(rows)}"][1].split(",")))
+    read = {f"row{k}" for k in range(len(rows))}
+    stray = [key for key in section if key.startswith("row") and key not in read]
+    if stray:
+        raise ConfigError(f"unexpected row key {stray[0]!r}: rows are numbered row0, row1, "
+                          f"... with no gap", section[stray[0]][0])
     return FamilySpec(
-        name=name,
+        name=section["name"][1],
         n_max=_as_int(section, "n_max"),
         m=_as_int(section, "m"),
         potential=_as_str(section, "potential"),
         dim=_as_int(section, "dim"),
-        rows=rows,
+        rows=tuple(rows) if rows else None,
     )
-
-
-def _check_resolvent(spec: ResolventSpec, section: dict | None = None) -> None:
-    """Raise ConfigError for the first invalid value of ``spec``.
-
-    ``section`` is the parsed ``[resolvent]`` section when the spec came from
-    a file; it supplies the line numbers.
-    """
-    lines = section or {}
-
-    def fail(message: str, key: str | None = None):
-        line = lines[key][0] if key in lines else min((ln for ln, _ in lines.values()), default=None)
-        raise ConfigError(message, line)
-
-    values = dataclasses.asdict(spec)
-    bad = [key for key, value in values.items() if value < 1]
-    if bad:
-        fail(f"[resolvent] values must be positive, got {bad[0]} = {values[bad[0]]}")
-    if spec.n_max < 2:
-        fail(f"resolvent n_max must be >= 2, got {spec.n_max}", "n_max")
-    if spec.m < spec.k_fixed:
-        fail(f"resolvent m must be >= k_fixed, got m = {spec.m}, k_fixed = {spec.k_fixed}")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a validated RunConfig.
 
-    Raises ConfigError (with a line number where one applies) on any syntax
-    problem, unknown or duplicate key, or failed semantic validation.
+    Reading checks syntax and types; the values pass ``_check_config``, the
+    same check ``run`` applies to a RunConfig built in code.  Raises
+    ConfigError, with a line number where one applies.
     """
     sections = _scan(text)
     run = sections.get("run")
     if run is None or "command" not in run:
         raise ConfigError("config requires a [run] section with a 'command' key")
-    cmd_line, command = run["command"]
-    if command not in COMMANDS:
-        raise ConfigError(
-            f"unknown command {command!r} (expected one of {', '.join(COMMANDS)})", cmd_line
-        )
-
-    t_range = _as_float_pair(run, "t_range")
-    if t_range is not None and not t_range[0] < t_range[1]:
-        raise ConfigError(
-            f"t_range must satisfy t0 < t1, got {t_range[0]!r}, {t_range[1]!r}",
-            run["t_range"][0],
-        )
-    grid_size = _as_int(run, "grid_size")
-    if grid_size is None:
-        grid_size = 101
-    elif grid_size < 2:
-        raise ConfigError("grid_size must be at least 2", run["grid_size"][0])
-    order = _as_int(run, "order")
-    if order is None:
-        order = 1
-    elif order not in (1, 2):
-        raise ConfigError("order must be 1 or 2", run["order"][0])
-    seed = _as_int(run, "seed")
-    if seed is None:
-        seed = 0
-
-    family = _parse_family(sections["family"]) if "family" in sections else None
 
     contour = None
     if "contour" in sections:
         csec = sections["contour"]
-        center = _as_float(csec, "center")
-        radius = _as_float(csec, "radius")
+        center, radius = _as_float(csec, "center"), _as_float(csec, "radius")
         if center is None or radius is None:
-            lineno = min(ln for ln, _ in csec.values()) if csec else None
-            raise ConfigError("[contour] requires 'center' and 'radius'", lineno)
-        if radius <= 0:
-            raise ConfigError("contour radius must be positive", csec["radius"][0])
-        nodes = _as_int(csec, "nodes")
-        contour = ContourSpec(center=center, radius=radius, nodes=nodes if nodes is not None else 64)
-        if contour.nodes < 8:
-            raise ConfigError("contour nodes must be at least 8", csec["nodes"][0])
+            raise ConfigError("[contour] requires 'center' and 'radius'", _line(csec))
+        contour = ContourSpec(center=center, radius=radius, nodes=_as_int(csec, "nodes", 64))
 
-    overrides = []
-    if "tolerances" in sections:
-        tsec = sections["tolerances"]
-        for key, (lineno, _) in tsec.items():
-            parsed = _as_int(tsec, key) if key == "max_nodes" else _as_float(tsec, key)
-            if parsed <= 0:
-                raise ConfigError(f"tolerance {key!r} must be positive", lineno)
-            overrides.append((key, float(parsed)))
-    tolerance_overrides = tuple(sorted(overrides))
+    tsec = sections.get("tolerances", {})
+    overrides = tuple(sorted(
+        (key, float(_as_int(tsec, key) if key == "max_nodes" else _as_float(tsec, key)))
+        for key in tsec))
 
     holder = None
     if "holder" in sections:
         hsec = sections["holder"]
-        n_values = _as_int_list(hsec, "n_values")
-        alpha = _as_float(hsec, "alpha")
-        holder = HolderSpec(
-            n_values=n_values if n_values is not None else HolderSpec.n_values,
-            alpha=alpha if alpha is not None else HolderSpec.alpha,
-        )
-        if any(n < 2 for n in holder.n_values):
-            raise ConfigError("holder n_values must all be >= 2", hsec["n_values"][0])
-        if not 0 < holder.alpha <= 1:
-            raise ConfigError("holder alpha must lie in (0, 1]", hsec["alpha"][0])
+        holder = HolderSpec(n_values=_as_int_list(hsec, "n_values", HolderSpec.n_values),
+                            alpha=_as_float(hsec, "alpha", HolderSpec.alpha))
 
-    resolvent = None
-    if "resolvent" in sections:
-        rsec = sections["resolvent"]
-        values = {
-            key: _as_int(rsec, key) for key in ("m", "n_max", "k_fixed", "small_t_count")
-        }
-        resolvent = ResolventSpec(**{k: v for k, v in values.items() if v is not None})
-        _check_resolvent(resolvent, rsec)
-
-    given = None
-    if "extend" in sections:
-        given = _as_int(sections["extend"], "given")
-        if given is None or given < 0:
-            raise ConfigError("[extend] requires given >= 0", min(ln for ln, _ in sections["extend"].values()))
+    rsec = sections.get("resolvent")
+    resolvent = None if rsec is None else ResolventSpec(**{k: _as_int(rsec, k) for k in rsec})
 
     cfg = RunConfig(
-        command=command,
-        family=family,
-        t_range=t_range,
-        grid_size=grid_size,
-        order=order,
+        command=run["command"][1],
+        family=_parse_family(sections["family"]) if "family" in sections else None,
+        t_range=_as_float_pair(run, "t_range"),
+        grid_size=_as_int(run, "grid_size", 101),
+        order=_as_int(run, "order", 1),
         t=_as_float(run, "t"),
-        seed=seed,
+        seed=_as_int(run, "seed", 0),
         output=_as_str(run, "output"),
         contour=contour,
-        tolerance_overrides=tolerance_overrides,
+        tolerance_overrides=overrides,
         holder=holder,
         resolvent=resolvent,
-        given=given,
+        given=_as_int(sections.get("extend", {}), "given"),
     )
-    _validate_command(cfg, cmd_line)
+    _check_config(cfg, sections)
     return cfg
 
 
-def _validate_command(cfg: RunConfig, cmd_line: int) -> None:
-    need_family = {"track", "project", "extend"}
-    if cfg.command in need_family and cfg.family is None:
-        raise ConfigError(f"command {cfg.command!r} requires a [family] section", cmd_line)
-    need_range = {"track", "schrodinger", "extend"}
-    if cfg.command in need_range and cfg.t_range is None:
-        raise ConfigError(f"command {cfg.command!r} requires t_range in [run]", cmd_line)
-    if cfg.command == "project":
-        if cfg.t is None:
-            raise ConfigError("command 'project' requires t in [run]", cmd_line)
-        if cfg.contour is None:
-            raise ConfigError("command 'project' requires a [contour] section", cmd_line)
-    if cfg.command == "schrodinger" and cfg.family is not None and cfg.family.name != "schrodinger":
-        raise ConfigError("command 'schrodinger' requires family name 'schrodinger'", cmd_line)
-    if cfg.command == "extend" and cfg.given is None:
-        raise ConfigError("command 'extend' requires an [extend] section with 'given'", cmd_line)
+def _check_config(cfg: RunConfig, sections: dict | None = None) -> None:
+    """Raise ConfigError for the first value of ``cfg`` that no run accepts.
+
+    The one home of the value rules: ``parse_config`` applies it to what it
+    read and ``run`` to every config, however it was built.  ``sections``
+    are the scanned sections when ``cfg`` came from text; they supply the
+    line numbers.
+    """
+    sections = sections or {}
+
+    def fail(message: str, section: str = "run", key: str = "command"):
+        raise ConfigError(message, _line(sections.get(section), key))
+
+    if cfg.command not in COMMANDS:
+        fail(f"unknown command {cfg.command!r} (expected one of {', '.join(COMMANDS)})")
+    for field in COMMANDS[cfg.command][1]:
+        if getattr(cfg, field) is None:
+            fail(f"command {cfg.command!r} requires {_WHERE[field]}")
+    if cfg.command == "schrodinger" and cfg.family.name != "schrodinger":
+        fail("command 'schrodinger' requires family name 'schrodinger'")
+
+    if cfg.t_range is not None:
+        t0, t1 = cfg.t_range
+        if not (t0 < t1 and math.isfinite(t1 - t0)):
+            fail(f"t_range must satisfy t0 < t1 with a finite span, got {t0!r}, {t1!r}",
+                 "run", "t_range")
+    if cfg.grid_size < 2:
+        fail("grid_size must be at least 2", "run", "grid_size")
+    if cfg.order not in (1, 2):
+        fail("order must be 1 or 2", "run", "order")
+    if cfg.t is not None and not math.isfinite(cfg.t):
+        fail(f"t must be finite, got {cfg.t!r}", "run", "t")
+    if cfg.seed < 0:
+        fail(f"seed must be >= 0, got {cfg.seed}", "run", "seed")
+    if cfg.output is not None and (cfg.output in ("", ".", "..")
+                                   or os.path.basename(cfg.output) != cfg.output):
+        fail(f"output must be a file name, got {cfg.output!r}", "run", "output")
+
+    fam = cfg.family
+    if fam is not None:
+        if fam.name not in _FAMILY_KEYS:
+            fail(f"unknown family {fam.name!r} (expected one of {', '.join(_FAMILY_KEYS)})",
+                 "family", "name")
+        for field in ("n_max", "m", "potential", "dim", "rows"):
+            if getattr(fam, field) is not None and field not in _FAMILY_KEYS[fam.name]:
+                key = "row0" if field == "rows" else field
+                readers = ", ".join(n for n, keys in _FAMILY_KEYS.items() if field in keys)
+                fail(f"family {fam.name!r} does not read key {key!r} (read by: {readers})",
+                     "family", key)
+        if fam.name == "expr":
+            rows = fam.rows or ()
+            if fam.dim is None or fam.dim < 1:
+                fail("expr family requires dim >= 1", "family", "name")
+            if len(rows) < fam.dim:
+                fail(f"expr family with dim={fam.dim} is missing 'row{len(rows)}'",
+                     "family", "name")
+            for k, row in enumerate(rows):
+                if k >= fam.dim:
+                    fail(f"unexpected row key 'row{k}' for dim={fam.dim}", "family", f"row{k}")
+                if len(row) != fam.dim:
+                    fail(f"'row{k}' must have {fam.dim} comma-separated entries",
+                         "family", f"row{k}")
+
+    c = cfg.contour
+    if c is not None:
+        if not math.isfinite(c.center):
+            fail(f"contour center must be finite, got {c.center!r}", "contour", "center")
+        if not 0 < c.radius < math.inf:
+            fail("contour radius must be positive and finite", "contour", "radius")
+        if c.nodes < 8:
+            fail("contour nodes must be at least 8", "contour", "nodes")
+
+    for name, value in cfg.tolerance_overrides:
+        if name not in _TOLERANCE_FIELDS:
+            fail(f"unknown tolerance {name!r}", "tolerances", name)
+        if not 0 < value < math.inf:
+            fail(f"tolerance {name!r} must be positive and finite, got {value!r}",
+                 "tolerances", name)
+
+    h = cfg.holder
+    if h is not None:
+        if not h.n_values or min(h.n_values) < 2:
+            fail("holder n_values must be a non-empty list, all >= 2", "holder", "n_values")
+        if not 0 < h.alpha <= 1:
+            fail("holder alpha must lie in (0, 1]", "holder", "alpha")
+
+    r = cfg.resolvent
+    if r is not None:
+        values = dataclasses.asdict(r)
+        bad = [key for key, value in values.items() if value < 1]
+        if bad:
+            fail(f"[resolvent] values must be positive, got {bad[0]} = {values[bad[0]]}",
+                 "resolvent", bad[0])
+        if r.n_max < 2:
+            fail(f"resolvent n_max must be >= 2, got {r.n_max}", "resolvent", "n_max")
+        if r.m < r.k_fixed:
+            fail(f"resolvent m must be >= k_fixed, got m = {r.m}, k_fixed = {r.k_fixed}",
+                 "resolvent", "m")
+
+    if cfg.given is not None and cfg.given < 0:
+        fail("[extend] requires given >= 0", "extend", "given")
 
 
 def serialize_config(cfg: RunConfig) -> str:

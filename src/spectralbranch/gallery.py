@@ -213,6 +213,15 @@ def holder_quotient(n: int, alpha: float, use_prefactor: bool = True,
         raise ValueError(f"window index must be >= 2, got {n}")
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    try:
+        # ds = s_n dsigma and the Holder denominator s_n^alpha combine to this
+        # exact power of two; past double range the window is out of reach
+        rescale = 2.0 ** ((1.0 + alpha) * (n * n - n))
+    except OverflowError:
+        raise UnderflowGuardError(
+            f"window n={n} at alpha={alpha}: the rescaling 2^((1+alpha)(n^2-n)) "
+            f"overflows double precision"
+        ) from None
     if not use_prefactor and n > 15:
         raise UnderflowGuardError(
             f"window n={n} without prefactor rescaling underflows double precision; "
@@ -238,9 +247,8 @@ def holder_quotient(n: int, alpha: float, use_prefactor: bool = True,
     i1 = int(np.argmin(np.abs(grid - 1.0)))
     d0 = float(central_first(upper[i0 - 2:i0 + 3], h))
     d1 = float(central_first(upper[i1 - 2:i1 + 3], h))
-    # d/dsigma values carry the true prefactor; ds = s_n dsigma and the
-    # Holder denominator s_n^alpha combine to the exact power 2^((1+alpha)(n*n-n))
-    numerical = (d1 - d0) * 2.0 ** ((1.0 + alpha) * (n * n - n))
+    # d/dsigma values carry the true prefactor
+    numerical = (d1 - d0) * rescale
     closed = 2.0 ** (n * (alpha * (n - 1) - 1)) / math.sqrt(2.0)
     return HolderQuotient(
         n=n, alpha=alpha, closed_form=closed, numerical=numerical,
@@ -431,16 +439,23 @@ def schrodinger_track(V, m: int, t_range, grid_size: int, order: int = 1,
 
 
 def make_family(spec: FamilySpec, tol: Tolerances = DEFAULT_TOL) -> HermitianFamily:
-    """Build the family a config file names."""
-    if spec.name == "curve-lemma":
-        n_max = spec.n_max if spec.n_max is not None else 12
-        return CurveLemmaFamily(n_max=n_max, tol=tol).global_family()
-    if spec.name == "resolvent-example":
-        m = spec.m if spec.m is not None else 200
-        return ResolventExampleFamily(m=m, tol=tol).family()
-    if spec.name == "schrodinger":
-        m = spec.m if spec.m is not None else 99
-        return SchrodingerFamily(m=m, potential=spec.potential, tol=tol).family()
+    """Build the family a config file names.
+
+    A value the family's constructor refuses is a ConfigError: the config
+    named it.
+    """
+    try:
+        if spec.name == "curve-lemma":
+            n_max = spec.n_max if spec.n_max is not None else 12
+            return CurveLemmaFamily(n_max=n_max, tol=tol).global_family()
+        if spec.name == "resolvent-example":
+            m = spec.m if spec.m is not None else 200
+            return ResolventExampleFamily(m=m, tol=tol).family()
+        if spec.name == "schrodinger":
+            m = spec.m if spec.m is not None else 99
+            return SchrodingerFamily(m=m, potential=spec.potential, tol=tol).family()
+    except ValueError as exc:
+        raise ConfigError(f"family {spec.name!r}: {exc}") from exc
     if spec.name == "expr":
         if spec.dim is None or spec.rows is None:
             raise ConfigError("expr family needs dim and row entries")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import HolderSpec, ResolventSpec, RunConfig, Tolerances, _check_resolvent
+from .config import HolderSpec, ResolventSpec, RunConfig, Tolerances, _check_config
 from .contour import Contour, spectral_cluster
 from .errors import ConfigError, ExpressionError, NUMERICAL_FAILURES
 from .families import HermitianFamily, graph_norm_equivalence_ratio
@@ -49,11 +49,6 @@ def _write_report(path: Path, lines: list[str], verbose: bool) -> None:
 
 def _report_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".report.txt")
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
 
 
 def _crossing_lines(branches: BranchSet) -> list[str]:
@@ -101,11 +96,6 @@ def _graph_norm_lines(family: HermitianFamily, t0: float, t1: float, seed: int) 
 
 
 def _run_track(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path, list[str]]:
-    _require(config.family is not None, f"command {config.command} needs a [family] section")
-    _require(config.t_range is not None, f"command {config.command} needs t_range")
-    if config.command == "schrodinger":
-        _require(config.family.name == "schrodinger",
-                 "the schrodinger command requires family name schrodinger")
     family = make_family(config.family, tol)
     branches = track_branches(family, config.t_range, config.grid_size,
                               order=config.order, tol=tol)
@@ -129,9 +119,6 @@ def _run_track(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path,
 
 
 def _run_project(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path, list[str]]:
-    _require(config.family is not None, "command project needs a [family] section")
-    _require(config.t is not None, "command project needs t")
-    _require(config.contour is not None, "command project needs a [contour] section")
     family = make_family(config.family, tol)
     cs = config.contour
     gamma = Contour(center=complex(cs.center), radius=cs.radius, nodes=cs.nodes)
@@ -177,7 +164,6 @@ def _run_holder(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path
 
 def _run_resolvent(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path, list[str]]:
     rs = config.resolvent if config.resolvent is not None else ResolventSpec()
-    _check_resolvent(rs)
     reciprocal = [1.0 / j for j in range(2, rs.n_max + 1)]
     dyadic = [2.0**-j for j in range(1, rs.small_t_count + 1)]
     ts = sorted(set(reciprocal) | set(dyadic), reverse=True)
@@ -199,13 +185,11 @@ def _run_resolvent(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[P
 
 
 def _run_extend(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path, list[str]]:
-    _require(config.family is not None, "command extend needs a [family] section")
-    _require(config.t_range is not None, "command extend needs t_range")
-    _require(config.given is not None, "command extend needs given")
     family = make_family(config.family, tol)
     k = config.given
-    _require(0 <= k <= family.dim,
-             f"given must be between 0 and the family dimension {family.dim}, got {k}")
+    if k > family.dim:
+        raise ConfigError(f"given must be between 0 and the family dimension {family.dim}, "
+                          f"got {k}")
     branches = track_branches(family, config.t_range, config.grid_size,
                               order=config.order, tol=tol)
     mu = branches.values[:, :k]
@@ -240,15 +224,18 @@ _DISPATCH = {
 
 @_one_blas_thread
 def run(config: RunConfig, out_dir="." , verbose: bool = False) -> int:
-    """Execute one config; returns the process exit code (0, 2, or 3)."""
+    """Execute one config; returns the process exit code (0, 2, or 3).
+
+    A config built in code passes the same value check as one read by
+    ``parse_config``, before anything is written.  Exit 2 is a config or
+    expression error, 3 a numerical failure (``NUMERICAL_FAILURES``).
+    """
     out = Path(out_dir)
     try:
+        _check_config(config)
         tol = config.tolerances()
-        handler = _DISPATCH.get(config.command)
-        if handler is None:
-            raise ConfigError(f"unknown command {config.command!r}")
         out.mkdir(parents=True, exist_ok=True)
-        csv_path, lines = handler(config, out, tol)
+        csv_path, lines = _DISPATCH[config.command](config, out, tol)
         _write_report(_report_path(csv_path), lines, verbose)
     except (ConfigError, ExpressionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -455,8 +455,8 @@ def track_branches(family: HermitianFamily, t_range, grid_size: int, order: int 
     """
     tol = tol if tol is not None else family.tol
     t0, t1 = float(t_range[0]), float(t_range[1])
-    if not t0 < t1:
-        raise ValueError(f"t_range must satisfy t0 < t1, got ({t0}, {t1})")
+    if not (t0 < t1 and math.isfinite(t1 - t0)):
+        raise ValueError(f"t_range must satisfy t0 < t1 with a finite span, got ({t0}, {t1})")
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     if order not in (1, 2):

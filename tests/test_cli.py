@@ -206,3 +206,27 @@ potential = t*x
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
     data = np.loadtxt(tmp_path / "branches.csv", delimiter=",", skiprows=1)
     assert data.shape == (11, 19)
+
+
+@pytest.mark.parametrize("family, key", [
+    ("name = schrodinger\nm = 2", "m=2"),
+    ("name = curve-lemma\nn_max = 1", "n_max"),
+    ("name = resolvent-example\nm = 0", "m must be positive"),
+], ids=["schrodinger-m-2", "curve-lemma-n_max-1", "resolvent-example-m-0"])
+def test_exit_2_family_refuses_value(family, key, tmp_path, capsys):
+    command = "schrodinger" if "schrodinger" in family else "track"
+    cfg = write(tmp_path / "run.cfg", f"[run]\ncommand = {command}\nt_range = 3, 3.5\n"
+                                      f"grid_size = 5\n[family]\n{family}\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not list((tmp_path / "out").iterdir())
+
+
+def test_exit_3_holder_window_out_of_range(tmp_path, capsys):
+    cfg = write(tmp_path / "run.cfg",
+                "[run]\ncommand = counterexample-holder\n[holder]\nn_values = 3, 30\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "UnderflowGuardError" in err and "n=30 at alpha=0.25" in err
+    assert not list((tmp_path / "out").iterdir())

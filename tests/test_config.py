@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from spectralbranch import (
     serialize_config,
 )
 from spectralbranch.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TRACK = """
 [run]
@@ -296,3 +300,71 @@ def test_configs_are_frozen():
     cfg = RunConfig(command="track")
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.command = "project"
+
+
+_EXPR = FamilySpec(name="expr", dim=2, rows=(("0", "t"), ("t", "0")))
+_TRACK = RunConfig(command="track", family=_EXPR, t_range=(-1.0, 1.0), grid_size=5)
+_PROJECT = RunConfig(command="project", family=_EXPR, t=0.0,
+                     contour=ContourSpec(center=1.0, radius=0.5))
+_HOLDER = RunConfig(command="counterexample-holder")
+
+
+@pytest.mark.parametrize("cfg, key", [
+    (dataclasses.replace(_TRACK, grid_size=1), "grid_size"),
+    (dataclasses.replace(_TRACK, order=3), "order"),
+    (dataclasses.replace(_TRACK, t_range=(1.0, -1.0)), "t_range"),
+    (dataclasses.replace(_TRACK, t_range=(0.0, math.inf)), "t_range"),
+    (dataclasses.replace(_PROJECT, contour=ContourSpec(center=1.0, radius=-1.0)), "radius"),
+    (dataclasses.replace(_PROJECT, contour=ContourSpec(center=1.0, radius=0.5, nodes=4)),
+     "nodes"),
+    (dataclasses.replace(_HOLDER, holder=HolderSpec(n_values=(1,))), "n_values"),
+    (dataclasses.replace(_HOLDER, holder=HolderSpec(alpha=2.0)), "alpha"),
+    (dataclasses.replace(_TRACK, tolerance_overrides=(("eig_tol", -1e-10),)), "eig_tol"),
+    (dataclasses.replace(_TRACK, tolerance_overrides=(("fudge", 1e-3),)), "fudge"),
+    (dataclasses.replace(_TRACK, family=FamilySpec(name="schrodinger", m=2),
+                         command="schrodinger"), "m=2"),
+    (dataclasses.replace(_TRACK, family=FamilySpec(name="curve-lemma", n_max=1)), "n_max"),
+    (dataclasses.replace(_TRACK, family=FamilySpec(name="resolvent-example", m=0)),
+     "m must be positive"),
+    (dataclasses.replace(_TRACK, family=FamilySpec(name="curve-lemma", m=5)), "key 'm'"),
+], ids=["grid_size-1", "order-3", "t_range-reversed", "t_range-inf", "radius-negative",
+        "nodes-4", "n_values-1", "alpha-2", "tolerance-negative", "tolerance-unknown",
+        "schrodinger-m-2", "curve-lemma-n_max-1", "resolvent-example-m-0",
+        "curve-lemma-reads-no-m"])
+def test_run_refuses_invalid_code_built_config(cfg, key, tmp_path, capsys):
+    # one check for configs read from text and built in code: exit 2, the
+    # key named, nothing written
+    assert run(cfg, out_dir=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text, line, key", [
+    (TRACK.replace("name = expr", "name = curve-lemma\nm = 5")
+     .replace("dim = 2\nrow0 = 0, t\nrow1 = t, 0\n", ""), 8, "key 'm'"),
+    (TRACK + "row3 = 1, 1\n", 11, "row3"),
+    (TRACK.replace("t_range = -1.0, 1.0", "t_range = -1e308, 1e308"), 4, "t_range"),
+    (TRACK.replace("command = track", "command = track\nseed = -1"), 4, "seed"),
+    (TRACK.replace("command = track", "command = track\noutput = sub/x.csv"), 4, "output"),
+    ("[run]\ncommand = schrodinger\nt_range = 0, 1\n", 2, "[family]"),
+    ("[run]\ncommand = extend\nt_range = 0, 1\n[family]\nname = curve-lemma\n[extend]\n",
+     2, "given"),
+    ("[run]\ncommand = counterexample-resolvent\n[resolvent]\nn_max = 20\nm = 0\n", 5, "m = 0"),
+], ids=["family-reads-no-m", "row-gap", "t_range-span", "seed-negative", "output-path",
+        "schrodinger-needs-family", "extend-empty-section", "resolvent-m-0"])
+def test_parse_rule_line_numbers(text, line, key, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=f"^line {line}: "):
+        parse_config(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_configs_round_trip(path):
+    cfg = parse_config(path.read_text())
+    assert parse_config(serialize_config(cfg)) == cfg

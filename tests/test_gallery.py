@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spectralbranch.gallery as gallery
 from spectralbranch import (
     ConfigError,
     FamilySpec,
@@ -135,6 +136,24 @@ def test_holder_quotient_rejects_bad_n():
 def test_holder_quotient_underflow_guard():
     with pytest.raises(UnderflowGuardError):
         holder_quotient(16, 0.5, use_prefactor=False)
+
+
+@pytest.mark.parametrize("n, alpha", [(30, 0.25), (24, 1.0), (33, 0.25), (40, 0.5)])
+def test_holder_quotient_refuses_out_of_range_windows(n, alpha, monkeypatch):
+    # 2^((1+alpha)(n^2-n)) overflows (from n = 33 the prefactor 2^(-n^2) is 0):
+    # refused by name before any eigensolve
+    def no_track(*args, **kwargs):
+        raise AssertionError("tracked a window that is out of range")
+
+    monkeypatch.setattr(gallery, "track_branches", no_track)
+    with pytest.raises(UnderflowGuardError, match=f"n={n} at alpha={alpha}"):
+        holder_quotient(n, alpha)
+
+
+def test_holder_quotient_largest_windows_in_range():
+    # the last windows whose rescaling fits in double precision still agree
+    assert holder_quotient(29, 0.25).rel_diff <= 1e-6
+    assert holder_quotient(23, 1.0).rel_diff <= 1e-6
 
 
 def test_holder_quotient_without_prefactor_small_n():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,6 +302,16 @@ def test_track_rejects_bad_args():
         track_branches(fam, (-1.0, 1.0), 1)
     with pytest.raises(ValueError):
         track_branches(fam, (-1.0, 1.0), 11, order=3)
+
+
+@pytest.mark.parametrize("t_range", [(0.0, np.inf), (-np.inf, 1.0), (-1e308, 1e308)],
+                         ids=["inf-end", "minus-inf-start", "span-overflows"])
+def test_track_rejects_non_finite_t_range(t_range):
+    # named as a bad t_range before any grid is built, not blamed on the matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t_range"):
+            track_branches(make_offdiag_t_family(), t_range, 5)
 
 
 def test_track_derivative_consistency_at_crossing():
