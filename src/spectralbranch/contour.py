@@ -135,11 +135,11 @@ def _quadrature(A: np.ndarray, c: complex, r: float, start_nodes: int,
             )
 
 
-def _unit_quadrature(family: HermitianFamily, t: float, gamma: Contour,
+def _unit_quadrature(family: HermitianFamily, A: np.ndarray, gamma: Contour,
                      p_max: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, int]:
-    f = family.scale_prefactor
-    g = gamma.scaled(f)
-    return _quadrature(family.unit(t), g.center, g.radius, g.nodes, p_max, tol)
+    """_quadrature of A = family.unit(t) on gamma mapped to unit coordinates."""
+    g = gamma.scaled(family.scale_prefactor)
+    return _quadrature(A, g.center, g.radius, g.nodes, p_max, tol)
 
 
 def _check_projector(P: np.ndarray, tol: Tolerances) -> None:
@@ -156,7 +156,7 @@ def riesz_projector(family: HermitianFamily, t: float, gamma: Contour,
                     tol: Tolerances | None = None) -> np.ndarray:
     """Spectral projector onto the eigenspaces enclosed by gamma at time t."""
     tol = tol if tol is not None else family.tol
-    P, _, _ = _unit_quadrature(family, t, gamma, 0, tol)
+    P, _, _ = _unit_quadrature(family, family.unit(t), gamma, 0, tol)
     _check_projector(P, tol)
     return P
 
@@ -177,7 +177,7 @@ def newton_sums(family: HermitianFamily, t: float, gamma: Contour, p_max: int,
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
     tol = tol if tol is not None else family.tol
-    _, s_unit, _ = _unit_quadrature(family, t, gamma, p_max, tol)
+    _, s_unit, _ = _unit_quadrature(family, family.unit(t), gamma, p_max, tol)
     s_real = _realize(s_unit, tol)
     return s_real * family.scale_prefactor ** np.arange(p_max + 1)
 
@@ -253,8 +253,9 @@ def spectral_cluster(family: HermitianFamily, t: float, gamma: Contour,
     """
     tol = tol if tol is not None else family.tol
     f = family.scale_prefactor
-    N = gamma.scaled(f).inertia_count(family.unit(t), tol)
-    P, s_complex, _ = _unit_quadrature(family, t, gamma, 2 * N, tol)
+    A = family.unit(t)
+    N = gamma.scaled(f).inertia_count(A, tol)
+    P, s_complex, _ = _unit_quadrature(family, A, gamma, 2 * N, tol)
     _check_projector(P, tol)
     s_unit = _realize(s_complex, tol)
     s0 = float(s_unit[0])

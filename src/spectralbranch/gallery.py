@@ -25,7 +25,7 @@ from .errors import ConfigError, UnderflowGuardError
 from .expressions import parse_expression
 from .families import ExprMatrixSpec, HermitianFamily
 from .linalg import hermitian_eig
-from .tracker import BranchSet, track_branches
+from .tracker import track_branches
 from .util import central_first
 
 # ---------------------------------------------------------------------------
@@ -193,9 +193,13 @@ class HolderQuotient:
     rel_diff: float
 
 
+# sigma grid [-1.25, 1.25] for holder_quotient: 161 points give step 1/64
+# exactly, with sigma = 0 and sigma = 1 on grid
+_HOLDER_GRID = 161
+
+
 def holder_quotient(n: int, alpha: float, use_prefactor: bool = True,
-                    grid_size: int = 161, tol: Tolerances = DEFAULT_TOL,
-                    n_max: int | None = None) -> HolderQuotient:
+                    tol: Tolerances = DEFAULT_TOL) -> HolderQuotient:
     """First-derivative Holder quotient of the upper branch across window n.
 
     The quotient (lambda'(t_n + s_n) - lambda'(t_n)) / s_n^alpha is computed
@@ -227,8 +231,7 @@ def holder_quotient(n: int, alpha: float, use_prefactor: bool = True,
             f"window n={n} without prefactor rescaling underflows double precision; "
             f"enable use_prefactor"
         )
-    gallery = CurveLemmaFamily(n_max=max(n, 2) if n_max is None else n_max, tol=tol)
-    fam = gallery.window_family(n)
+    fam = CurveLemmaFamily(n_max=n, tol=tol).window_family(n)
     if not use_prefactor:
         f = fam.scale_prefactor
         inner = fam.matrix
@@ -237,9 +240,7 @@ def holder_quotient(n: int, alpha: float, use_prefactor: bool = True,
             matrix=lambda sigma: f * inner(sigma),
             scale_prefactor=1.0, tol=tol,
         )
-    # sigma grid [-1.25, 1.25]: step 2.5/(grid_size-1); the default 161 gives
-    # step 1/64 exactly, with sigma = 0 and sigma = 1 on grid
-    branches = track_branches(fam, (-1.25, 1.25), grid_size, order=1, tol=tol)
+    branches = track_branches(fam, (-1.25, 1.25), _HOLDER_GRID, order=1, tol=tol)
     grid = branches.grid
     upper = branches.values[:, 1]
     h = float(grid[1] - grid[0])
@@ -425,13 +426,6 @@ class SchrodingerFamily:
     def grid_points(self) -> np.ndarray:
         h = 1.0 / (self.m + 1)
         return h * np.arange(1, self.m + 1)
-
-
-def schrodinger_track(V, m: int, t_range, grid_size: int, order: int = 1,
-                      tol: Tolerances = DEFAULT_TOL) -> BranchSet:
-    """Track the Dirichlet Schrodinger spectrum under the potential V(t, x)."""
-    fam = SchrodingerFamily(m=m, potential=V, tol=tol).family()
-    return track_branches(fam, t_range, grid_size, order=order, tol=tol)
 
 
 # ---------------------------------------------------------------------------

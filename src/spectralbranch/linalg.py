@@ -1,13 +1,18 @@
 """Dense complex Hermitian linear algebra used by every other module.
 
 Matrices are plain numpy complex128 arrays; the helpers here add the contract
-checks (Hermiticity, finiteness, residual bounds, pivot guards) and deterministic
-post-processing (ascending eigenvalues, canonical eigenvector phases, stable
-ordering of exactly-tied eigenvalues) that the rest of the package relies on.
-Real symmetric tridiagonal matrices have their own checked eigensolver, which
-never forms the dense matrix.  The tracker's entry points run every OpenBLAS
-pool on one thread (``_one_blas_thread``), because at their sizes the pools'
-threads cost more CPU than the work they share.
+checks (Hermiticity, finiteness, residual bounds, pivot guards) that the rest
+of the package relies on.  The two eigensolvers, ``dense_eig`` (zheevd) and
+``tridiagonal_eig`` (dstevd on a real symmetric tridiagonal matrix, never
+formed dense), return checked (w, V) as LAPACK gives them: ascending
+eigenvalues, orthonormal eigenvectors with whatever phases LAPACK left.
+``canonical_eig`` makes the vectors deterministic (canonical phases, a stable
+order of exactly tied eigenvalues).  ``hermitian_eig`` is ``dense_eig`` in
+that form; the tracker applies the form only in the exact pass of the
+Gronwall rate, the one place where V's phases reach its output.  The
+tracker's entry points run every OpenBLAS pool on one thread
+(``_one_blas_thread``), because at their sizes the pools' threads cost more
+CPU than the work they share.
 """
 from __future__ import annotations
 
@@ -85,63 +90,35 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _canonical_phases(V: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant component is real positive."""
-    mags = np.abs(V)
-    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
-    lead = V[first, np.arange(V.shape[1])]
-    return V * np.conj(lead / np.abs(lead))
-
-
-def _order_exact_ties(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Exactly equal eigenvalues get a stable order: by the index of the first
-    # significant component of the (phase-canonical) eigenvector.
-    i = 0
-    m = w.size
-    while i < m:
-        j = i + 1
-        while j < m and w[j] == w[i]:
-            j += 1
-        if j - i > 1:
-            block = V[:, i:j]
-            keys = []
-            for c in range(block.shape[1]):
-                mags = np.abs(block[:, c])
-                keys.append(int(np.argmax(mags > 1e-12 * mags.max())))
-            order = np.argsort(np.asarray(keys), kind="stable")
-            V[:, i:j] = block[:, order]
-        i = j
-    return w, V
-
-
 def canonical_eig(w: np.ndarray, V) -> EigenDecomposition:
     """The form hermitian_eig returns, from ascending w and orthonormal V.
 
-    V is taken to C-ordered complex128, each column's phase is made
-    canonical, and exactly tied eigenvalues get a stable column order.
+    V is taken to C-ordered complex128 and each column is rotated so that
+    its first significant component is real positive.  Exactly tied
+    eigenvalues get a stable column order, by the index of that component.
     """
-    V = _canonical_phases(np.asarray(V, dtype=np.complex128, order="C"))
-    w, V = _order_exact_ties(np.asarray(w, dtype=float), V)
-    return EigenDecomposition(w, V)
+    w = np.asarray(w, dtype=float)
+    V = np.asarray(V, dtype=np.complex128, order="C")
+    mags = np.abs(V)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    lead = V[first, np.arange(V.shape[1])]
+    V = V * np.conj(lead / np.abs(lead))
+    return EigenDecomposition(w, V.take(np.lexsort((first, w)), axis=1))
 
 
-def hermitian_eig(A, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix.
+def dense_eig(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues w and orthonormal eigenvectors V of Hermitian A.
 
-    Returns ascending eigenvalues and unitary eigenvectors with canonical
-    phases.  Validates the reconstruction and orthonormality residuals against
-    eig_tol.
+    LAPACK zheevd through numpy's eigh, with V as it returns it.  A must be
+    finite and Hermitian to hermitian_tol, and the reconstruction and
+    orthonormality residuals must meet eig_tol.
     """
     A = as_matrix(A)
     scale = _hermitian_scale(_frobenius(A), lambda: hermitian_defect(A), tol)
-    if A.shape[0] == 0:
-        return EigenDecomposition(np.zeros(0), np.zeros((0, 0), dtype=np.complex128))
     try:
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigensolver failed: {exc}") from exc
-    dec = canonical_eig(w, V)
-    w, V = dec.eigenvalues, dec.eigenvectors
     resid = _frobenius(A @ V - V * w)
     ortho = float(np.linalg.norm(V.conj().T @ V - np.eye(V.shape[0])))
     # written so that a NaN residual fails the test
@@ -150,7 +127,16 @@ def hermitian_eig(A, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
             f"eigendecomposition residuals too large: |AV-VW|={resid:.3e}, "
             f"|V*V-I|={ortho:.3e}"
         )
-    return dec
+    return w, V
+
+
+def hermitian_eig(A, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
+    """dense_eig in canonical form: ascending eigenvalues and unitary
+    eigenvectors with canonical phases and a stable order of exact ties."""
+    A = as_matrix(A)
+    if A.shape[0] == 0:
+        return EigenDecomposition(np.zeros(0), np.zeros((0, 0), dtype=np.complex128))
+    return canonical_eig(*dense_eig(A, tol))
 
 
 def tridiagonal_eig(d, e, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -165,12 +151,12 @@ def tridiagonal_eig(d, e, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np
     sign of zero parts, which zheevd's complex QR rotations set).  dstevd
     and zheevd rescale differently below entries of about 1e-140, so this
     is a solver for tridiagonal families, not a fast path to detect in
-    hermitian_eig.
+    dense_eig.
 
     e is real.  d may carry an imaginary part: beyond hermitian_tol x
     max(1, ||T||_F) it is rejected as ensure_hermitian rejects the dense
     matrix, and otherwise the real part is solved, as zheevd reads a
-    Hermitian diagonal.  The residual contract is hermitian_eig's, with a
+    Hermitian diagonal.  The residual contract is dense_eig's, with a
     banded product for T V.
     """
     d = np.asarray(d)

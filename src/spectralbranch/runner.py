@@ -51,6 +51,10 @@ def _report_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".report.txt")
 
 
+# what a command returns: CSV header, CSV rows and report lines
+_Output = tuple[list[str], object, list[str]]
+
+
 def _crossing_lines(branches: BranchSet) -> list[str]:
     if not branches.crossings:
         return ["crossings: none"]
@@ -95,16 +99,14 @@ def _graph_norm_lines(family: HermitianFamily, t0: float, t1: float, seed: int) 
     ]
 
 
-def _run_track(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path, list[str]]:
+def _run_track(config: RunConfig, tol: Tolerances) -> _Output:
     family = make_family(config.family, tol)
     branches = track_branches(family, config.t_range, config.grid_size,
                               order=config.order, tol=tol)
-    csv_path = out_dir / config.output_name()
     m = branches.n_branches
     dv = np.gradient(branches.values, branches.grid, axis=0)
     header = (["t"] + [f"branch_{j}" for j in range(m)]
               + [f"dbranch_{j}" for j in range(m)])
-    _write_csv(csv_path, header, np.column_stack([branches.grid, branches.values, dv]))
     lines = [
         f"command: {config.command}",
         f"family: {family.name} (dimension {family.dim})",
@@ -115,19 +117,17 @@ def _run_track(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path,
     lines += _gronwall_lines(family, branches, tol)
     lines += _graph_norm_lines(family, float(branches.grid[0]), float(branches.grid[-1]),
                                config.seed)
-    return csv_path, lines
+    return header, np.column_stack([branches.grid, branches.values, dv]), lines
 
 
-def _run_project(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path, list[str]]:
+def _run_project(config: RunConfig, tol: Tolerances) -> _Output:
     family = make_family(config.family, tol)
     cs = config.contour
     gamma = Contour(center=complex(cs.center), radius=cs.radius, nodes=cs.nodes)
     spectrum = sorted_eigenvalues(family, config.t, tol)
     gamma.validate_against(spectrum, tol)
     cluster = spectral_cluster(family, config.t, gamma, tol)
-    csv_path = out_dir / config.output_name()
     rows = [(float(i), v) for i, v in enumerate(cluster.eigenvalues)]
-    _write_csv(csv_path, ["index", "eigenvalue"], rows)
     P = cluster.projector
     direct = spectrum[np.abs(spectrum - gamma.center.real) < gamma.radius]
     lines = [
@@ -143,12 +143,11 @@ def _run_project(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Pat
         f"recovered vs direct eigensolve multiset distance: "
         f"{multiset_distance(cluster.eigenvalues, direct):.3e}",
     ]
-    return csv_path, lines
+    return ["index", "eigenvalue"], rows, lines
 
 
-def _run_holder(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path, list[str]]:
+def _run_holder(config: RunConfig, tol: Tolerances) -> _Output:
     hs = config.holder if config.holder is not None else HolderSpec()
-    csv_path = out_dir / config.output_name()
     rows = []
     lines = ["command: counterexample-holder", f"alpha = {hs.alpha!r}"]
     for n in hs.n_values:
@@ -158,11 +157,10 @@ def _run_holder(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path
             f"n={n}: closed-form {q.closed_form!r}, numerical {q.numerical!r} "
             f"(rel diff {q.rel_diff:.3e})"
         )
-    _write_csv(csv_path, ["n", "alpha", "closed_form", "numerical", "rel_diff"], rows)
-    return csv_path, lines
+    return ["n", "alpha", "closed_form", "numerical", "rel_diff"], rows, lines
 
 
-def _run_resolvent(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path, list[str]]:
+def _run_resolvent(config: RunConfig, tol: Tolerances) -> _Output:
     rs = config.resolvent if config.resolvent is not None else ResolventSpec()
     reciprocal = [1.0 / j for j in range(2, rs.n_max + 1)]
     dyadic = [2.0**-j for j in range(1, rs.small_t_count + 1)]
@@ -171,8 +169,6 @@ def _run_resolvent(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[P
     rows = [(t, pw, nq) for t, (pw, nq) in quotients.items()]
     floor = min(quotients[t][1] for t in reciprocal)
     pw_last = quotients[dyadic[-1]][0]
-    csv_path = out_dir / config.output_name()
-    _write_csv(csv_path, ["t", "pointwise_max", "norm_quotient"], rows)
     verdict = "OK" if floor >= tol.jump_floor else "BELOW FLOOR"
     lines = [
         "command: counterexample-resolvent",
@@ -181,10 +177,10 @@ def _run_resolvent(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[P
         f"(threshold {tol.jump_floor!r}): {verdict}",
         f"pointwise max over k <= {rs.k_fixed} at t = {dyadic[-1]!r}: {pw_last!r}",
     ]
-    return csv_path, lines
+    return ["t", "pointwise_max", "norm_quotient"], rows, lines
 
 
-def _run_extend(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path, list[str]]:
+def _run_extend(config: RunConfig, tol: Tolerances) -> _Output:
     family = make_family(config.family, tol)
     k = config.given
     if k > family.dim:
@@ -194,10 +190,8 @@ def _run_extend(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path
                               order=config.order, tol=tol)
     mu = branches.values[:, :k]
     completion = extend_parameterization(branches, mu, order=config.order, tol=tol)
-    csv_path = out_dir / config.output_name()
     header = (["t"] + [f"given_{j}" for j in range(k)]
               + [f"completed_{j}" for j in range(completion.shape[1])])
-    _write_csv(csv_path, header, np.column_stack([branches.grid, mu, completion]))
     union = np.column_stack([mu, completion])
     worst = 0.0
     for r in range(branches.grid.shape[0]):
@@ -209,7 +203,7 @@ def _run_extend(config: RunConfig, out_dir: Path, tol: Tolerances) -> tuple[Path
         f"counting condition: union multiset distance to spectrum, worst over grid: {worst:.3e}",
     ]
     lines += _crossing_lines(branches)
-    return csv_path, lines
+    return header, np.column_stack([branches.grid, mu, completion]), lines
 
 
 _DISPATCH = {
@@ -235,7 +229,9 @@ def run(config: RunConfig, out_dir="." , verbose: bool = False) -> int:
         _check_config(config)
         tol = config.tolerances()
         out.mkdir(parents=True, exist_ok=True)
-        csv_path, lines = _DISPATCH[config.command](config, out, tol)
+        header, rows, lines = _DISPATCH[config.command](config, tol)
+        csv_path = out / config.output_name()
+        _write_csv(csv_path, header, rows)
         _write_report(_report_path(csv_path), lines, verbose)
     except (ConfigError, ExpressionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

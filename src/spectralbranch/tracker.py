@@ -25,33 +25,28 @@ from .config import DEFAULT_TOL, Tolerances
 from .contour import Contour, riesz_projector
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
-from .linalg import (EigenDecomposition, _frobenius, _one_blas_thread, canonical_eig,
-                     hermitian_eig, operator_norm, tridiagonal_eig)
+from .linalg import (_frobenius, _one_blas_thread, canonical_eig, dense_eig, operator_norm,
+                     tridiagonal_eig)
 from .util import one_sided_first, one_sided_second, remove_nearest
 
 _SIDES = ("left", "right")
 
 
-def _unit_eig(family: HermitianFamily, t: float, tol: Tolerances) -> EigenDecomposition:
-    """hermitian_eig(family.unit(t)), solved on (d, e) for a tridiagonal family."""
-    if family.tridiagonal is None:
-        return hermitian_eig(family.unit(t), tol)
-    return canonical_eig(*tridiagonal_eig(*family.tridiagonal(float(t)), tol))
-
-
-def _unit_sorted(family: HermitianFamily, t: float, tol: Tolerances,
-                 A: np.ndarray | None = None) -> np.ndarray:
-    """Ascending unit-scale eigenvalues at t; A is family.unit(t) if already built."""
+def _unit_eig(family: HermitianFamily, t: float, tol: Tolerances,
+              A: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-scale (w, V) at t as the solver returns them: tridiagonal_eig on
+    (d, e) for a tridiagonal family, else dense_eig on family.unit(t), or on A
+    if it is already built."""
     if family.tridiagonal is not None:
-        return tridiagonal_eig(*family.tridiagonal(float(t)), tol)[0]
-    return hermitian_eig(family.unit(t) if A is None else A, tol).eigenvalues
+        return tridiagonal_eig(*family.tridiagonal(float(t)), tol)
+    return dense_eig(family.unit(t) if A is None else A, tol)
 
 
 def sorted_eigenvalues(family: HermitianFamily, t: float,
                        tol: Tolerances | None = None) -> np.ndarray:
     """Ascending true-scale eigenvalues of A(t)."""
     tol = tol if tol is not None else family.tol
-    return _unit_sorted(family, t, tol) * family.scale_prefactor
+    return _unit_eig(family, t, tol)[0] * family.scale_prefactor
 
 
 @dataclass(frozen=True)
@@ -120,14 +115,14 @@ def one_sided_slot_derivatives(family: HermitianFamily, t_star: float, slots,
     f = family.scale_prefactor
     h1 = tol.h_fd * max(1.0, abs(t_star))
     samples = np.stack(
-        [_unit_sorted(family, t_star + sgn * j * h1, tol)[slots] for j in range(5)]
+        [_unit_eig(family, t_star + sgn * j * h1, tol)[0][slots] for j in range(5)]
     )
     first = one_sided_first(samples, h1, side) * f
     if not second:
         return first, None
     h2 = tol.h_fd2 * max(1.0, abs(t_star))
     samples2 = np.stack(
-        [_unit_sorted(family, t_star + sgn * j * h2, tol)[slots] for j in range(5)]
+        [_unit_eig(family, t_star + sgn * j * h2, tol)[0][slots] for j in range(5)]
     )
     return first, one_sided_second(samples2, h2) * f
 
@@ -305,7 +300,7 @@ def _refine_t_star(family: HermitianFamily, grid: np.ndarray, det: _Detection,
         return float(a)
 
     def spread(t: float) -> float:
-        w = _unit_sorted(family, t, tol)
+        w = _unit_eig(family, t, tol)[0]
         return float(w[det.hi] - w[det.lo])
 
     res = minimize_scalar(spread, bounds=(float(a), float(b)), method="bounded",
@@ -330,7 +325,7 @@ def _event_contour(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
     center = float(np.mean(w_star_unit[glo:ghi + 1])) * f
     times = [t_star + off * dt for off in _PROBE_OFFSETS]
     mats = [family.unit(t) for t in times]
-    values = [_unit_sorted(family, t, tol, A) * f if off != 0.0 else w_star_unit * f
+    values = [_unit_eig(family, t, tol, A)[0] * f if off != 0.0 else w_star_unit * f
               for off, t, A in zip(_PROBE_OFFSETS, times, mats)]
     spread = max(np.max(np.abs(w[glo:ghi + 1] - center)) for w in values)
     rest = [np.concatenate([w[:glo], w[ghi + 1:]]) for w in values]
@@ -391,7 +386,7 @@ def _grid_events(family: HermitianFamily, grid: np.ndarray, values_unit: np.ndar
     events: list[_PendingEvent] = []
     for det in _detect(values_unit, threshold):
         t_star = _refine_t_star(family, grid, det, tol)
-        w_star = _unit_sorted(family, t_star, tol)
+        w_star = _unit_eig(family, t_star, tol)[0]
         # membership must be decidable: the detected cluster cannot be merging
         # into its neighbors at the refined collision point
         if det.lo > 0 and w_star[det.lo] - w_star[det.lo - 1] < threshold:
@@ -462,7 +457,7 @@ def track_branches(family: HermitianFamily, t_range, grid_size: int, order: int 
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     grid = np.linspace(t0, t1, grid_size)
-    values_unit = np.array([_unit_sorted(family, t, tol) for t in grid])
+    values_unit = np.array([_unit_eig(family, t, tol)[0] for t in grid])
     pending = _grid_events(family, grid, values_unit, order, tol)
     values_true = values_unit * family.scale_prefactor
     matched, events = _assemble(grid, values_true, pending)
@@ -556,8 +551,12 @@ _SCREEN_SLACK = 1e-8
 
 
 def _damped_derivative(family: HermitianFamily, t: float, tol: Tolerances) -> np.ndarray:
-    """X = A'(t) (I + A(t)^2)^{-1/2} at true scale."""
-    dec = _unit_eig(family, t, tol)
+    """X = A'(t) (I + A(t)^2)^{-1/2} at true scale.
+
+    V F V^H is formed from V in canonical form: its column phases set the
+    rounding of X, and so the bits of the Gronwall rate the report prints.
+    """
+    dec = canonical_eig(*_unit_eig(family, t, tol))
     w = dec.eigenvalues * family.scale_prefactor
     V = dec.eigenvectors
     damp = (V * (1.0 / np.sqrt(1.0 + w**2))) @ V.conj().T
@@ -581,15 +580,11 @@ def _screen_bound(family: HermitianFamily, t: float, tol: Tolerances) -> float:
     """Upper bound on the SVD norm of _damped_derivative(family, t, tol).
 
     It estimates Y = A'(t) V F, not X = Y V^H: with V unitary both have the
-    same singular values whatever V's column phases, so a tridiagonal
-    family's V is used as dstevd returns it.  Y is real when V and A'(t)
+    same singular values whatever V's column phases, so V is used as the
+    solver returns it, with no canonical form.  Y is real when V and A'(t)
     are.  The terms of the bound are derived above _SCREEN_SLACK.
     """
-    if family.tridiagonal is None:
-        dec = hermitian_eig(family.unit(t), tol)
-        w, V = dec.eigenvalues, dec.eigenvectors
-    else:
-        w, V = tridiagonal_eig(*family.tridiagonal(t), tol)
+    w, V = _unit_eig(family, t, tol)
     w = w * family.scale_prefactor
     f = 1.0 / np.sqrt(1.0 + w**2)
     Ad = family.derivative(t)

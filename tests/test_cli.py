@@ -230,3 +230,13 @@ def test_exit_3_holder_window_out_of_range(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "UnderflowGuardError" in err and "n=30 at alpha=0.25" in err
     assert not list((tmp_path / "out").iterdir())
+
+
+def test_failure_after_tracking_writes_nothing(tmp_path, capsys):
+    # the branches track on [0, 1], then the Gronwall rate's central
+    # differences evaluate sqrt(t) below 0: no CSV is left without its report
+    cfg = write(tmp_path / "run.cfg", TRACK_CFG.replace("-1.0, 1.0", "0.0, 1.0").replace(
+        "row0 = 0, t\nrow1 = t, 0", "row0 = sqrt(t), 1\nrow1 = 1, 0"))
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "sqrt(-2e-05) failed" in capsys.readouterr().err
+    assert not list((tmp_path / "out").iterdir())

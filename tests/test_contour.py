@@ -179,6 +179,21 @@ def test_spectral_cluster_runs_one_quadrature(monkeypatch):
     assert np.allclose(cl.eigenvalues, [1.0, 2.0], atol=1e-10)
 
 
+def test_spectral_cluster_builds_its_matrix_once():
+    # the inertia count and the quadrature share one family.unit(t)
+    calls = []
+    A = np.diag([1.0, 2.0, 5.0]).astype(complex)
+
+    def matrix(t):
+        calls.append(t)
+        return A
+
+    fam = HermitianFamily(name="counted", dim=3, matrix=matrix)
+    cl = spectral_cluster(fam, 0.25, Contour(center=1.5, radius=1.0))
+    assert calls == [0.25]
+    assert np.allclose(cl.eigenvalues, [1.0, 2.0], atol=1e-10)
+
+
 def test_spectral_cluster_inertia_count_mismatch_raises(monkeypatch):
     real = spectralbranch.contour.eigenvalue_count
     monkeypatch.setattr(spectralbranch.contour, "eigenvalue_count",

@@ -12,7 +12,6 @@ from spectralbranch import (
     make_family,
     parse_expression,
     resolvent_weak_vs_norm,
-    schrodinger_track,
     smooth_step,
     track_branches,
 )
@@ -237,7 +236,7 @@ def test_schrodinger_free_spectrum():
 
 def test_schrodinger_scalar_shift_slopes():
     # V(t,x)=t commutes with everything: every branch is lambda_k(0) + t
-    bs = schrodinger_track("t", m=11, t_range=(0.0, 1.0), grid_size=21)
+    bs = track_branches(SchrodingerFamily(m=11, potential="t").family(), (0.0, 1.0), 21)
     base = bs.values[0]
     for k, t in enumerate(bs.grid):
         assert np.allclose(bs.values[k], base + t, atol=1e-9)

@@ -19,7 +19,8 @@ from spectralbranch import (
 )
 import spectralbranch.linalg
 from spectralbranch import EigenConvergenceError
-from spectralbranch.linalg import as_matrix, eigenvalue_count, tridiagonal_eig
+from spectralbranch.linalg import (as_matrix, canonical_eig, dense_eig, eigenvalue_count,
+                                  tridiagonal_eig)
 
 from conftest import assert_dense_bits
 
@@ -232,6 +233,94 @@ def test_empty_matrix():
     assert ensure_hermitian(E).shape == (0, 0)
     assert hermitian_eig(E).eigenvalues.size == 0
     assert eigenvalue_count(E, 0.0, 1.0) == 0
+
+
+# ------------------------------------------------------------ canonical form
+
+
+def reference_canonical(w, V):
+    """canonical_eig written column by column and tie run by tie run: the
+    oracle the vectorized form must match byte for byte."""
+    V = np.asarray(V, dtype=np.complex128, order="C")
+    mags = np.abs(V)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    lead = V[first, np.arange(V.shape[1])]
+    V = V * np.conj(lead / np.abs(lead))
+    w = np.asarray(w, dtype=float)
+    i = 0
+    m = w.size
+    while i < m:
+        j = i + 1
+        while j < m and w[j] == w[i]:
+            j += 1
+        if j - i > 1:
+            block = V[:, i:j]
+            keys = []
+            for c in range(block.shape[1]):
+                mags = np.abs(block[:, c])
+                keys.append(int(np.argmax(mags > 1e-12 * mags.max())))
+            order = np.argsort(np.asarray(keys), kind="stable")
+            V[:, i:j] = block[:, order]
+        i = j
+    return w, V
+
+
+def canonical_corpus():
+    """360 Hermitian matrices, m = 1..40: random, real, a repeated diagonal,
+    permuted copies of kron(I, H) and of the repeated diagonal with unit
+    off-diagonals, kron(I, H), kron(H, I), zero and identity."""
+    rng = np.random.default_rng(2024)
+    for m in range(1, 41):
+        b = max(k for k in range(1, m) if m % k == 0) if m > 1 else 1
+        H = random_hermitian(rng, b)
+        perm = np.eye(m)[rng.permutation(m)]
+        repeated = np.diag(rng.integers(-2, 3, m).astype(float)).astype(complex)
+        yield random_hermitian(rng, m)
+        yield random_hermitian(rng, m).real.astype(complex)
+        yield repeated
+        yield perm @ np.kron(np.eye(m // b), H) @ perm.T
+        yield perm @ (repeated + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)) @ perm.T
+        yield np.kron(np.eye(m // b), H)
+        yield np.kron(H, np.eye(m // b))
+        yield np.zeros((m, m), dtype=complex)
+        yield np.eye(m, dtype=complex)
+
+
+def test_canonical_eig_matches_reference_on_dense_solves():
+    ties = 0
+    for A in canonical_corpus():
+        w, V = np.linalg.eigh(A)
+        ties += int(np.any(w[1:] == w[:-1]))
+        ref_w, ref_V = reference_canonical(w, V)
+        for dec in (canonical_eig(w, V), hermitian_eig(A)):
+            assert dec.eigenvalues.tobytes() == ref_w.tobytes()
+            assert dec.eigenvectors.tobytes() == ref_V.tobytes()
+            assert dec.eigenvectors.flags.c_contiguous
+    assert ties > 100
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 25, 26, 99])
+def test_canonical_eig_matches_reference_on_tridiagonal_solves(rng, m):
+    for split in (False, True):
+        if split and m >= 4:
+            d, e = split_tridiagonal(rng, m)
+        else:
+            d, e = rng.standard_normal(m), rng.standard_normal(m - 1)
+        w, V = tridiagonal_eig(d, e)
+        dec = canonical_eig(w, V)
+        ref_w, ref_V = reference_canonical(w, V)
+        assert dec.eigenvalues.tobytes() == ref_w.tobytes()
+        assert dec.eigenvectors.tobytes() == ref_V.tobytes()
+
+
+def test_dense_eig_returns_lapack_pair(rng):
+    # the checked pair is eigh's own output, with no phase or order applied
+    for A in (random_hermitian(rng, 9), np.diag([2.0, 1.0, 2.0]).astype(complex)):
+        w, V = dense_eig(A)
+        ref_w, ref_V = np.linalg.eigh(A)
+        assert w.tobytes() == ref_w.tobytes() and V.tobytes() == ref_V.tobytes()
+    with pytest.raises(NotHermitianError):
+        dense_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 # -------------------------------------------------------------- tridiagonal

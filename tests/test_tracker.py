@@ -438,7 +438,7 @@ def test_track_schrodinger_solves_without_dense_matrices(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense matrix built or solved on the tridiagonal path")
 
-    monkeypatch.setattr(spectralbranch.tracker, "hermitian_eig", forbidden)
+    monkeypatch.setattr(spectralbranch.tracker, "dense_eig", forbidden)
     monkeypatch.setattr(HermitianFamily, "unit", forbidden)
     bs = track_branches(fam, (0.0, 1.0), 41)
     assert not bs.crossings
@@ -744,6 +744,33 @@ def test_screen_estimates_form_no_damped_product(norm_calls, damped_calls):
         assert len(damped_calls) == len(norm_calls) > 0, fam.name
 
 
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    # canonical_eig counted at both bindings: linalg's (which hermitian_eig
+    # reaches) and the tracker's
+    calls = []
+    for module in (spectralbranch.linalg, spectralbranch.tracker):
+        def counting(w, V, _real=module.canonical_eig, _name=module.__name__):
+            calls.append(_name)
+            return _real(w, V)
+
+        monkeypatch.setattr(module, "canonical_eig", counting)
+    return calls
+
+
+def test_canonical_form_only_in_the_exact_gronwall_pass(canonical_calls, norm_calls):
+    # tracking reads eigenvalues only, and the screen's estimates do not
+    # depend on column phases: only the SVD norms of the exact pass take V
+    # in canonical form, once each
+    fam = _planted_crossings_family(12, 3, 5)
+    assert len(track_branches(fam, (-1.0, 1.0), 201).crossings) == 3
+    assert canonical_calls == []
+    grid = np.linspace(-1.0, 1.0, 31)
+    for fam in (fam, quadratic_family(3, 17), SchrodingerFamily(m=40, potential="t*x").family()):
+        estimate_derivative_bound(fam, grid)
+        assert len(canonical_calls) == len(norm_calls) > 0, fam.name
+
+
 @pytest.mark.parametrize("grid", [[], np.zeros((3, 2)), [0.0, np.inf], [0.0, np.nan, 1.0],
                                   5.0])
 def test_estimate_derivative_bound_rejects_bad_grids(grid):
@@ -859,14 +886,14 @@ def test_one_blas_thread_nested_run(fake_pools, monkeypatch, tmp_path):
     # entry sets and restores
     from spectralbranch import parse_config, run
 
-    real = spectralbranch.tracker._unit_sorted
+    real = spectralbranch.tracker._unit_eig
     seen = []
 
     def recording(*args, **kwargs):
         seen.append([p.count for p in fake_pools])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectralbranch.tracker, "_unit_sorted", recording)
+    monkeypatch.setattr(spectralbranch.tracker, "_unit_eig", recording)
     config = parse_config("[run]\ncommand = track\nt_range = -1.0, 1.0\ngrid_size = 21\n\n"
                           "[family]\nname = expr\ndim = 2\nrow0 = 0, t\nrow1 = t, 0\n")
     assert run(config, out_dir=tmp_path) == 0
