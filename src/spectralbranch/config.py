@@ -13,7 +13,8 @@ import os
 import re
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, ExpressionError
+from .expressions import parse_expression
 
 
 @dataclass(frozen=True)
@@ -335,6 +336,12 @@ def _check_config(cfg: RunConfig, sections: dict | None = None) -> None:
     def fail(message: str, section: str = "run", key: str = "command"):
         raise ConfigError(message, _line(sections.get(section), key))
 
+    def parses(src: str, variables: tuple[str, ...], what: str, key: str):
+        try:
+            parse_expression(src, variables)
+        except ExpressionError as exc:
+            fail(f"{what} {src!r}: {exc}", "family", key)
+
     if cfg.command not in COMMANDS:
         fail(f"unknown command {cfg.command!r} (expected one of {', '.join(COMMANDS)})")
     for field in COMMANDS[cfg.command][1]:
@@ -384,6 +391,10 @@ def _check_config(cfg: RunConfig, sections: dict | None = None) -> None:
                 if len(row) != fam.dim:
                     fail(f"'row{k}' must have {fam.dim} comma-separated entries",
                          "family", f"row{k}")
+                for src in row:
+                    parses(src, ("t",), f"'row{k}' entry", f"row{k}")
+        if isinstance(fam.potential, str):  # run() also takes a callable, as the gallery does
+            parses(fam.potential, ("t", "x"), "'potential'", "potential")
 
     c = cfg.contour
     if c is not None:

@@ -111,6 +111,8 @@ def one_sided_slot_derivatives(family: HermitianFamily, t_star: float, slots,
     if side not in _SIDES:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     slots = list(slots)
+    if not all(isinstance(s, (int, np.integer)) and 0 <= s < family.dim for s in slots):
+        raise ValueError(f"slots must be integers in [0, {family.dim}), got {slots}")
     sgn = 1.0 if side == "right" else -1.0
     f = family.scale_prefactor
     h1 = tol.h_fd * max(1.0, abs(t_star))
@@ -190,17 +192,11 @@ def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour
 def _tie_groups(sorted_left: np.ndarray, sorted_right: np.ndarray,
                 tol: Tolerances) -> list[tuple[int, int]]:
     """Index ranges [start, stop) where both sorted sequences stay within tie tol."""
-    n = sorted_left.shape[0]
-    groups = []
-    start = 0
-    for i in range(1, n):
-        jump_l = sorted_left[i] - sorted_left[i - 1] > tol.deriv_tie_tol * (1.0 + abs(sorted_left[i]))
-        jump_r = sorted_right[i] - sorted_right[i - 1] > tol.deriv_tie_tol * (1.0 + abs(sorted_right[i]))
-        if jump_l or jump_r:
-            groups.append((start, i))
-            start = i
-    groups.append((start, n))
-    return groups
+    def jumps(s):
+        return np.diff(s) > tol.deriv_tie_tol * (1.0 + np.abs(s[1:]))
+
+    cuts = (np.flatnonzero(jumps(sorted_left) | jumps(sorted_right)) + 1).tolist()
+    return list(zip([0] + cuts, cuts + [sorted_left.shape[0]]))
 
 
 def match_crossing(left, right, order: int = 1, second_left=None, second_right=None,
@@ -245,21 +241,10 @@ def match_crossing(left, right, order: int = 1, second_left=None, second_right=N
     )
 
 
-def _tight_runs(row: np.ndarray, threshold: float) -> list[tuple[int, int]]:
-    """Maximal slot intervals [lo, hi] whose consecutive gaps are all below threshold."""
-    runs = []
-    lo = None
-    gaps = np.diff(row)
-    for i, g in enumerate(gaps):
-        if g < threshold:
-            if lo is None:
-                lo = i
-        elif lo is not None:
-            runs.append((lo, i))
-            lo = None
-    if lo is not None:
-        runs.append((lo, row.shape[0] - 1))
-    return runs
+def _tight_runs(tight: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal slot intervals [lo, hi] whose gaps are all tight (``np.diff(row) < threshold``)."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], tight, [0]))))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
 class _Detection:
@@ -283,9 +268,10 @@ class _Detection:
 
 
 def _detect(values_unit: np.ndarray, threshold: float) -> list[_Detection]:
+    tight = np.diff(values_unit, axis=1) < threshold
     detections: list[_Detection] = []
-    for k in range(values_unit.shape[0]):
-        for lo, hi in _tight_runs(values_unit[k], threshold):
+    for k in np.flatnonzero(tight.any(axis=1)).tolist():
+        for lo, hi in _tight_runs(tight[k]):
             if not any(d.absorbs(k, lo, hi) for d in detections):
                 detections.append(_Detection(k, lo, hi))
     return detections
@@ -353,33 +339,23 @@ def _event_contour(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
 
 @dataclass(frozen=True)
 class _PendingEvent:
-    t_star: float
     grid_span: tuple[int, int]
     slots: tuple[int, ...]
-    sigma_local: tuple[int, ...]
-    report: MatchReport
+    report: MatchReport            # holds t* and the pairing
     contour: Contour | None
 
 
 def _match_group(family: HermitianFamily, t_star: float, slots: tuple[int, ...],
-                 order: int, tol: Tolerances) -> tuple[MatchReport, tuple[int, ...]]:
+                 order: int, tol: Tolerances) -> MatchReport:
     want_second = order == 2
     dl, sl = one_sided_slot_derivatives(family, t_star, slots, "left", tol, second=want_second)
     dr, sr = one_sided_slot_derivatives(family, t_star, slots, "right", tol, second=want_second)
-    report = match_crossing(dl, dr, order=order, second_left=sl, second_right=sr,
-                            tol=tol, t_star=t_star)
-    sigma_local = _sigma_from_pairing(report.pairing, len(slots))
-    return report, sigma_local
-
-
-def _sigma_from_pairing(pairing, n: int) -> tuple[int, ...]:
-    to_right = dict(pairing)
-    return tuple(to_right[i] for i in range(n))
+    return match_crossing(dl, dr, order=order, second_left=sl, second_right=sr,
+                          tol=tol, t_star=t_star)
 
 
 def _grid_events(family: HermitianFamily, grid: np.ndarray, values_unit: np.ndarray,
                  order: int, tol: Tolerances) -> list[_PendingEvent]:
-    m = values_unit.shape[1]
     scale = max(1.0, float(np.max(np.abs(values_unit))))
     threshold = tol.cluster_tol * scale
     dt = float(grid[1] - grid[0]) if grid.shape[0] > 1 else 1.0
@@ -387,54 +363,47 @@ def _grid_events(family: HermitianFamily, grid: np.ndarray, values_unit: np.ndar
     for det in _detect(values_unit, threshold):
         t_star = _refine_t_star(family, grid, det, tol)
         w_star = _unit_eig(family, t_star, tol)[0]
+        tight = np.diff(w_star) < threshold
         # membership must be decidable: the detected cluster cannot be merging
         # into its neighbors at the refined collision point
-        if det.lo > 0 and w_star[det.lo] - w_star[det.lo - 1] < threshold:
+        if any(tight[i] for i in (det.lo - 1, det.hi) if 0 <= i < tight.size):
             raise GapCollapseError(
                 f"gap collapse unresolved near t={t_star!r}: cluster membership is "
                 f"ambiguous at this grid resolution, refine the grid"
             )
-        if det.hi < m - 1 and w_star[det.hi + 1] - w_star[det.hi] < threshold:
-            raise GapCollapseError(
-                f"gap collapse unresolved near t={t_star!r}: cluster membership is "
-                f"ambiguous at this grid resolution, refine the grid"
-            )
-        for glo, ghi in _tight_runs(w_star[det.lo:det.hi + 1], threshold):
+        for glo, ghi in _tight_runs(tight[det.lo:det.hi]):
             slots = tuple(range(det.lo + glo, det.lo + ghi + 1))
             contour = _event_contour(family, t_star, w_star, slots[0], slots[-1], dt, tol)
-            report, sigma_local = _match_group(family, t_star, slots, order, tol)
             events.append(_PendingEvent(
-                t_star=t_star, grid_span=(det.k_start, det.k_end), slots=slots,
-                sigma_local=sigma_local, report=report, contour=contour,
+                grid_span=(det.k_start, det.k_end), slots=slots,
+                report=_match_group(family, t_star, slots, order, tol), contour=contour,
             ))
-    events.sort(key=lambda e: e.t_star)
     return events
 
 
 def _assemble(grid: np.ndarray, values_true: np.ndarray,
               pending: list[_PendingEvent]) -> tuple[np.ndarray, tuple[CrossingEvent, ...]]:
-    rows, m = values_true.shape
-    slot_of = np.arange(m)
+    """Apply the events in order of t*; slot_of[j] is the slot branch j occupies."""
+    slot_of = np.arange(values_true.shape[1])
     out = np.empty_like(values_true)
     finished: list[CrossingEvent] = []
     k = 0
-    for ev in pending:
+    for ev in sorted(pending, key=lambda e: e.report.t_star):
         # rows up to t_star keep the permutation before this event; events
         # at or beyond the last grid point are still reported
-        while k < rows and grid[k] <= ev.t_star:
-            out[k] = values_true[k, slot_of]
-            k += 1
-        label_at = np.empty(m, dtype=int)
-        label_at[slot_of] = np.arange(m)
-        labels = tuple(int(label_at[s]) for s in ev.slots)
-        sigma_abs = tuple(ev.slots[j] for j in ev.sigma_local)
-        slot_map = {ev.slots[i]: sigma_abs[i] for i in range(len(ev.slots))}
-        for j in range(m):
-            slot_of[j] = slot_map.get(slot_of[j], slot_of[j])
+        stop = int(np.searchsorted(grid, ev.report.t_star, side="right"))
+        out[k:stop] = values_true[k:stop, slot_of]
+        k = stop
+        slots = np.array(ev.slots)
+        move = np.arange(slot_of.shape[0])
+        left, right = np.array(ev.report.pairing).T
+        move[slots[left]] = slots[right]
         finished.append(CrossingEvent(
-            t_star=ev.t_star, grid_span=ev.grid_span, slots=ev.slots,
-            labels=labels, sigma=sigma_abs, report=ev.report, contour=ev.contour,
+            t_star=ev.report.t_star, grid_span=ev.grid_span, slots=ev.slots,
+            labels=tuple(np.argsort(slot_of)[slots].tolist()),
+            sigma=tuple(move[slots].tolist()), report=ev.report, contour=ev.contour,
         ))
+        slot_of = move[slot_of]
     out[k:] = values_true[k:, slot_of]
     return out, tuple(finished)
 
@@ -626,27 +595,16 @@ def estimate_derivative_bound(family: HermitianFamily, grid,
     return best
 
 
-def _grid_side_samples(column: np.ndarray, k_star: int, side: str, limit: int = 5) -> np.ndarray:
-    if side == "left":
-        n = min(limit, k_star + 1)
-        idx = [k_star - j for j in range(n)]
-    else:
-        n = min(limit, column.shape[0] - k_star)
-        idx = [k_star + j for j in range(n)]
-    return column[idx]
-
-
 def _grid_slot_derivatives(comp: np.ndarray, k_star: int, slots, side: str, dt: float,
                            second: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    first = np.zeros(len(slots))
-    sec = np.zeros(len(slots)) if second else None
-    for i, s in enumerate(slots):
-        samples = _grid_side_samples(comp[:, s], k_star, side)
-        if samples.shape[0] >= 2:
-            first[i] = float(one_sided_first(samples, dt, side))
-        if second and samples.shape[0] >= 3:
-            sec[i] = float(one_sided_second(samples, dt))
-    return first, sec
+    """Stencils over up to five rows from k_star outward; zeros where too few rows."""
+    rows = (np.arange(k_star, -1, -1) if side == "left" else np.arange(k_star, comp.shape[0]))[:5]
+    samples = comp[rows][:, list(slots)]
+    n = samples.shape[0]
+    first = one_sided_first(samples, dt, side) if n >= 2 else np.zeros(len(slots))
+    if not second:
+        return first, None
+    return first, one_sided_second(samples, dt) if n >= 3 else np.zeros(len(slots))
 
 
 def extend_parameterization(branches: BranchSet, mu_partial, order: int = 1,
@@ -689,22 +647,17 @@ def extend_parameterization(branches: BranchSet, mu_partial, order: int = 1,
         return comp
     dt = float(grid[1] - grid[0])
     threshold = tol.cluster_tol * scale
+    want_second = order == 2
     pending: list[_PendingEvent] = []
     for det in _detect(comp, threshold):
         spreads = comp[det.k_start:det.k_end + 1, det.hi] - comp[det.k_start:det.k_end + 1, det.lo]
         k_star = det.k_start + int(np.argmin(spreads))
-        for glo, ghi in _tight_runs(comp[k_star, det.lo:det.hi + 1], threshold):
+        for glo, ghi in _tight_runs(np.diff(comp[k_star, det.lo:det.hi + 1]) < threshold):
             slots = tuple(range(det.lo + glo, det.lo + ghi + 1))
-            want_second = order == 2
             dl, sl = _grid_slot_derivatives(comp, k_star, slots, "left", dt, want_second)
             dr, sr = _grid_slot_derivatives(comp, k_star, slots, "right", dt, want_second)
             report = match_crossing(dl, dr, order=order, second_left=sl, second_right=sr,
                                     tol=tol, t_star=float(grid[k_star]))
-            pending.append(_PendingEvent(
-                t_star=float(grid[k_star]), grid_span=(det.k_start, det.k_end),
-                slots=slots, sigma_local=_sigma_from_pairing(report.pairing, len(slots)),
-                report=report, contour=None,
-            ))
-    pending.sort(key=lambda e: e.t_star)
+            pending.append(_PendingEvent((det.k_start, det.k_end), slots, report, None))
     glued, _ = _assemble(grid, comp, pending)
     return glued

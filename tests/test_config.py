@@ -364,6 +364,28 @@ def test_parse_rule_line_numbers(text, line, key, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    (TRACK.replace("row0 = 0, t", "row0 = 0, t +"),
+     "line 9: 'row0' entry 't +': unexpected end of input (position 3)"),
+    (TRACK.replace("row1 = t, 0", "row1 = t, "),
+     "line 10: 'row1' entry '': empty expression (position 0)"),
+    ("[run]\ncommand = schrodinger\nt_range = 0, 1\n[family]\nname = schrodinger\n"
+     "m = 20\npotential = t*y\n",
+     "line 7: 'potential' 't*y': unknown identifier 'y' (position 2)"),
+], ids=["row-truncated", "row-empty-entry", "potential-unknown-name"])
+def test_expression_errors_name_key_and_line(text, message, tmp_path, capsys):
+    # an entry that does not parse is refused where it is written, before
+    # the run creates its output directory
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
 def test_shipped_configs_round_trip(path):
     cfg = parse_config(path.read_text())

@@ -26,10 +26,11 @@ from spectralbranch import (
 )
 import dataclasses
 
+from spectralbranch.config import DEFAULT_TOL
 from spectralbranch.gallery import CurveLemmaFamily, SchrodingerFamily
 from spectralbranch.linalg import hermitian_eig, random_hermitian
 from spectralbranch.tracker import one_sided_slot_derivatives
-from spectralbranch.util import multiset_distance
+from spectralbranch.util import multiset_distance, one_sided_first, one_sided_second
 
 from conftest import make_diag_family, make_offdiag_t_family
 
@@ -995,3 +996,211 @@ def test_one_blas_thread_keeps_tracker_bits(monkeypatch):
     assert len(single.crossings) == 4
     assert single.values.tobytes() == default.values.tobytes()
     assert pickle.dumps(single.crossings) == pickle.dumps(default.crossings)
+
+
+# ------------------------------------------------------ event bookkeeping
+# Loop forms of the tracker's private bookkeeping, kept as oracles for the
+# array forms that replaced them.
+
+tracker = spectralbranch.tracker
+
+
+def loop_tight_runs(row, threshold):
+    runs = []
+    lo = None
+    for i, g in enumerate(np.diff(row)):
+        if g < threshold:
+            if lo is None:
+                lo = i
+        elif lo is not None:
+            runs.append((lo, i))
+            lo = None
+    if lo is not None:
+        runs.append((lo, row.shape[0] - 1))
+    return runs
+
+
+def loop_detect(values, threshold):
+    detections = []
+    for k in range(values.shape[0]):
+        for lo, hi in loop_tight_runs(values[k], threshold):
+            if not any(d.absorbs(k, lo, hi) for d in detections):
+                detections.append(tracker._Detection(k, lo, hi))
+    return detections
+
+
+def loop_tie_groups(sorted_left, sorted_right, tol):
+    n = sorted_left.shape[0]
+    groups = []
+    start = 0
+    for i in range(1, n):
+        jump_l = sorted_left[i] - sorted_left[i - 1] > tol.deriv_tie_tol * (1.0 + abs(sorted_left[i]))
+        jump_r = sorted_right[i] - sorted_right[i - 1] > tol.deriv_tie_tol * (1.0 + abs(sorted_right[i]))
+        if jump_l or jump_r:
+            groups.append((start, i))
+            start = i
+    groups.append((start, n))
+    return groups
+
+
+def loop_grid_slot_derivatives(comp, k_star, slots, side, dt, second):
+    first = np.zeros(len(slots))
+    sec = np.zeros(len(slots)) if second else None
+    for i, s in enumerate(slots):
+        if side == "left":
+            idx = [k_star - j for j in range(min(5, k_star + 1))]
+        else:
+            idx = [k_star + j for j in range(min(5, comp.shape[0] - k_star))]
+        samples = comp[idx, s]
+        if samples.shape[0] >= 2:
+            first[i] = float(one_sided_first(samples, dt, side))
+        if second and samples.shape[0] >= 3:
+            sec[i] = float(one_sided_second(samples, dt))
+    return first, sec
+
+
+def loop_assemble(grid, values_true, pending):
+    pending = sorted(pending, key=lambda e: e.report.t_star)
+    rows, m = values_true.shape
+    slot_of = np.arange(m)
+    out = np.empty_like(values_true)
+    finished = []
+    k = 0
+    for ev in pending:
+        while k < rows and grid[k] <= ev.report.t_star:
+            out[k] = values_true[k, slot_of]
+            k += 1
+        label_at = np.empty(m, dtype=int)
+        label_at[slot_of] = np.arange(m)
+        labels = tuple(int(label_at[s]) for s in ev.slots)
+        to_right = dict(ev.report.pairing)
+        sigma = tuple(ev.slots[to_right[i]] for i in range(len(ev.slots)))
+        slot_map = dict(zip(ev.slots, sigma))
+        for j in range(m):
+            slot_of[j] = slot_map.get(slot_of[j], slot_of[j])
+        finished.append((ev.report.t_star, ev.grid_span, ev.slots, labels, sigma))
+    out[k:] = values_true[k:, slot_of]
+    return out, finished
+
+
+def all_ints(*fields):
+    return all(type(x) is int for field in fields for x in field)
+
+
+_ROW_VALUES = st.one_of(st.sampled_from([0.0, 0.0, 1.0, 1.0 + 1e-12, np.nan]),
+                        st.floats(-2.0, 2.0))
+_THRESHOLDS = st.sampled_from([1e-8, 0.1, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=st.lists(_ROW_VALUES, min_size=1, max_size=10), threshold=_THRESHOLDS)
+def test_tight_runs_match_loop(row, threshold):
+    # rows with NaN, exact ties, and lengths 1 and 2
+    row = np.array(row)
+    runs = tracker._tight_runs(np.diff(row) < threshold)
+    assert runs == loop_tight_runs(row, threshold)
+    assert all_ints(*runs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 7), m=st.integers(1, 5), threshold=_THRESHOLDS, data=st.data())
+def test_detect_matches_loop(rows, m, threshold, data):
+    values = np.array(data.draw(st.lists(_ROW_VALUES, min_size=rows * m, max_size=rows * m)))
+    values = values.reshape(rows, m)
+    got = [(d.k_start, d.k_end, d.lo, d.hi) for d in tracker._detect(values, threshold)]
+    assert got == [(d.k_start, d.k_end, d.lo, d.hi) for d in loop_detect(values, threshold)]
+    assert all_ints(*got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 8), data=st.data())
+def test_tie_groups_match_loop(n, data):
+    tol = DEFAULT_TOL.replace(deriv_tie_tol=1e-6)
+    draw = st.lists(st.sampled_from([0.0, 1e-9, 1.0, 2.0, -1.0, np.nan]), min_size=n, max_size=n)
+    left = np.sort(np.array(data.draw(draw), dtype=float))
+    right = np.sort(np.array(data.draw(draw), dtype=float))
+    groups = tracker._tie_groups(left, right, tol)
+    assert groups == loop_tie_groups(left, right, tol)
+    assert all_ints(*groups)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 9), m=st.integers(1, 5), second=st.booleans(),
+       side=st.sampled_from(["left", "right"]), data=st.data())
+def test_grid_slot_derivatives_match_loop(rows, m, second, side, data):
+    # k_star anywhere, so either side may have fewer than 5 rows
+    comp = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=rows * m,
+                                       max_size=rows * m))).reshape(rows, m)
+    k_star = data.draw(st.integers(0, rows - 1))
+    lo = data.draw(st.integers(0, m - 1))
+    slots = tuple(range(lo, data.draw(st.integers(lo, m - 1)) + 1))
+    dt = 0.01
+    got = tracker._grid_slot_derivatives(comp, k_star, slots, side, dt, second)
+    want = loop_grid_slot_derivatives(comp, k_star, slots, side, dt, second)
+    assert (got[1] is None) == (want[1] is None) == (not second)
+    # the block stencil sums in BLAS order, the loop one column at a time:
+    # they agree to rounding of the stencil's terms, sum |c_j| |f_j| / dt^p
+    bound = 4.0 * 2.0**-52 * 12.0 * max(1.0, float(np.max(np.abs(comp))))
+    for p, (g, w) in enumerate(zip(got, want), start=1):
+        if w is not None:
+            assert g.shape == w.shape == (len(slots),)
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=bound / dt**p)
+
+
+def _pending_events(data, grid, m):
+    events = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        # t* on a grid point (so events tie), between two, or past either end
+        t_star = data.draw(st.one_of(st.sampled_from(grid.tolist()),
+                                     st.floats(grid[0] - 1.0, grid[-1] + 1.0)))
+        lo = data.draw(st.integers(0, m - 2))
+        slots = tuple(range(lo, data.draw(st.integers(lo + 1, m - 1)) + 1))
+        n = len(slots)
+        l_order = data.draw(st.permutations(range(n)))
+        r_order = data.draw(st.permutations(range(n)))
+        report = tracker.MatchReport(t_star=float(t_star), left=np.zeros(n), right=np.zeros(n),
+                                     pairing=tuple(zip(l_order, r_order)), residual=0.0,
+                                     order=1)
+        k = data.draw(st.integers(0, grid.size - 1))
+        events.append(tracker._PendingEvent((k, k), slots, report, None))
+    return events
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 8), m=st.integers(2, 6), data=st.data())
+def test_assemble_matches_loop(rows, m, data):
+    grid = np.linspace(-1.0, 1.0, rows)
+    values = np.arange(rows * m, dtype=float).reshape(rows, m)
+    pending = _pending_events(data, grid, m)
+    out, events = tracker._assemble(grid, values, pending)
+    want_out, want_events = loop_assemble(grid, values, pending)
+    assert out.tobytes() == want_out.tobytes()
+    assert [(e.t_star, e.grid_span, e.slots, e.labels, e.sigma) for e in events] == want_events
+    # equal t* keep the order the producer gave them
+    by_t = sorted(pending, key=lambda e: e.report.t_star)
+    assert [e.report for e in events] == [e.report for e in by_t]
+    for e in events:
+        assert all_ints(e.grid_span, e.slots, e.labels, e.sigma)
+
+
+def test_crossing_event_indices_are_python_ints():
+    # the report prints list(ev.slots): a numpy integer would print as np.int64(3)
+    for order in (1, 2):
+        bs = track_branches(_planted_pairs_family(), (-1.0, 1.0), 81, order=order)
+        assert len(bs.crossings) == 3
+        for ev in bs.crossings:
+            assert all_ints(ev.grid_span, ev.slots, ev.labels, ev.sigma)
+            assert repr(list(ev.slots)) == "[" + ", ".join(map(str, ev.slots)) + "]"
+
+
+@pytest.mark.parametrize("slots", [[-1], [3], [0, 3], [1.0], ["0"]])
+def test_one_sided_slot_derivatives_rejects_bad_slots(slots):
+    fam = make_diag_family(1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match=r"slots must be integers in \[0, 3\)"):
+        one_sided_slot_derivatives(fam, 0.0, slots, "right")
+
+
+def test_one_sided_slot_derivatives_accepts_numpy_slots():
+    fam = make_diag_family(1.0, 2.0, 3.0)
+    first, _ = one_sided_slot_derivatives(fam, 0.0, np.arange(3), "left")
+    assert np.allclose(first, 0.0, atol=1e-8)
