@@ -51,9 +51,14 @@ class UnderflowGuardError(SpectralBranchError):
 
 
 class ExpressionError(SpectralBranchError):
-    """Expression parse or evaluation failure, annotated with a position."""
+    """Expression parse or evaluation failure, annotated with a position.
+
+    ``reason`` is the message without the position, for re-raising with the
+    name of the entry the expression came from.
+    """
 
     def __init__(self, message: str, position: int | None = None):
+        self.reason = message
         self.position = position
         if position is not None:
             message = f"{message} (position {position})"

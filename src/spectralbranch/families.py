@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
+from .errors import ExpressionError
 from .expressions import Expression, parse_expression
 from .linalg import as_matrix, ensure_hermitian
 from .util import central_first
@@ -148,15 +149,16 @@ class ExprMatrixSpec:
     def to_family(self, name: str = "expr", tol: Tolerances = DEFAULT_TOL) -> HermitianFamily:
         exprs = self.parsed()
         m = self.dim
+        upper = [(i, j) for i in range(m) for j in range(i, m)]
 
         def matrix(t: float) -> np.ndarray:
             A = np.zeros((m, m), dtype=np.complex128)
-            for i in range(m):
-                A[i, i] = exprs[i][i](t)
-                for j in range(i + 1, m):
-                    v = exprs[i][j](t)
-                    A[i, j] = v
-                    A[j, i] = v
+            try:
+                for i, j in upper:
+                    A[i, j] = A[j, i] = exprs[i][j](t)
+            except ExpressionError as exc:
+                raise ExpressionError(f"'row{i}' entry {self.entries[i][j]!r}: {exc.reason}",
+                                      exc.position) from exc
             return A
 
         return HermitianFamily(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, FamilySpec, Tolerances
-from .errors import ConfigError, UnderflowGuardError
+from .errors import ConfigError, ExpressionError, UnderflowGuardError
 from .expressions import parse_expression
 from .families import ExprMatrixSpec, HermitianFamily
 from .linalg import hermitian_eig
@@ -382,7 +382,14 @@ class SchrodingerFamily:
             return lambda t, xs: np.zeros(xs.shape)
         if isinstance(V, str):
             expr = parse_expression(V, variables=("t", "x"))
-            return lambda t, xs: np.broadcast_to(expr.evaluate(t=t, x=xs), xs.shape)
+
+            def potential(t, xs):
+                try:
+                    return np.broadcast_to(expr.evaluate(t=t, x=xs), xs.shape)
+                except ExpressionError as exc:
+                    raise ExpressionError(f"'potential' {V!r}: {exc.reason}", exc.position) from exc
+
+            return potential
         if callable(V):
             return lambda t, xs: np.array([V(t, x) for x in xs])
         raise TypeError(f"potential must be None, an expression string, or callable, got {type(V)}")

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .config import DEFAULT_TOL, Tolerances
 from .contour import Contour, riesz_projector
@@ -277,21 +276,90 @@ def _detect(values_unit: np.ndarray, threshold: float) -> list[_Detection]:
     return detections
 
 
+# Bounded Brent minimization: golden-section steps, replaced by a parabolic
+# step wherever the parabola through the three best points lands well inside
+# the bracket (Brent, Algorithms for Minimization without Derivatives, 1973,
+# ch. 5; the fminbound of Forsythe, Malcolm & Moler, 1977).  The loop is
+# scipy.optimize's method="bounded" in plain floats: the same points in the
+# same order, the same x.  x is the best point, w the second best, v the
+# previous w; d is the step just taken and e the one before it.
+_MAX_EVALS = 500
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def minimize_scalar(f, a: float, b: float, xatol: float) -> float:
+    """A local minimizer of f on [a, b] to within xatol, from at most 500
+    evaluations of f.  The result is always a point where f was evaluated.
+    """
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValueError(f"bounds must be finite with a <= b, got ({a}, {b})")
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    evals = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a) or evals >= _MAX_EVALS:
+            return x
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = (p + 0.0) / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = -tol1 if xm < x else tol1
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = _GOLDEN * e
+        step = max(abs(d), tol1)
+        u = x - step if d < 0 else x + step
+        fu = f(u)
+        evals += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def _refine_t_star(family: HermitianFamily, grid: np.ndarray, det: _Detection,
-                   tol: Tolerances) -> float:
-    """Parameter of minimal cluster spread inside the detection box."""
-    a = grid[max(det.k_start - 1, 0)]
-    b = grid[min(det.k_end + 1, grid.shape[0] - 1)]
+                   tol: Tolerances) -> tuple[float, np.ndarray]:
+    """Parameter of minimal cluster spread inside the detection box, and the
+    unit-scale eigenvalues there, kept from the minimizer's own solve."""
+    a = float(grid[max(det.k_start - 1, 0)])
+    b = float(grid[min(det.k_end + 1, grid.shape[0] - 1)])
     if a == b:
-        return float(a)
+        return a, _unit_eig(family, a, tol)[0]
+    solved: dict[float, np.ndarray] = {}
 
     def spread(t: float) -> float:
-        w = _unit_eig(family, t, tol)[0]
+        w = solved[t] = _unit_eig(family, t, tol)[0]
         return float(w[det.hi] - w[det.lo])
 
-    res = minimize_scalar(spread, bounds=(float(a), float(b)), method="bounded",
-                          options={"xatol": 1e-10 * max(1.0, abs(a), abs(b))})
-    return float(res.x)
+    t_star = minimize_scalar(spread, a, b, 1e-10 * max(1.0, abs(a), abs(b)))
+    return t_star, solved[t_star]
 
 
 _PROBE_OFFSETS = (0.0, -3.0, -1.5, 1.5, 3.0)  # units of the grid step
@@ -361,8 +429,7 @@ def _grid_events(family: HermitianFamily, grid: np.ndarray, values_unit: np.ndar
     dt = float(grid[1] - grid[0]) if grid.shape[0] > 1 else 1.0
     events: list[_PendingEvent] = []
     for det in _detect(values_unit, threshold):
-        t_star = _refine_t_star(family, grid, det, tol)
-        w_star = _unit_eig(family, t_star, tol)[0]
+        t_star, w_star = _refine_t_star(family, grid, det, tol)
         tight = np.diff(w_star) < threshold
         # membership must be decidable: the detected cluster cannot be merging
         # into its neighbors at the refined collision point

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -240,3 +245,31 @@ def test_failure_after_tracking_writes_nothing(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "sqrt(-2e-05) failed" in capsys.readouterr().err
     assert not list((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("family, named", [
+    ("name = expr\ndim = 2\nrow0 = sqrt(t - 2), 1\nrow1 = 1, 0", "'row0' entry 'sqrt(t - 2)'"),
+    ("name = schrodinger\nm = 9\npotential = sqrt(t - 2)*x", "'potential' 'sqrt(t - 2)*x'"),
+], ids=["expr-row", "schrodinger-potential"])
+def test_exit_2_evaluation_failure_names_entry(family, named, tmp_path, capsys):
+    # the entry parses, so only evaluating it fails, inside run(): the
+    # message names the entry as a parse error would, with no line number
+    command = "schrodinger" if "schrodinger" in family else "track"
+    cfg = write(tmp_path / "run.cfg", f"[run]\ncommand = {command}\nt_range = 0.0, 1.0\n"
+                                      f"grid_size = 5\n[family]\n{family}\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {named}: sqrt(-2.0) failed: math domain error (position 0)\n")
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter: the tests themselves import scipy.optimize
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, spectralbranch, spectralbranch.cli; "
+            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

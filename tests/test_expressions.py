@@ -211,5 +211,6 @@ def test_error_names_plain_float():
     fam = SchrodingerFamily(m=7, potential="sqrt(x + t)").family()
     with pytest.raises(ExpressionError) as err:
         fam.unit(-2.5)
-    assert str(err.value).startswith("sqrt(-2.375) failed: ")
+    # the potential names itself, then the value the element failed at
+    assert str(err.value).startswith("'potential' 'sqrt(x + t)': sqrt(-2.375) failed: ")
     assert err.value.position == 0

@@ -1,9 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
 import spectralbranch.contour
 import spectralbranch.linalg
@@ -29,7 +31,7 @@ import dataclasses
 from spectralbranch.config import DEFAULT_TOL
 from spectralbranch.gallery import CurveLemmaFamily, SchrodingerFamily
 from spectralbranch.linalg import hermitian_eig, random_hermitian
-from spectralbranch.tracker import one_sided_slot_derivatives
+from spectralbranch.tracker import minimize_scalar, one_sided_slot_derivatives
 from spectralbranch.util import multiset_distance, one_sided_first, one_sided_second
 
 from conftest import make_diag_family, make_offdiag_t_family
@@ -1204,3 +1206,104 @@ def test_one_sided_slot_derivatives_accepts_numpy_slots():
     fam = make_diag_family(1.0, 2.0, 3.0)
     first, _ = one_sided_slot_derivatives(fam, 0.0, np.arange(3), "left")
     assert np.allclose(first, 0.0, atol=1e-8)
+
+
+# ------------------------------------------------- t* refinement: bounded Brent
+
+
+def _evaluations(fn, minimizer, *args, **kwargs):
+    """Run ``minimizer`` on fn; return (bits of the points f saw, bits of x)."""
+    seen = []
+
+    def f(t):
+        seen.append(float(t).hex())
+        return fn(float(t))
+
+    x = minimizer(f, *args, **kwargs)
+    return seen, float(getattr(x, "x", x)).hex()
+
+
+def _against_scipy(fn, a, b, xatol):
+    ours = _evaluations(fn, minimize_scalar, a, b, xatol)
+    theirs = _evaluations(fn, scipy_minimize_scalar, bounds=(a, b), method="bounded",
+                          options={"xatol": xatol})
+    assert ours == theirs
+    return ours
+
+
+@st.composite
+def _brent_cases(draw):
+    """(f, a, b): a kink, a parabola, a constant, a cusp or a wiggle, with its
+    minimum inside [a, b], on a bound or beyond one, |a| and |b| up to 1e6."""
+    a, b = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2)))
+    t0 = draw(st.one_of(st.sampled_from((a, b)),
+                        st.floats(-0.5, 1.5).map(lambda u: a + u * (b - a))))
+    s = draw(st.floats(0.1, 10.0))
+    c = draw(st.floats(-10.0, 10.0))
+    width = b - a or 1.0
+    kinds = {
+        "v": lambda t: abs(s * (t - t0)) + c,
+        "parabola": lambda t: s * (t - t0) ** 2 + c,
+        "constant": lambda t: c,
+        # concave on each side of t0: the parabola's vertex is a maximum
+        "cusp": lambda t: s * math.sqrt(abs(t - t0)) + c,
+        "wiggle": lambda t: s * ((t - t0) / width) ** 2 + 0.1 * math.sin(37.0 * (t - t0) / width),
+    }
+    return kinds[draw(st.sampled_from(sorted(kinds)))], a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_brent_cases())
+def test_minimize_scalar_repeats_scipy_bounded(case):
+    # the same points in the same order and the same x, bit for bit, at the
+    # tolerance the tracker uses
+    fn, a, b = case
+    seen, x = _against_scipy(fn, a, b, 1e-10 * max(1.0, abs(a), abs(b)))
+    assert x in seen
+
+
+def test_minimize_scalar_stops_at_500_evaluations():
+    # with xatol = 0 a kink at 0 never meets the stopping test
+    seen, x = _against_scipy(abs, -1.0, 1.0, 0.0)
+    assert len(seen) == 500
+    assert float.fromhex(x) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_minimize_scalar_degenerate_bracket():
+    seen, x = _against_scipy(abs, 0.5, 0.5, 1e-10)
+    assert seen == [x] == [(0.5).hex()]
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, np.inf), (np.nan, 1.0)])
+def test_minimize_scalar_rejects_bad_bounds(a, b):
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        minimize_scalar(abs, a, b, 1e-10)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_track_reuses_refinement_eigensolve_at_t_star(order, monkeypatch):
+    # dense solves: one per grid point and per minimizer evaluation, and at
+    # each crossing four probe times and five stencil points per side and
+    # order; the eigenvalues at t* are the minimizer's own
+    real_eig = spectralbranch.tracker.dense_eig
+    real_min = spectralbranch.tracker.minimize_scalar
+    eigs = evals = 0
+
+    def counting_eig(*args, **kwargs):
+        nonlocal eigs
+        eigs += 1
+        return real_eig(*args, **kwargs)
+
+    def counting_min(f, *args, **kwargs):
+        def g(t):
+            nonlocal evals
+            evals += 1
+            return f(t)
+
+        return real_min(g, *args, **kwargs)
+
+    monkeypatch.setattr(spectralbranch.tracker, "dense_eig", counting_eig)
+    monkeypatch.setattr(spectralbranch.tracker, "minimize_scalar", counting_min)
+    bs = track_branches(_planted_pairs_family(), (-1.0, 1.0), 81, order=order)
+    assert len(bs.crossings) == 3
+    assert eigs == 81 + evals + len(bs.crossings) * (4 + 10 * order)
