@@ -7,7 +7,7 @@ are analytic when supplied, otherwise 5-point central differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -47,9 +47,6 @@ class HermitianFamily:
         if not (self.scale_prefactor > 0.0 and np.isfinite(self.scale_prefactor)):
             raise ValueError(f"scale_prefactor must be positive, got {self.scale_prefactor}")
 
-    def with_tol(self, tol: Tolerances) -> "HermitianFamily":
-        return replace(self, tol=tol)
-
     def _checked(self, raw) -> np.ndarray:
         A = as_matrix(raw)
         if A.shape != (self.dim, self.dim):
@@ -81,16 +78,9 @@ class HermitianFamily:
 
 
 def _graph_norm(A: np.ndarray, u: np.ndarray) -> float:
+    """The graph norm of A at u: sqrt(||u||^2 + ||A u||^2)."""
     Au = A @ u
     return float(np.sqrt(np.vdot(u, u).real + np.vdot(Au, Au).real))
-
-
-def graph_norm(family: HermitianFamily, t: float, u) -> float:
-    """The norm ||u||_t with ||u||_t^2 = ||u||^2 + ||A(t)u||^2."""
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (family.dim,):
-        raise ValueError(f"vector has shape {u.shape}, family dimension is {family.dim}")
-    return _graph_norm(family.eval(t), u)
 
 
 def graph_norm_equivalence_ratio(

@@ -5,14 +5,11 @@ checks (Hermiticity, finiteness, residual bounds, pivot guards) that the rest
 of the package relies on.  The two eigensolvers, ``dense_eig`` (zheevd) and
 ``tridiagonal_eig`` (dstevd on a real symmetric tridiagonal matrix, never
 formed dense), return checked (w, V) as LAPACK gives them: ascending
-eigenvalues, orthonormal eigenvectors with whatever phases LAPACK left.
-``canonical_eig`` makes the vectors deterministic (canonical phases, a stable
-order of exactly tied eigenvalues).  ``hermitian_eig`` is ``dense_eig`` in
-that form; the tracker applies the form only in the exact pass of the
-Gronwall rate, the one place where V's phases reach its output.  The
-tracker's entry points run every OpenBLAS pool on one thread
-(``_one_blas_thread``), because at their sizes the pools' threads cost more
-CPU than the work they share.
+eigenvalues, orthonormal eigenvectors with whatever phases LAPACK left.  That
+is the only form: nothing the package reports depends on a choice of
+eigenvector phase, and nothing rewrites V.  The tracker's entry points run
+every OpenBLAS pool on one thread (``_one_blas_thread``), because at their
+sizes the pools' threads cost more CPU than the work they share.
 """
 from __future__ import annotations
 
@@ -22,7 +19,6 @@ import functools
 import math
 import threading
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,7 +38,7 @@ def as_matrix(a) -> np.ndarray:
     return A
 
 
-def hermitian_defect(A: np.ndarray) -> float:
+def _hermitian_defect(A: np.ndarray) -> float:
     """max_ij |a_ij - conj(a_ji)|, zero for exactly Hermitian input."""
     if A.size == 0:
         return 0.0
@@ -78,32 +74,8 @@ def _hermitian_scale(norm: float, defect: Callable[[], float], tol: Tolerances) 
 
 def ensure_hermitian(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     A = as_matrix(A)
-    _hermitian_scale(_frobenius(A), lambda: hermitian_defect(A), tol)
+    _hermitian_scale(_frobenius(A), lambda: _hermitian_defect(A), tol)
     return A
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Ascending real eigenvalues and a matching unitary column basis."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def canonical_eig(w: np.ndarray, V) -> EigenDecomposition:
-    """The form hermitian_eig returns, from ascending w and orthonormal V.
-
-    V is taken to C-ordered complex128 and each column is rotated so that
-    its first significant component is real positive.  Exactly tied
-    eigenvalues get a stable column order, by the index of that component.
-    """
-    w = np.asarray(w, dtype=float)
-    V = np.asarray(V, dtype=np.complex128, order="C")
-    mags = np.abs(V)
-    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
-    lead = V[first, np.arange(V.shape[1])]
-    V = V * np.conj(lead / np.abs(lead))
-    return EigenDecomposition(w, V.take(np.lexsort((first, w)), axis=1))
 
 
 def dense_eig(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +86,7 @@ def dense_eig(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
     orthonormality residuals must meet eig_tol.
     """
     A = as_matrix(A)
-    scale = _hermitian_scale(_frobenius(A), lambda: hermitian_defect(A), tol)
+    scale = _hermitian_scale(_frobenius(A), lambda: _hermitian_defect(A), tol)
     try:
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
@@ -130,15 +102,6 @@ def dense_eig(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
     return w, V
 
 
-def hermitian_eig(A, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
-    """dense_eig in canonical form: ascending eigenvalues and unitary
-    eigenvectors with canonical phases and a stable order of exact ties."""
-    A = as_matrix(A)
-    if A.shape[0] == 0:
-        return EigenDecomposition(np.zeros(0), np.zeros((0, 0), dtype=np.complex128))
-    return canonical_eig(*dense_eig(A, tol))
-
-
 def tridiagonal_eig(d, e, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues w and real orthonormal eigenvectors V of the
     symmetric tridiagonal T with diagonal d and off-diagonal e.
@@ -146,12 +109,11 @@ def tridiagonal_eig(d, e, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np
     LAPACK dstevd: divide and conquer (dstedc), QR below 26 rows.  On T
     written as a dense Hermitian matrix, every Householder reflector of
     zheevd's reduction is the identity, so zheevd hands the same (d, e) to
-    the same dstedc: w equals hermitian_eig's eigenvalues bit for bit, and
-    canonical_eig(w, V) equals its eigenvectors (below 26 rows up to the
-    sign of zero parts, which zheevd's complex QR rotations set).  dstevd
-    and zheevd rescale differently below entries of about 1e-140, so this
-    is a solver for tridiagonal families, not a fast path to detect in
-    dense_eig.
+    the same dstedc: w equals dense_eig's w on the dense T bit for bit, and
+    V, once cast to complex, equals its V (below 26 rows up to the sign of
+    zeros, which zheevd's complex QR rotations set).  dstevd and zheevd
+    rescale differently below entries of about 1e-140, so this is a solver
+    for tridiagonal families, not a fast path to detect in dense_eig.
 
     e is real.  d may carry an imaginary part: beyond hermitian_tol x
     max(1, ||T||_F) it is rejected as ensure_hermitian rejects the dense
@@ -359,19 +321,3 @@ class _OneBlasThread(contextlib.ContextDecorator):
 
 
 _one_blas_thread = _OneBlasThread()
-
-
-def random_hermitian(rng: np.random.Generator, m: int, scale: float = 1.0) -> np.ndarray:
-    """Dense Hermitian test matrix with Gaussian entries."""
-    M = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    return scale * 0.5 * (M + M.conj().T)
-
-
-def hermitian_with_spectrum(rng: np.random.Generator, eigenvalues) -> np.ndarray:
-    """Hermitian matrix with prescribed spectrum and Haar-ish eigenbasis."""
-    w = np.asarray(eigenvalues, dtype=float)
-    m = w.size
-    Z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    Q, R = np.linalg.qr(Z)
-    Q = Q * (np.diag(R) / np.abs(np.diag(R)))
-    return (Q * w) @ Q.conj().T

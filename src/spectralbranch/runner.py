@@ -228,8 +228,8 @@ def run(config: RunConfig, out_dir="." , verbose: bool = False) -> int:
     try:
         _check_config(config)
         tol = config.tolerances()
-        out.mkdir(parents=True, exist_ok=True)
         header, rows, lines = _DISPATCH[config.command](config, tol)
+        out.mkdir(parents=True, exist_ok=True)
         csv_path = out / config.output_name()
         _write_csv(csv_path, header, rows)
         _write_report(_report_path(csv_path), lines, verbose)

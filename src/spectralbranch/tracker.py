@@ -24,8 +24,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .contour import Contour, riesz_projector
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
-from .linalg import (_frobenius, _one_blas_thread, canonical_eig, dense_eig, operator_norm,
-                     tridiagonal_eig)
+from .linalg import _frobenius, _one_blas_thread, dense_eig, operator_norm, tridiagonal_eig
 from .util import one_sided_first, one_sided_second, remove_nearest
 
 _SIDES = ("left", "right")
@@ -126,26 +125,6 @@ def one_sided_slot_derivatives(family: HermitianFamily, t_star: float, slots,
         [_unit_eig(family, t_star + sgn * j * h2, tol)[0][slots] for j in range(5)]
     )
     return first, one_sided_second(samples2, h2) * f
-
-
-def rayleigh_derivative(family: HermitianFamily, t: float, w,
-                        tol: Tolerances | None = None) -> float:
-    """<A'(t) w, w> for a unit eigenvector w of A(t): the branch slope."""
-    tol = tol if tol is not None else family.tol
-    w = np.asarray(w, dtype=np.complex128).ravel()
-    if w.shape != (family.dim,):
-        raise ValueError(f"vector has shape {w.shape}, family dimension is {family.dim}")
-    if abs(float(np.linalg.norm(w)) - 1.0) > 1e-8:
-        raise ValueError("w must be a unit vector")
-    A = family.eval(t)
-    lam = float(np.vdot(w, A @ w).real)
-    resid = float(np.linalg.norm(A @ w - lam * w))
-    if resid > tol.eig_tol * max(1.0, operator_norm(A)):
-        raise ValueError(f"w is not an eigenvector: residual {resid:.3e}")
-    v = complex(np.vdot(w, family.derivative(t) @ w))
-    if abs(v.imag) > 1e-10 * (1.0 + abs(v)):
-        raise ValueError(f"derivative quadratic form has imaginary part {v.imag:.3e}")
-    return v.real
 
 
 def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour,
@@ -589,12 +568,12 @@ _SCREEN_SLACK = 1e-8
 def _damped_derivative(family: HermitianFamily, t: float, tol: Tolerances) -> np.ndarray:
     """X = A'(t) (I + A(t)^2)^{-1/2} at true scale.
 
-    V F V^H is formed from V in canonical form: its column phases set the
-    rounding of X, and so the bits of the Gronwall rate the report prints.
+    V F V^H is formed from (w, V) as _unit_eig returns them.  Its value does
+    not depend on V's column phases; its last bits do, and so may the last
+    bits of the SVD norm taken of X.
     """
-    dec = canonical_eig(*_unit_eig(family, t, tol))
-    w = dec.eigenvalues * family.scale_prefactor
-    V = dec.eigenvectors
+    w, V = _unit_eig(family, t, tol)
+    w = w * family.scale_prefactor
     damp = (V * (1.0 / np.sqrt(1.0 + w**2))) @ V.conj().T
     return family.derivative(t) @ damp
 
@@ -616,9 +595,9 @@ def _screen_bound(family: HermitianFamily, t: float, tol: Tolerances) -> float:
     """Upper bound on the SVD norm of _damped_derivative(family, t, tol).
 
     It estimates Y = A'(t) V F, not X = Y V^H: with V unitary both have the
-    same singular values whatever V's column phases, so V is used as the
-    solver returns it, with no canonical form.  Y is real when V and A'(t)
-    are.  The terms of the bound are derived above _SCREEN_SLACK.
+    same singular values whatever V's column phases.  V is _unit_eig's, the
+    same as _damped_derivative's.  Y is real when V and A'(t) are.  The
+    terms of the bound are derived above _SCREEN_SLACK.
     """
     w, V = _unit_eig(family, t, tol)
     w = w * family.scale_prefactor

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spectralbranch import HermitianFamily
+from spectralbranch.linalg import dense_eig
 
 
 @pytest.fixture
@@ -32,17 +33,33 @@ def make_offdiag_t_family():
     return HermitianFamily(name="offdiag-t", dim=2, matrix=matrix, deriv=deriv)
 
 
-def assert_dense_bits(dense, w, V):
-    """(w, V) from tridiagonal_eig give hermitian_eig's decomposition bit for bit.
+def random_hermitian(rng: np.random.Generator, m: int, scale: float = 1.0) -> np.ndarray:
+    """Dense Hermitian test matrix with Gaussian entries."""
+    M = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    return scale * 0.5 * (M + M.conj().T)
+
+
+def hermitian_with_spectrum(rng: np.random.Generator, eigenvalues) -> np.ndarray:
+    """Hermitian matrix with prescribed spectrum and Haar-ish eigenbasis."""
+    w = np.asarray(eigenvalues, dtype=float)
+    m = w.size
+    Z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    Q, R = np.linalg.qr(Z)
+    Q = Q * (np.diag(R) / np.abs(np.diag(R)))
+    return (Q * w) @ Q.conj().T
+
+
+def assert_dense_bits(A, w, V):
+    """(w, V) from tridiagonal_eig equal dense_eig(A) bit for bit, V once
+    cast to complex, for the dense form A of the same tridiagonal matrix.
 
     Below 26 rows zheevd runs QR on complex vectors, whose rotations leave
     -0.0 where the real rotations of dstevd leave +0.0; adding 0.0 maps both
     to +0.0 and leaves every other value as it is.
     """
-    from spectralbranch.linalg import canonical_eig
-
-    dec = canonical_eig(w, V)
-    assert dec.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+    dense_w, dense_V = dense_eig(A)
+    V = V.astype(np.complex128)
+    assert w.tobytes() == dense_w.tobytes()
     if w.size > 25:
-        assert dec.eigenvectors.tobytes() == dense.eigenvectors.tobytes()
-    assert (dec.eigenvectors + 0.0).tobytes() == (dense.eigenvectors + 0.0).tobytes()
+        assert V.tobytes() == dense_V.tobytes()
+    assert (V + 0.0).tobytes() == (dense_V + 0.0).tobytes()

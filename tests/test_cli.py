@@ -225,7 +225,7 @@ def test_exit_2_family_refuses_value(family, key, tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
-    assert not list((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_3_holder_window_out_of_range(tmp_path, capsys):
@@ -234,7 +234,7 @@ def test_exit_3_holder_window_out_of_range(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "UnderflowGuardError" in err and "n=30 at alpha=0.25" in err
-    assert not list((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_failure_after_tracking_writes_nothing(tmp_path, capsys):
@@ -244,7 +244,7 @@ def test_failure_after_tracking_writes_nothing(tmp_path, capsys):
         "row0 = 0, t\nrow1 = t, 0", "row0 = sqrt(t), 1\nrow1 = 1, 0"))
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "sqrt(-2e-05) failed" in capsys.readouterr().err
-    assert not list((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("family, named", [

@@ -7,9 +7,9 @@ from spectralbranch import (
     ExprMatrixSpec,
     HermitianFamily,
     NotHermitianError,
-    graph_norm,
     graph_norm_equivalence_ratio,
 )
+from spectralbranch.families import _graph_norm
 from spectralbranch.gallery import CurveLemmaFamily, ResolventExampleFamily, SchrodingerFamily
 
 from conftest import make_diag_family, make_offdiag_t_family
@@ -94,25 +94,26 @@ def test_fd_fallback_matches_analytic():
 
 
 def test_graph_norm_oracles():
+    # ||u||_t = sqrt(||u||^2 + ||A(t) u||^2), the norm graph_norm_equivalence_ratio compares
     zero = make_diag_family(0.0, 0.0)
     u = np.array([3.0, 4.0])
-    assert graph_norm(zero, 0.0, u) == pytest.approx(5.0)
+    assert _graph_norm(zero.eval(0.0), u) == pytest.approx(5.0)
 
     three = make_diag_family(3.0)
-    assert graph_norm(three, 0.0, np.array([1.0])) == pytest.approx(np.sqrt(10.0))
-    assert graph_norm(three, 0.0, np.array([0.0])) == 0.0
+    assert _graph_norm(three.eval(0.0), np.array([1.0])) == pytest.approx(np.sqrt(10.0))
+    assert _graph_norm(three.eval(0.0), np.array([0.0])) == 0.0
 
 
 def test_graph_norm_dimension_mismatch():
     with pytest.raises(ValueError):
-        graph_norm(make_diag_family(1.0, 2.0), 0.0, np.array([1.0, 2.0, 3.0]))
+        _graph_norm(make_diag_family(1.0, 2.0).eval(0.0), np.array([1.0, 2.0, 3.0]))
 
 
 def test_graph_norm_dominates_euclidean(rng):
     fam = smooth_family()
     for _ in range(20):
         u = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert graph_norm(fam, 0.3, u) >= np.linalg.norm(u) - 1e-14
+        assert _graph_norm(fam.eval(0.3), u) >= np.linalg.norm(u) - 1e-14
 
 
 def test_equivalence_ratio_same_t():
@@ -169,23 +170,22 @@ def test_expr_matrix_t_range_tracking():
     assert np.allclose(w, [-np.sqrt(1.5**4 + 1), np.sqrt(1.5**4 + 1)])
 
 
-def test_with_tol_replaces():
-    fam = make_diag_family(1.0)
-    fam2 = fam.with_tol(fam.tol.replace(h_fd=1e-6))
-    assert fam2.tol.h_fd == 1e-6
-    assert fam.tol.h_fd != 1e-6
-
-
 def test_equivalence_ratio_builds_each_matrix_once():
-    # reference: two graph_norm calls per sample vector, as the ratio is defined
+    # reference: two graph norms ||v||_t = sqrt(||v||^2 + ||A(t) v||^2) per
+    # sample vector, each from a freshly built A(t), as the ratio is defined
     fam = smooth_family()
+
+    def graph_norm(t, v):
+        Av = fam.eval(t) @ v
+        return float(np.sqrt(np.vdot(v, v).real + np.vdot(Av, Av).real))
+
     calls = []
     counted = HermitianFamily(name="counted", dim=2, matrix=lambda t: calls.append(t) or fam.matrix(t))
     vectors = list(np.eye(2, dtype=complex))
     draws = np.random.default_rng(5)
     for _ in range(6):
         vectors.append(draws.standard_normal(2) + 1j * draws.standard_normal(2))
-    want = max(graph_norm(fam, 0.9, v) / graph_norm(fam, -0.4, v) for v in vectors)
+    want = max(graph_norm(0.9, v) / graph_norm(-0.4, v) for v in vectors)
     got = graph_norm_equivalence_ratio(counted, -0.4, 0.9, samples=6,
                                        rng=np.random.default_rng(5))
     assert got == want

@@ -12,7 +12,6 @@ from spectralbranch import (
     make_family,
     parse_expression,
     resolvent_weak_vs_norm,
-    smooth_step,
     track_branches,
 )
 from spectralbranch.gallery import (
@@ -20,8 +19,9 @@ from spectralbranch.gallery import (
     ResolventExampleFamily,
     SchrodingerFamily,
     bump_prime,
+    smooth_step,
 )
-from spectralbranch.linalg import hermitian_eig, tridiagonal_eig
+from spectralbranch.linalg import tridiagonal_eig
 
 from conftest import assert_dense_bits
 
@@ -297,20 +297,20 @@ SWEEP_STYLE = [None, "12.5*t*x + 3.25*sin(4.5*x + 2*t) - 7.75*t^2*x^2",
 @pytest.mark.parametrize("src", SWEEP_STYLE)
 def test_schrodinger_tridiagonal_is_the_unit_matrix(src, m):
     # (d, e) written out dense is unit(t) bit for bit, and its dstevd
-    # solution is hermitian_eig's on unit(t) bit for bit
+    # solution is dense_eig's on unit(t) bit for bit
     fam = SchrodingerFamily(m=m, potential=src).family()
     for t in (0.0, 0.37, -1.0, 2.0):
         d, e = fam.tridiagonal(t)
         A = fam.unit(t)
         dense = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).astype(complex)
         assert dense.tobytes() == A.tobytes(), t
-        assert_dense_bits(hermitian_eig(A), *tridiagonal_eig(d, e))
+        assert_dense_bits(A, *tridiagonal_eig(d, e))
 
 
 def test_schrodinger_tridiagonal_callable_potential():
     fam = SchrodingerFamily(m=9, potential=lambda t, x: t * x - 1e-14j * x).family()
     d, e = fam.tridiagonal(0.5)
-    assert_dense_bits(hermitian_eig(fam.unit(0.5)), *tridiagonal_eig(d, e))
+    assert_dense_bits(fam.unit(0.5), *tridiagonal_eig(d, e))
 
 
 def test_schrodinger_grid_points():

@@ -9,54 +9,49 @@ from spectralbranch import (
     NotHermitianError,
     SpectrumTouchError,
     ensure_hermitian,
-    hermitian_defect,
-    hermitian_eig,
-    hermitian_with_spectrum,
     numerical_rank,
     operator_norm,
-    random_hermitian,
     solve_shifted,
 )
 import spectralbranch.linalg
 from spectralbranch import EigenConvergenceError
-from spectralbranch.linalg import (as_matrix, canonical_eig, dense_eig, eigenvalue_count,
+from spectralbranch.linalg import (_hermitian_defect, as_matrix, dense_eig, eigenvalue_count,
                                   tridiagonal_eig)
 
-from conftest import assert_dense_bits
+from conftest import assert_dense_bits, hermitian_with_spectrum, random_hermitian
 
 
 def test_eig_2x2_oracle():
     # [[2,1],[1,2]] has eigenvalues 1 and 3
     A = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    dec = hermitian_eig(A)
-    assert np.allclose(dec.eigenvalues, [1.0, 3.0], atol=1e-12)
-    V = dec.eigenvectors
-    assert np.linalg.norm((V * dec.eigenvalues) @ V.conj().T - A) < 1e-12
+    w, V = dense_eig(A)
+    assert np.allclose(w, [1.0, 3.0], atol=1e-12)
+    assert np.linalg.norm((V * w) @ V.conj().T - A) < 1e-12
 
 
 def test_eig_sorted_ascending(rng):
     A = random_hermitian(rng, 8)
-    w = hermitian_eig(A).eigenvalues
+    w = dense_eig(A)[0]
     assert np.all(np.diff(w) >= 0)
 
 
 def test_eig_eigenvector_residuals(rng):
     A = random_hermitian(rng, 10)
-    dec = hermitian_eig(A)
+    w, V = dense_eig(A)
     for k in range(10):
-        v = dec.eigenvectors[:, k]
-        assert np.linalg.norm(A @ v - dec.eigenvalues[k] * v) < 1e-10 * max(1, operator_norm(A))
+        v = V[:, k]
+        assert np.linalg.norm(A @ v - w[k] * v) < 1e-10 * max(1, operator_norm(A))
 
 
 def test_eig_rejects_non_hermitian():
     A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotHermitianError):
-        hermitian_eig(A)
+        dense_eig(A)
 
 
 def test_hermitian_defect_zero_for_hermitian(rng):
     A = random_hermitian(rng, 6)
-    assert hermitian_defect(A) < 1e-14
+    assert _hermitian_defect(A) < 1e-14
     assert ensure_hermitian(A) is A
 
 
@@ -89,7 +84,7 @@ def test_operator_norm_diag():
 def test_hermitian_with_spectrum(rng):
     target = np.array([-2.0, 0.5, 0.5, 3.0])
     A = hermitian_with_spectrum(rng, target)
-    w = hermitian_eig(A).eigenvalues
+    w = dense_eig(A)[0]
     assert np.allclose(w, np.sort(target), atol=1e-10)
 
 
@@ -103,9 +98,8 @@ def test_as_matrix_rejects_nonsquare():
 def test_reconstruction_property(seed, m):
     rng = np.random.default_rng(seed)
     A = random_hermitian(rng, m)
-    dec = hermitian_eig(A)
-    V = dec.eigenvectors
-    resid = np.linalg.norm((V * dec.eigenvalues) @ V.conj().T - A)
+    w, V = dense_eig(A)
+    resid = np.linalg.norm((V * w) @ V.conj().T - A)
     assert resid < 1e-10 * max(1.0, operator_norm(A))
     # eigenvector matrix is unitary
     assert np.linalg.norm(V.conj().T @ V - np.eye(m)) < 1e-10
@@ -117,8 +111,8 @@ def test_unitary_invariance_of_spectrum(seed):
     rng = np.random.default_rng(seed)
     A = random_hermitian(rng, 6)
     Q = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
-    w1 = hermitian_eig(A).eigenvalues
-    w2 = hermitian_eig(Q @ A @ Q.conj().T).eigenvalues
+    w1 = dense_eig(A)[0]
+    w2 = dense_eig(Q @ A @ Q.conj().T)[0]
     assert np.allclose(w1, w2, atol=1e-9)
 
 
@@ -195,7 +189,7 @@ def test_non_finite_matrix_rejected(bad):
     with pytest.raises(NotHermitianError):
         ensure_hermitian(A)
     with pytest.raises(NotHermitianError):
-        hermitian_eig(A)
+        dense_eig(A)
     with pytest.raises(NotHermitianError):
         eigenvalue_count(A, 0.0, 3.0)
 
@@ -205,8 +199,8 @@ def test_large_finite_matrices_accepted(scale):
     # the plain Frobenius norm overflows from entries near 1.3e154
     A = scale * np.eye(2, dtype=complex)
     assert ensure_hermitian(A) is not None
-    dec = hermitian_eig(A)
-    assert np.allclose(dec.eigenvalues, scale, rtol=1e-15, atol=0.0)
+    w, _ = dense_eig(A)
+    assert np.allclose(w, scale, rtol=1e-15, atol=0.0)
     w, V = tridiagonal_eig(np.full(2, scale), np.zeros(1))
     assert np.allclose(w, scale, rtol=1e-15, atol=0.0)
     assert np.allclose(np.abs(V), np.eye(2), rtol=0.0, atol=1e-15)
@@ -225,47 +219,30 @@ def test_residual_check_holds_at_large_scale(monkeypatch):
     A = 1e300 * np.diag([1.0, 2.0]).astype(complex)
     monkeypatch.setattr(np.linalg, "eigh", wrong_values)
     with pytest.raises(EigenConvergenceError, match="residuals too large"):
-        hermitian_eig(A)
+        dense_eig(A)
 
 
 def test_empty_matrix():
     E = np.zeros((0, 0), dtype=complex)
     assert ensure_hermitian(E).shape == (0, 0)
-    assert hermitian_eig(E).eigenvalues.size == 0
+    assert dense_eig(E)[0].size == 0
     assert eigenvalue_count(E, 0.0, 1.0) == 0
 
 
-# ------------------------------------------------------------ canonical form
+# ---------------------------------------------------------------- dense_eig
 
 
-def reference_canonical(w, V):
-    """canonical_eig written column by column and tie run by tie run: the
-    oracle the vectorized form must match byte for byte."""
-    V = np.asarray(V, dtype=np.complex128, order="C")
-    mags = np.abs(V)
-    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
-    lead = V[first, np.arange(V.shape[1])]
-    V = V * np.conj(lead / np.abs(lead))
-    w = np.asarray(w, dtype=float)
-    i = 0
-    m = w.size
-    while i < m:
-        j = i + 1
-        while j < m and w[j] == w[i]:
-            j += 1
-        if j - i > 1:
-            block = V[:, i:j]
-            keys = []
-            for c in range(block.shape[1]):
-                mags = np.abs(block[:, c])
-                keys.append(int(np.argmax(mags > 1e-12 * mags.max())))
-            order = np.argsort(np.asarray(keys), kind="stable")
-            V[:, i:j] = block[:, order]
-        i = j
-    return w, V
+def test_dense_eig_returns_lapack_pair(rng):
+    # the checked pair is eigh's own output, with no phase or order applied
+    for A in (random_hermitian(rng, 9), np.diag([2.0, 1.0, 2.0]).astype(complex)):
+        w, V = dense_eig(A)
+        ref_w, ref_V = np.linalg.eigh(A)
+        assert w.tobytes() == ref_w.tobytes() and V.tobytes() == ref_V.tobytes()
+    with pytest.raises(NotHermitianError):
+        dense_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
-def canonical_corpus():
+def tie_corpus():
     """360 Hermitian matrices, m = 1..40: random, real, a repeated diagonal,
     permuted copies of kron(I, H) and of the repeated diagonal with unit
     off-diagonals, kron(I, H), kron(H, I), zero and identity."""
@@ -286,41 +263,15 @@ def canonical_corpus():
         yield np.eye(m, dtype=complex)
 
 
-def test_canonical_eig_matches_reference_on_dense_solves():
+def test_dense_eig_returns_lapack_pair_on_tie_corpus():
+    # exact ties included: no phase is fixed and no tied column reordered
     ties = 0
-    for A in canonical_corpus():
-        w, V = np.linalg.eigh(A)
-        ties += int(np.any(w[1:] == w[:-1]))
-        ref_w, ref_V = reference_canonical(w, V)
-        for dec in (canonical_eig(w, V), hermitian_eig(A)):
-            assert dec.eigenvalues.tobytes() == ref_w.tobytes()
-            assert dec.eigenvectors.tobytes() == ref_V.tobytes()
-            assert dec.eigenvectors.flags.c_contiguous
-    assert ties > 100
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 7, 25, 26, 99])
-def test_canonical_eig_matches_reference_on_tridiagonal_solves(rng, m):
-    for split in (False, True):
-        if split and m >= 4:
-            d, e = split_tridiagonal(rng, m)
-        else:
-            d, e = rng.standard_normal(m), rng.standard_normal(m - 1)
-        w, V = tridiagonal_eig(d, e)
-        dec = canonical_eig(w, V)
-        ref_w, ref_V = reference_canonical(w, V)
-        assert dec.eigenvalues.tobytes() == ref_w.tobytes()
-        assert dec.eigenvectors.tobytes() == ref_V.tobytes()
-
-
-def test_dense_eig_returns_lapack_pair(rng):
-    # the checked pair is eigh's own output, with no phase or order applied
-    for A in (random_hermitian(rng, 9), np.diag([2.0, 1.0, 2.0]).astype(complex)):
+    for A in tie_corpus():
         w, V = dense_eig(A)
         ref_w, ref_V = np.linalg.eigh(A)
+        ties += int(np.any(w[1:] == w[:-1]))
         assert w.tobytes() == ref_w.tobytes() and V.tobytes() == ref_V.tobytes()
-    with pytest.raises(NotHermitianError):
-        dense_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    assert ties > 100
 
 
 # -------------------------------------------------------------- tridiagonal
@@ -350,7 +301,18 @@ def test_tridiagonal_eig_split_and_ties_bit_equal_to_dense(rng, m):
         w, V = tridiagonal_eig(d, e)
         if m >= 4:
             assert np.any(w[1:] == w[:-1])
-        assert_dense_bits(hermitian_eig(tridiagonal_dense(d, e)), w, V)
+        assert_dense_bits(tridiagonal_dense(d, e), w, V)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 25, 26, 99])
+def test_tridiagonal_eig_matches_dense_on_tridiagonal_solves(rng, m):
+    for split in (False, True):
+        if split and m >= 4:
+            d, e = split_tridiagonal(rng, m)
+        else:
+            d, e = rng.standard_normal(m), rng.standard_normal(m - 1)
+        w, V = tridiagonal_eig(d, e)
+        assert_dense_bits(tridiagonal_dense(d, e), w, V)
 
 
 def test_tridiagonal_eig_checks_its_input():
@@ -368,7 +330,7 @@ def test_tridiagonal_eig_checks_its_input():
     # a negligible imaginary part is dropped, as zheevd drops it
     d = np.array([1.0, 2.0 + 1e-15j, 3.0])
     w, V = tridiagonal_eig(d, np.ones(2))
-    assert_dense_bits(hermitian_eig(tridiagonal_dense(d, np.ones(2))), w, V)
+    assert_dense_bits(tridiagonal_dense(d, np.ones(2)), w, V)
     w, V = tridiagonal_eig(np.array([-2.5]), np.zeros(0))
     assert np.array_equal(w, [-2.5]) and np.array_equal(V, [[1.0]])
 

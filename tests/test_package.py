@@ -1,0 +1,39 @@
+"""The package's public surface and the README's library example."""
+import types
+from pathlib import Path
+
+import numpy as np
+
+import spectralbranch
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_star_import_binds_exactly_all():
+    # every name in __all__ resolves, once, and a star import binds those
+    # names and nothing else
+    names = spectralbranch.__all__
+    assert len(names) == len(set(names))
+    namespace = {}
+    exec("from spectralbranch import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(names)
+
+
+def test_no_public_name_outside_all():
+    # submodules aside, the package binds no public name that __all__ leaves out
+    bound = {name for name, value in vars(spectralbranch).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert bound == set(spectralbranch.__all__)
+
+
+def test_readme_quick_start():
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    bs = namespace["bs"]
+    # "the line t, exactly, through the crossing at 0"
+    assert np.array_equal(bs.branch(0), bs.grid)
+    assert len(bs.crossings) == 1
+    assert abs(bs.crossings[0].t_star) < 1e-12
