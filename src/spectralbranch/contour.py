@@ -136,10 +136,10 @@ def _quadrature(A: np.ndarray, c: complex, r: float, start_nodes: int,
 
 
 def _unit_quadrature(family: HermitianFamily, A: np.ndarray, gamma: Contour,
-                     p_max: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, int]:
+                     p_max: int) -> tuple[np.ndarray, np.ndarray, int]:
     """_quadrature of A = family.unit(t) on gamma mapped to unit coordinates."""
     g = gamma.scaled(family.scale_prefactor)
-    return _quadrature(A, g.center, g.radius, g.nodes, p_max, tol)
+    return _quadrature(A, g.center, g.radius, g.nodes, p_max, family.tol)
 
 
 def _check_projector(P: np.ndarray, tol: Tolerances) -> None:
@@ -152,12 +152,10 @@ def _check_projector(P: np.ndarray, tol: Tolerances) -> None:
         )
 
 
-def riesz_projector(family: HermitianFamily, t: float, gamma: Contour,
-                    tol: Tolerances | None = None) -> np.ndarray:
+def riesz_projector(family: HermitianFamily, t: float, gamma: Contour) -> np.ndarray:
     """Spectral projector onto the eigenspaces enclosed by gamma at time t."""
-    tol = tol if tol is not None else family.tol
-    P, _, _ = _unit_quadrature(family, family.unit(t), gamma, 0, tol)
-    _check_projector(P, tol)
+    P, _, _ = _unit_quadrature(family, family.unit(t), gamma, 0)
+    _check_projector(P, family.tol)
     return P
 
 
@@ -171,14 +169,12 @@ def _realize(s: np.ndarray, tol: Tolerances) -> np.ndarray:
     return s.real.copy()
 
 
-def newton_sums(family: HermitianFamily, t: float, gamma: Contour, p_max: int,
-                tol: Tolerances | None = None) -> np.ndarray:
+def newton_sums(family: HermitianFamily, t: float, gamma: Contour, p_max: int) -> np.ndarray:
     """True-scale power sums s_0..s_{p_max} of the eigenvalues enclosed by gamma."""
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
-    tol = tol if tol is not None else family.tol
-    _, s_unit, _ = _unit_quadrature(family, family.unit(t), gamma, p_max, tol)
-    s_real = _realize(s_unit, tol)
+    _, s_unit, _ = _unit_quadrature(family, family.unit(t), gamma, p_max)
+    s_real = _realize(s_unit, family.tol)
     return s_real * family.scale_prefactor ** np.arange(p_max + 1)
 
 
@@ -241,8 +237,7 @@ class SpectralCluster:
     eigenvalues: np.ndarray  # N reals, ascending, true scale
 
 
-def spectral_cluster(family: HermitianFamily, t: float, gamma: Contour,
-                     tol: Tolerances | None = None) -> SpectralCluster:
+def spectral_cluster(family: HermitianFamily, t: float, gamma: Contour) -> SpectralCluster:
     """Full contour pipeline at one parameter value.
 
     The enclosed count N comes first, exact by inertia; one quadrature then
@@ -251,11 +246,11 @@ def spectral_cluster(family: HermitianFamily, t: float, gamma: Contour,
     (exact rescaling at the end) so tiny prefactors cannot underflow the
     polynomial coefficients.
     """
-    tol = tol if tol is not None else family.tol
+    tol = family.tol
     f = family.scale_prefactor
     A = family.unit(t)
     N = gamma.scaled(f).inertia_count(A, tol)
-    P, s_complex, _ = _unit_quadrature(family, A, gamma, 2 * N, tol)
+    P, s_complex, _ = _unit_quadrature(family, A, gamma, 2 * N)
     _check_projector(P, tol)
     s_unit = _realize(s_complex, tol)
     s0 = float(s_unit[0])

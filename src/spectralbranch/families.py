@@ -27,8 +27,10 @@ class HermitianFamily:
 
     ``matrix`` and ``deriv`` both produce unit-scale values; the true
     operator is ``scale_prefactor * matrix(t)``.  Families must be pure
-    functions defined on all of R (derivative probes step outside any stated
-    range of interest).  A real symmetric tridiagonal family may also give
+    functions defined on all of R: the Gronwall estimate stays inside its
+    grid, but tracking stencils near a crossing may step outside the range.
+    ``tol`` is the only source of tolerances for code that takes the family.
+    A real symmetric tridiagonal family may also give
     ``tridiagonal(t) -> (d, e)``, the diagonal and off-diagonal of the same
     ``matrix(t)``; the tracker's eigensolves then never form the dense matrix.
     """

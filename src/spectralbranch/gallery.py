@@ -240,7 +240,7 @@ def holder_quotient(n: int, alpha: float, use_prefactor: bool = True,
             matrix=lambda sigma: f * inner(sigma),
             scale_prefactor=1.0, tol=tol,
         )
-    branches = track_branches(fam, (-1.25, 1.25), _HOLDER_GRID, order=1, tol=tol)
+    branches = track_branches(fam, (-1.25, 1.25), _HOLDER_GRID, order=1)
     grid = branches.grid
     upper = branches.values[:, 1]
     h = float(grid[1] - grid[0])

@@ -67,11 +67,10 @@ def _crossing_lines(branches: BranchSet) -> list[str]:
     return out
 
 
-def _gronwall_lines(family: HermitianFamily, branches: BranchSet,
-                    tol: Tolerances) -> list[str]:
+def _gronwall_lines(family: HermitianFamily, branches: BranchSet) -> list[str]:
     t0, t1 = float(branches.grid[0]), float(branches.grid[-1])
     est_grid = np.linspace(t0, t1, max(201, branches.grid.shape[0]))
-    a = 1.01 * estimate_derivative_bound(family, est_grid, tol)
+    a = 1.01 * estimate_derivative_bound(family, est_grid)
     if a <= 0.0:
         a = 1e-12  # constant family: any positive rate passes
     rep = gronwall_screen(branches.grid, branches.values, a)
@@ -101,8 +100,7 @@ def _graph_norm_lines(family: HermitianFamily, t0: float, t1: float, seed: int) 
 
 def _run_track(config: RunConfig, tol: Tolerances) -> _Output:
     family = make_family(config.family, tol)
-    branches = track_branches(family, config.t_range, config.grid_size,
-                              order=config.order, tol=tol)
+    branches = track_branches(family, config.t_range, config.grid_size, order=config.order)
     m = branches.n_branches
     dv = np.gradient(branches.values, branches.grid, axis=0)
     header = (["t"] + [f"branch_{j}" for j in range(m)]
@@ -114,7 +112,7 @@ def _run_track(config: RunConfig, tol: Tolerances) -> _Output:
         f"order: {config.order}",
     ]
     lines += _crossing_lines(branches)
-    lines += _gronwall_lines(family, branches, tol)
+    lines += _gronwall_lines(family, branches)
     lines += _graph_norm_lines(family, float(branches.grid[0]), float(branches.grid[-1]),
                                config.seed)
     return header, np.column_stack([branches.grid, branches.values, dv]), lines
@@ -124,9 +122,9 @@ def _run_project(config: RunConfig, tol: Tolerances) -> _Output:
     family = make_family(config.family, tol)
     cs = config.contour
     gamma = Contour(center=complex(cs.center), radius=cs.radius, nodes=cs.nodes)
-    spectrum = sorted_eigenvalues(family, config.t, tol)
+    spectrum = sorted_eigenvalues(family, config.t)
     gamma.validate_against(spectrum, tol)
-    cluster = spectral_cluster(family, config.t, gamma, tol)
+    cluster = spectral_cluster(family, config.t, gamma)
     rows = [(float(i), v) for i, v in enumerate(cluster.eigenvalues)]
     P = cluster.projector
     direct = spectrum[np.abs(spectrum - gamma.center.real) < gamma.radius]
@@ -186,8 +184,7 @@ def _run_extend(config: RunConfig, tol: Tolerances) -> _Output:
     if k > family.dim:
         raise ConfigError(f"given must be between 0 and the family dimension {family.dim}, "
                           f"got {k}")
-    branches = track_branches(family, config.t_range, config.grid_size,
-                              order=config.order, tol=tol)
+    branches = track_branches(family, config.t_range, config.grid_size, order=config.order)
     mu = branches.values[:, :k]
     completion = extend_parameterization(branches, mu, order=config.order, tol=tol)
     header = (["t"] + [f"given_{j}" for j in range(k)]

@@ -30,21 +30,19 @@ from .util import one_sided_first, one_sided_second, remove_nearest
 _SIDES = ("left", "right")
 
 
-def _unit_eig(family: HermitianFamily, t: float, tol: Tolerances,
+def _unit_eig(family: HermitianFamily, t: float,
               A: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Unit-scale (w, V) at t as the solver returns them: tridiagonal_eig on
     (d, e) for a tridiagonal family, else dense_eig on family.unit(t), or on A
     if it is already built."""
     if family.tridiagonal is not None:
-        return tridiagonal_eig(*family.tridiagonal(float(t)), tol)
-    return dense_eig(family.unit(t) if A is None else A, tol)
+        return tridiagonal_eig(*family.tridiagonal(float(t)), family.tol)
+    return dense_eig(family.unit(t) if A is None else A, family.tol)
 
 
-def sorted_eigenvalues(family: HermitianFamily, t: float,
-                       tol: Tolerances | None = None) -> np.ndarray:
+def sorted_eigenvalues(family: HermitianFamily, t: float) -> np.ndarray:
     """Ascending true-scale eigenvalues of A(t)."""
-    tol = tol if tol is not None else family.tol
-    return _unit_eig(family, t, tol)[0] * family.scale_prefactor
+    return _unit_eig(family, t)[0] * family.scale_prefactor
 
 
 @dataclass(frozen=True)
@@ -97,15 +95,13 @@ class BranchSet:
 
 
 def one_sided_slot_derivatives(family: HermitianFamily, t_star: float, slots,
-                               side: str, tol: Tolerances | None = None,
-                               second: bool = False):
+                               side: str, second: bool = False):
     """One-sided d/dt of the sorted-eigenvalue slot curves at t_star.
 
     Fresh eigensolves at five stencil points on the requested side; returns
     (first, second) true-scale arrays over ``slots`` (second is None unless
     requested).  Probes may leave any grid of interest; families are total.
     """
-    tol = tol if tol is not None else family.tol
     if side not in _SIDES:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     slots = list(slots)
@@ -113,23 +109,31 @@ def one_sided_slot_derivatives(family: HermitianFamily, t_star: float, slots,
         raise ValueError(f"slots must be integers in [0, {family.dim}), got {slots}")
     sgn = 1.0 if side == "right" else -1.0
     f = family.scale_prefactor
-    h1 = tol.h_fd * max(1.0, abs(t_star))
-    samples = np.stack(
-        [_unit_eig(family, t_star + sgn * j * h1, tol)[0][slots] for j in range(5)]
-    )
+    h1 = family.tol.h_fd * max(1.0, abs(t_star))
+    samples = np.stack([_unit_eig(family, t_star + sgn * j * h1)[0][slots] for j in range(5)])
     first = one_sided_first(samples, h1, side) * f
     if not second:
         return first, None
-    h2 = tol.h_fd2 * max(1.0, abs(t_star))
-    samples2 = np.stack(
-        [_unit_eig(family, t_star + sgn * j * h2, tol)[0][slots] for j in range(5)]
-    )
+    h2 = family.tol.h_fd2 * max(1.0, abs(t_star))
+    samples2 = np.stack([_unit_eig(family, t_star + sgn * j * h2)[0][slots] for j in range(5)])
     return first, one_sided_second(samples2, h2) * f
 
 
+def _derivative(family: HermitianFamily, t: float, side: str | None) -> np.ndarray:
+    """True-scale A'(t): the family's analytic A' when it has one, else
+    five-point differences, central when side is None and one-sided toward
+    side ("left" or "right") otherwise."""
+    if family.deriv is not None or side is None:
+        return family.derivative(t)
+    sgn = 1.0 if side == "right" else -1.0
+    h = family.tol.h_fd * max(1.0, abs(t))
+    samples = np.stack([family.unit(t + sgn * j * h) for j in range(5)])
+    D = one_sided_first(samples, h, side)
+    return family.scale_prefactor * 0.5 * (D + D.conj().T)
+
+
 def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour,
-                          side: str = "right",
-                          tol: Tolerances | None = None) -> np.ndarray:
+                          side: str = "right") -> np.ndarray:
     """Eigenvalues of the compressed operator P A'(t*) P on range P, ascending.
 
     These are the one-sided derivatives (from either side) of the branches
@@ -137,17 +141,16 @@ def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour
     probed on the requested side by inertia; a change means the box is too
     large.
     """
-    tol = tol if tol is not None else family.tol
     if side not in _SIDES:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     sgn = 1.0 if side == "right" else -1.0
-    P = riesz_projector(family, t_star, gamma, tol)
+    P = riesz_projector(family, t_star, gamma)
     U, S, _ = np.linalg.svd(P)
     N = int(np.count_nonzero(S > 0.5))
-    h = tol.h_fd * max(1.0, abs(t_star))
+    h = family.tol.h_fd * max(1.0, abs(t_star))
     g = gamma.scaled(family.scale_prefactor)
     for j in (1, 2):
-        count = g.inertia_count(family.unit(t_star + sgn * j * h), tol)
+        count = g.inertia_count(family.unit(t_star + sgn * j * h), family.tol)
         if count != N:
             raise RankDriftError(
                 f"box too large: contour encloses {N} eigenvalues at t={t_star!r} "
@@ -155,14 +158,8 @@ def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour
             )
     if N == 0:
         return np.zeros(0)
-    if family.deriv is not None:
-        Ad = family.derivative(t_star)
-    else:
-        samples = np.stack([family.unit(t_star + sgn * j * h) for j in range(5)])
-        D = one_sided_first(samples, h, side)
-        Ad = family.scale_prefactor * 0.5 * (D + D.conj().T)
     F = U[:, :N]
-    C = F.conj().T @ Ad @ F
+    C = F.conj().T @ _derivative(family, t_star, side) @ F
     C = 0.5 * (C + C.conj().T)
     return np.sort(np.linalg.eigvalsh(C))
 
@@ -323,18 +320,18 @@ def minimize_scalar(f, a: float, b: float, xatol: float) -> float:
                 v, fv = u, fu
 
 
-def _refine_t_star(family: HermitianFamily, grid: np.ndarray, det: _Detection,
-                   tol: Tolerances) -> tuple[float, np.ndarray]:
+def _refine_t_star(family: HermitianFamily, grid: np.ndarray,
+                   det: _Detection) -> tuple[float, np.ndarray]:
     """Parameter of minimal cluster spread inside the detection box, and the
     unit-scale eigenvalues there, kept from the minimizer's own solve."""
     a = float(grid[max(det.k_start - 1, 0)])
     b = float(grid[min(det.k_end + 1, grid.shape[0] - 1)])
     if a == b:
-        return a, _unit_eig(family, a, tol)[0]
+        return a, _unit_eig(family, a)[0]
     solved: dict[float, np.ndarray] = {}
 
     def spread(t: float) -> float:
-        w = solved[t] = _unit_eig(family, t, tol)[0]
+        w = solved[t] = _unit_eig(family, t)[0]
         return float(w[det.hi] - w[det.lo])
 
     t_star = minimize_scalar(spread, a, b, 1e-10 * max(1.0, abs(a), abs(b)))
@@ -345,7 +342,7 @@ _PROBE_OFFSETS = (0.0, -3.0, -1.5, 1.5, 3.0)  # units of the grid step
 
 
 def _event_contour(family: HermitianFamily, t_star: float, w_star_unit: np.ndarray,
-                   glo: int, ghi: int, dt: float, tol: Tolerances) -> Contour:
+                   glo: int, ghi: int, dt: float) -> Contour:
     """Verification contour around the value group [glo, ghi], with count probes.
 
     The radius must cover the cluster's drift across the probe box (3 grid
@@ -358,7 +355,7 @@ def _event_contour(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
     center = float(np.mean(w_star_unit[glo:ghi + 1])) * f
     times = [t_star + off * dt for off in _PROBE_OFFSETS]
     mats = [family.unit(t) for t in times]
-    values = [_unit_eig(family, t, tol, A)[0] * f if off != 0.0 else w_star_unit * f
+    values = [_unit_eig(family, t, A)[0] * f if off != 0.0 else w_star_unit * f
               for off, t, A in zip(_PROBE_OFFSETS, times, mats)]
     spread = max(np.max(np.abs(w[glo:ghi + 1] - center)) for w in values)
     rest = [np.concatenate([w[:glo], w[ghi + 1:]]) for w in values]
@@ -371,11 +368,11 @@ def _event_contour(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
             f"probe window but the rest of the spectrum comes within {d_out!r}"
         )
     gamma = Contour(center=center, radius=radius)
-    gamma.validate_against(w_star_unit * f, tol)
+    gamma.validate_against(w_star_unit * f, family.tol)
     expected = ghi - glo + 1
     g = gamma.scaled(f)
     for t_probe, A in zip(times, mats):
-        count = g.inertia_count(A, tol)
+        count = g.inertia_count(A, family.tol)
         if count != expected:
             raise RankDriftError(
                 f"rank drift: contour around {center!r} encloses {count} eigenvalues "
@@ -393,22 +390,22 @@ class _PendingEvent:
 
 
 def _match_group(family: HermitianFamily, t_star: float, slots: tuple[int, ...],
-                 order: int, tol: Tolerances) -> MatchReport:
+                 order: int) -> MatchReport:
     want_second = order == 2
-    dl, sl = one_sided_slot_derivatives(family, t_star, slots, "left", tol, second=want_second)
-    dr, sr = one_sided_slot_derivatives(family, t_star, slots, "right", tol, second=want_second)
+    dl, sl = one_sided_slot_derivatives(family, t_star, slots, "left", second=want_second)
+    dr, sr = one_sided_slot_derivatives(family, t_star, slots, "right", second=want_second)
     return match_crossing(dl, dr, order=order, second_left=sl, second_right=sr,
-                          tol=tol, t_star=t_star)
+                          tol=family.tol, t_star=t_star)
 
 
 def _grid_events(family: HermitianFamily, grid: np.ndarray, values_unit: np.ndarray,
-                 order: int, tol: Tolerances) -> list[_PendingEvent]:
+                 order: int) -> list[_PendingEvent]:
     scale = max(1.0, float(np.max(np.abs(values_unit))))
-    threshold = tol.cluster_tol * scale
+    threshold = family.tol.cluster_tol * scale
     dt = float(grid[1] - grid[0]) if grid.shape[0] > 1 else 1.0
     events: list[_PendingEvent] = []
     for det in _detect(values_unit, threshold):
-        t_star, w_star = _refine_t_star(family, grid, det, tol)
+        t_star, w_star = _refine_t_star(family, grid, det)
         tight = np.diff(w_star) < threshold
         # membership must be decidable: the detected cluster cannot be merging
         # into its neighbors at the refined collision point
@@ -419,10 +416,10 @@ def _grid_events(family: HermitianFamily, grid: np.ndarray, values_unit: np.ndar
             )
         for glo, ghi in _tight_runs(tight[det.lo:det.hi]):
             slots = tuple(range(det.lo + glo, det.lo + ghi + 1))
-            contour = _event_contour(family, t_star, w_star, slots[0], slots[-1], dt, tol)
+            contour = _event_contour(family, t_star, w_star, slots[0], slots[-1], dt)
             events.append(_PendingEvent(
                 grid_span=(det.k_start, det.k_end), slots=slots,
-                report=_match_group(family, t_star, slots, order, tol), contour=contour,
+                report=_match_group(family, t_star, slots, order), contour=contour,
             ))
     return events
 
@@ -455,15 +452,14 @@ def _assemble(grid: np.ndarray, values_true: np.ndarray,
 
 
 @_one_blas_thread
-def track_branches(family: HermitianFamily, t_range, grid_size: int, order: int = 1,
-                   tol: Tolerances | None = None) -> BranchSet:
+def track_branches(family: HermitianFamily, t_range, grid_size: int,
+                   order: int = 1) -> BranchSet:
     """Track all eigenvalue branches of the family over t_range.
 
     Eigensolves run per grid point; collisions are matched so each output
     column has one-sided derivatives that agree across every crossing within
     the matching residual.
     """
-    tol = tol if tol is not None else family.tol
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not (t0 < t1 and math.isfinite(t1 - t0)):
         raise ValueError(f"t_range must satisfy t0 < t1 with a finite span, got ({t0}, {t1})")
@@ -472,8 +468,8 @@ def track_branches(family: HermitianFamily, t_range, grid_size: int, order: int 
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     grid = np.linspace(t0, t1, grid_size)
-    values_unit = np.array([_unit_eig(family, t, tol)[0] for t in grid])
-    pending = _grid_events(family, grid, values_unit, order, tol)
+    values_unit = np.array([_unit_eig(family, t)[0] for t in grid])
+    pending = _grid_events(family, grid, values_unit, order)
     values_true = values_unit * family.scale_prefactor
     matched, events = _assemble(grid, values_true, pending)
     return BranchSet(grid=grid, values=matched, crossings=events, order=order,
@@ -565,17 +561,17 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
 _SCREEN_SLACK = 1e-8
 
 
-def _damped_derivative(family: HermitianFamily, t: float, tol: Tolerances) -> np.ndarray:
-    """X = A'(t) (I + A(t)^2)^{-1/2} at true scale.
+def _damped_derivative(family: HermitianFamily, t: float, side: str | None) -> np.ndarray:
+    """X = A'(t) (I + A(t)^2)^{-1/2} at true scale, A' by _derivative(family, t, side).
 
     V F V^H is formed from (w, V) as _unit_eig returns them.  Its value does
     not depend on V's column phases; its last bits do, and so may the last
     bits of the SVD norm taken of X.
     """
-    w, V = _unit_eig(family, t, tol)
+    w, V = _unit_eig(family, t)
     w = w * family.scale_prefactor
     damp = (V * (1.0 / np.sqrt(1.0 + w**2))) @ V.conj().T
-    return family.derivative(t) @ damp
+    return _derivative(family, t, side) @ damp
 
 
 def _norm_estimate(Y: np.ndarray) -> float:
@@ -591,29 +587,28 @@ def _norm_estimate(Y: np.ndarray) -> float:
     return math.ldexp(math.sqrt(max(lam, 0.0)), k)
 
 
-def _screen_bound(family: HermitianFamily, t: float, tol: Tolerances) -> float:
-    """Upper bound on the SVD norm of _damped_derivative(family, t, tol).
+def _screen_bound(family: HermitianFamily, t: float, side: str | None) -> float:
+    """Upper bound on the SVD norm of _damped_derivative(family, t, side).
 
     It estimates Y = A'(t) V F, not X = Y V^H: with V unitary both have the
     same singular values whatever V's column phases.  V is _unit_eig's, the
     same as _damped_derivative's.  Y is real when V and A'(t) are.  The
     terms of the bound are derived above _SCREEN_SLACK.
     """
-    w, V = _unit_eig(family, t, tol)
+    w, V = _unit_eig(family, t)
     w = w * family.scale_prefactor
     f = 1.0 / np.sqrt(1.0 + w**2)
-    Ad = family.derivative(t)
+    Ad = _derivative(family, t, side)
     if not np.iscomplexobj(V) and not np.any(Ad.imag):
         Ad = np.ascontiguousarray(Ad.real)
     m = family.dim
-    slack = max(_SCREEN_SLACK, m * m * 2.0**-53) + tol.eig_tol * m
+    slack = max(_SCREEN_SLACK, m * m * 2.0**-53) + family.tol.eig_tol * m
     rounding = 4.0 * (m + 2) ** 2 * 2.0**-53 * _frobenius(Ad) * float(np.max(f))
     return _norm_estimate(Ad @ (V * f)) * (1.0 + slack) + rounding
 
 
 @_one_blas_thread
-def estimate_derivative_bound(family: HermitianFamily, grid,
-                              tol: Tolerances | None = None) -> float:
+def estimate_derivative_bound(family: HermitianFamily, grid) -> float:
     """max over the grid of ||A'(t) (I + A(t)^2)^{-1/2}||, the growth constant.
 
     Pointwise this bounds |lambda'| <= C (1 + |lambda|): the slope is a
@@ -624,20 +619,27 @@ def estimate_derivative_bound(family: HermitianFamily, grid,
     norms are then taken, largest bound first, until no remaining bound can
     exceed the running maximum.  The maximum does not depend on the order,
     so the result equals the maximum of every point's SVD norm.
+
+    A finite-difference A' is one-sided, pointing into the grid, within
+    2 h_fd max(1, |t|) of either end: the family is evaluated only between
+    the grid's least and greatest points.
     """
-    tol = tol if tol is not None else family.tol
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError(f"grid must be a non-empty 1-D array of finite values, "
                          f"got shape {grid.shape}")
     ts = [float(t) for t in grid]
-    bounds = np.array([_screen_bound(family, t, tol) for t in ts])
+    reach = 2.0 * family.tol.h_fd * np.maximum(1.0, np.abs(grid))
+    lo, hi = grid.min(), grid.max()
+    sides = ["right" if t - r < lo else "left" if t + r > hi else None
+             for t, r in zip(ts, reach)]
+    bounds = np.array([_screen_bound(family, t, side) for t, side in zip(ts, sides)])
     best = 0.0
     for n, i in enumerate(np.argsort(-bounds, kind="stable")):
         if n and bounds[i] <= best:
             break
         # recomputed rather than kept: 201 products at m = 99 hold 31 MB
-        best = max(best, operator_norm(_damped_derivative(family, ts[i], tol)))
+        best = max(best, operator_norm(_damped_derivative(family, ts[i], sides[i])))
     return best
 
 

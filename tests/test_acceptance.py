@@ -300,8 +300,8 @@ def test_criterion_10_schrodinger_spectrum_and_slopes():
     # (||A|| ~ 4e4), so h = 1e-3 keeps stencil roundoff near 1e-7 while
     # truncation stays negligible on these nearly linear branches.
     wide = replace(DEFAULT_TOL, h_fd=1e-3)
-    slopes, _ = one_sided_slot_derivatives(fam, 0.0, list(range(sch.m)), "right",
-                                           tol=wide)
+    slopes, _ = one_sided_slot_derivatives(replace(fam, tol=wide), 0.0,
+                                           list(range(sch.m)), "right")
     slope_err = float(np.max(np.abs(slopes - rayleigh)))
     assert slope_err <= 1e-6
 

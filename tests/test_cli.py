@@ -9,6 +9,8 @@ import pytest
 from spectralbranch import (
     Contour,
     HermitianFamily,
+    estimate_derivative_bound,
+    make_family,
     parse_config,
     run,
     sorted_eigenvalues,
@@ -238,13 +240,38 @@ def test_exit_3_holder_window_out_of_range(tmp_path, capsys):
 
 
 def test_failure_after_tracking_writes_nothing(tmp_path, capsys):
-    # the branches track on [0, 1], then the Gronwall rate's central
-    # differences evaluate sqrt(t) below 0: no CSV is left without its report
+    # the branches track on the 5-point grid, then the Gronwall rate's
+    # 201-point grid reaches (0.12, 0.14), where the entry fails: no CSV is
+    # left without its report
+    cfg = write(tmp_path / "run.cfg", TRACK_CFG.replace("-1.0, 1.0", "0.0, 1.0").replace(
+        "101", "5").replace("row0 = 0, t\nrow1 = t, 0",
+                            "row0 = sqrt(abs(t - 0.13) - 0.01), 1\nrow1 = 1, 0"))
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'row0' entry" in err and "failed: math domain error" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gronwall_rate_stays_inside_t_range(tmp_path):
+    # sqrt(t) exists only from t = 0: the estimate's differences at the ends
+    # of [0, 1] are one-sided, pointing into the range
     cfg = write(tmp_path / "run.cfg", TRACK_CFG.replace("-1.0, 1.0", "0.0, 1.0").replace(
         "row0 = 0, t\nrow1 = t, 0", "row0 = sqrt(t), 1\nrow1 = 1, 0"))
-    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "sqrt(-2e-05) failed" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "gronwall screen: a = " in (tmp_path / "branches.report.txt").read_text()
+
+
+def test_tolerances_section_sets_the_gronwall_rate(tmp_path):
+    # the [tolerances] override reaches the estimate through the family alone
+    config = parse_config(TRACK_CFG.replace("row0 = 0, t\nrow1 = t, 0",
+                                            "row0 = sin(2*t), 1\nrow1 = 1, 0")
+                          + "\n[tolerances]\nh_fd = 0.01\n")
+    tol = config.tolerances()
+    assert run(config, out_dir=tmp_path) == 0
+    est_grid = np.linspace(-1.0, 1.0, 201)
+    a = 1.01 * estimate_derivative_bound(make_family(config.family, tol), est_grid)
+    assert a != 1.01 * estimate_derivative_bound(make_family(config.family), est_grid)
+    assert f"gronwall screen: a = {a!r}, " in (tmp_path / "branches.report.txt").read_text()
 
 
 @pytest.mark.parametrize("family, named", [

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -115,7 +117,7 @@ def test_quadrature_nonconvergence_raises():
     fam = make_diag_family(1.0, 2.0 - 1e-9, 5.0)
     g = Contour(center=1.0, radius=1.0, nodes=8)
     with pytest.raises(QuadratureError):
-        riesz_projector(fam, 0.0, g, tol=fam.tol.replace(max_nodes=64))
+        riesz_projector(replace(fam, tol=fam.tol.replace(max_nodes=64)), 0.0, g)
 
 
 def _isolating_contour(A, indices, nodes=64):
@@ -166,9 +168,9 @@ def test_spectral_cluster_runs_one_quadrature(monkeypatch):
     real = spectralbranch.contour._unit_quadrature
     calls = []
 
-    def counting(family, t, gamma, p_max, tol):
+    def counting(family, t, gamma, p_max):
         calls.append(p_max)
-        return real(family, t, gamma, p_max, tol)
+        return real(family, t, gamma, p_max)
 
     monkeypatch.setattr(spectralbranch.contour, "_unit_quadrature", counting)
     cl = spectral_cluster(make_diag_family(1.0, 2.0, 5.0), 0.0, Contour(center=1.5, radius=1.0))

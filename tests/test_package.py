@@ -1,4 +1,7 @@
 """The package's public surface and the README's library example."""
+import importlib
+import inspect
+import pkgutil
 import types
 from pathlib import Path
 
@@ -25,6 +28,26 @@ def test_no_public_name_outside_all():
     bound = {name for name, value in vars(spectralbranch).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert bound == set(spectralbranch.__all__)
+
+
+def test_no_callable_taking_a_family_takes_tol():
+    # tolerances live on the family: a tol beside it could disagree with
+    # the one family.unit checks with
+    modules = [importlib.import_module(f"spectralbranch.{info.name}")
+               for info in pkgutil.iter_modules(spectralbranch.__path__)]
+    callables = [getattr(spectralbranch, name) for name in spectralbranch.__all__]
+    callables += [fn for module in modules
+                  for _, fn in inspect.getmembers(module, inspect.isfunction)
+                  if fn.__module__ == module.__name__]
+    both = set()
+    for fn in filter(callable, callables):
+        try:
+            params = inspect.signature(fn).parameters
+        except ValueError:  # a built-in type's constructor has no signature
+            continue
+        if "family" in params and "tol" in params:
+            both.add(fn.__qualname__)
+    assert not both
 
 
 def test_readme_quick_start():

@@ -472,6 +472,47 @@ def test_track_schrodinger_rejects_bad_callable_potentials(potential, message):
         estimate_derivative_bound(fam, [0.5])
 
 
+def _families_with_hermitian_defect(defect):
+    """A dense 2x2 family and a tridiagonal one whose matrices both miss
+    Hermitian symmetry by ``defect`` (max |A - A^H|)."""
+    def dense(t):
+        return np.array([[t, 1.0], [1.0 + defect, -t]], dtype=complex)
+
+    off = np.full(5, 0.75)
+
+    def diagonal(t):
+        # the dense defect of an imaginary diagonal is twice its largest part
+        return np.linspace(-3.0, 5.0, 6) + t * np.cos(np.arange(6)) + 0.5j * defect
+
+    def tridiagonal(t):
+        return (np.diag(diagonal(t)) + np.diag(off, 1) + np.diag(off, -1)).astype(complex)
+
+    return (HermitianFamily(name="dense-defect", dim=2, matrix=dense),
+            HermitianFamily(name="tridiagonal-defect", dim=6, matrix=tridiagonal,
+                            tridiagonal=lambda t: (diagonal(t), off)))
+
+
+_FAMILY_CALLS = (
+    lambda fam: sorted_eigenvalues(fam, 0.5),
+    lambda fam: track_branches(fam, (-1.0, 1.0), 11),
+    lambda fam: one_sided_slot_derivatives(fam, 0.5, [0], "right"),
+    lambda fam: estimate_derivative_bound(fam, np.linspace(-1.0, 1.0, 5)),
+)
+
+
+@pytest.mark.parametrize("call", _FAMILY_CALLS)
+def test_family_tolerances_govern_every_check(call):
+    # the dense path checks in family.unit and the tridiagonal one in
+    # tridiagonal_eig: both read the family's one Tolerances.  eigh reads
+    # one triangle of the dense matrix, so its residual is of the defect's
+    # order and eig_tol must clear it too
+    loose = DEFAULT_TOL.replace(hermitian_tol=1e-4, eig_tol=1e-6)
+    for fam in _families_with_hermitian_defect(1e-7):
+        with pytest.raises(NotHermitianError, match="not Hermitian"):
+            call(fam)
+        call(dataclasses.replace(fam, tol=loose))
+
+
 # ------------------------------------------------------------------- gronwall
 
 
@@ -540,6 +581,32 @@ def test_estimate_derivative_bound_identity_curve():
     assert a == pytest.approx(1.0, abs=1e-12)
 
 
+def test_finite_difference_bound_stays_inside_its_grid():
+    # A(t) = H0 + sin(2t) H1 + t^3 H2 peaks at the left end of the grid,
+    # where the estimate's differences are one-sided: with and without the
+    # analytic A' the bounds agree, and no difference leaves the grid
+    rng = np.random.default_rng(3)
+    H0, H1, H2 = (random_hermitian(rng, 4) for _ in range(3))
+    seen = []
+
+    def matrix(t):
+        seen.append(t)
+        return H0 + np.sin(2.0 * t) * H1 + t**3 * H2
+
+    fd = HermitianFamily(name="sin-cubic", dim=4, matrix=matrix)
+    exact = dataclasses.replace(fd, deriv=lambda t: 2.0 * np.cos(2.0 * t) * H1 + 3.0 * t * t * H2)
+    grid = np.linspace(-1.0, 1.5, 26)
+    norms = [np.linalg.norm(spectralbranch.tracker._damped_derivative(exact, t, None), 2)
+             for t in grid]
+    assert int(np.argmax(norms)) == 0
+    a = estimate_derivative_bound(fd, grid)
+    assert min(seen) >= grid[0] and max(seen) <= grid[-1]
+    assert a == pytest.approx(estimate_derivative_bound(exact, grid), rel=1e-8)
+    for t, side in ((grid[0], "right"), (grid[-1], "left")):
+        Ad = spectralbranch.tracker._derivative(fd, t, side)
+        assert np.allclose(Ad, exact.derivative(t), rtol=0.0, atol=1e-8 * np.linalg.norm(Ad))
+
+
 @spectralbranch.linalg._one_blas_thread
 def brute_force_bound(family, grid):
     """The unscreened estimate: an SVD norm at every grid point.
@@ -549,14 +616,20 @@ def brute_force_bound(family, grid):
     family that also checks its dstevd pair against the dense one.  It runs
     on one BLAS thread, as estimate_derivative_bound does, so both take the
     same kernels: a finite-difference A' at m = 54 (np.tensordot over five
-    samples) differs in the last bits between one thread and two.
+    samples) differs in the last bits between one thread and two.  Such an
+    A' is one-sided, pointing into the grid, within 2 h_fd max(1, |t|) of
+    either end, and central elsewhere, as the estimate takes it.
     """
     best = 0.0
-    for t in grid:
-        w, V = dense_eig(family.unit(float(t)), family.tol)
+    lo, hi = min(grid), max(grid)
+    for t in map(float, grid):
+        w, V = dense_eig(family.unit(t), family.tol)
         w = w * family.scale_prefactor
         damp = (V * (1.0 / np.sqrt(1.0 + w**2))) @ V.conj().T
-        best = max(best, float(np.linalg.norm(family.derivative(float(t)) @ damp, 2)))
+        reach = 2.0 * family.tol.h_fd * max(1.0, abs(t))
+        side = "right" if t - reach < lo else "left" if t + reach > hi else None
+        Ad = spectralbranch.tracker._derivative(family, t, side)
+        best = max(best, float(np.linalg.norm(Ad @ damp, 2)))
     return best
 
 
@@ -651,9 +724,9 @@ def damped_calls(monkeypatch):
     calls = []
     original = spectralbranch.tracker._damped_derivative
 
-    def counting(family, t, tol):
+    def counting(family, t, side):
         calls.append(t)
-        return original(family, t, tol)
+        return original(family, t, side)
 
     monkeypatch.setattr(spectralbranch.tracker, "_damped_derivative", counting)
     return calls
@@ -699,7 +772,7 @@ def test_screened_bound_covers_rounding_of_damped_large_derivative(norm_calls):
 
     fam = HermitianFamily(name="damped-large-derivative", dim=m, matrix=matrix,
                           deriv=lambda t: Ad)
-    damped = spectralbranch.tracker._damped_derivative(fam, 0.0, fam.tol)
+    damped = spectralbranch.tracker._damped_derivative(fam, 0.0, None)
     assert np.linalg.norm(Ad, 2) / np.linalg.norm(damped, 2) >= 1e10
     grid = np.linspace(0.0, 1.0, 40)
     assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid)
@@ -770,8 +843,8 @@ def test_eigenvector_phases_reach_only_the_last_bits_of_the_bound(monkeypatch):
     real_unit_eig = spectralbranch.tracker._unit_eig
     draws = np.random.default_rng(11)
 
-    def rephased(family, t, tol, A=None):
-        w, V = real_unit_eig(family, t, tol, A)
+    def rephased(family, t, A=None):
+        w, V = real_unit_eig(family, t, A)
         if np.iscomplexobj(V):
             return w, V * np.exp(2j * np.pi * draws.random(V.shape[1]))
         return w, V * draws.choice([-1.0, 1.0], V.shape[1])
