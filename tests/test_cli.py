@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -300,3 +301,22 @@ def test_package_import_leaves_scipy_optimize_unloaded():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_schrodinger_report_path_stays_quadratic_in_m(tmp_path):
+    # the shipped schrodinger config at m = 200 through run(), spot check and
+    # Gronwall screen included: the traced peak stays a few dozen m x m
+    # matrices, where an O(m^3) transient (one identity per basis vector in
+    # the spot check) took 125 MB
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "schrodinger.cfg"
+    text = shipped.read_text()
+    assert "m = 99\n" in text
+    config = parse_config(text.replace("m = 99\n", "m = 200\n"))
+    tracemalloc.start()
+    try:
+        assert run(config, tmp_path / "out") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out" / "branches.report.txt").exists()
+    assert peak < 16 * 2**20

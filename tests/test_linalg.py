@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scipy.linalg.lapack import zhetrf
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dstevd, zhetrf
 
 from spectralbranch import (
     NotHermitianError,
@@ -15,8 +16,9 @@ from spectralbranch import (
 )
 import spectralbranch.linalg
 from spectralbranch import EigenConvergenceError
-from spectralbranch.linalg import (_hermitian_defect, as_matrix, dense_eig, eigenvalue_count,
-                                  tridiagonal_eig)
+from spectralbranch.config import DEFAULT_TOL
+from spectralbranch.linalg import (_gram_defect, _hermitian_defect, as_matrix, dense_eig,
+                                  eigenvalue_count, tridiagonal_eig)
 
 from conftest import assert_dense_bits, hermitian_with_spectrum, random_hermitian
 
@@ -242,6 +244,34 @@ def test_dense_eig_returns_lapack_pair(rng):
         dense_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+@pytest.mark.parametrize("defect", [
+    np.array([[0.0, 0.0], [1e-7, 0.0]]),
+    np.array([[0.0, 1e-7], [0.0, 0.0]]),
+    np.array([[1e-7j, 0.0], [0.0, -2e-7j]]),
+], ids=["lower", "upper", "imaginary-diagonal"])
+def test_dense_eig_residual_is_of_the_matrix_eigh_solves(defect):
+    # eigh reads the lower triangle and the real diagonal, so a defect that
+    # hermitian_tol lets through needs no looser eig_tol
+    A = np.array([[1.0, 0.5], [0.5, -2.0]], dtype=complex) + defect
+    loose = DEFAULT_TOL.replace(hermitian_tol=1e-4)
+    w, V = dense_eig(A, loose)
+    ref_w, ref_V = np.linalg.eigh(A)
+    assert w.tobytes() == ref_w.tobytes() and V.tobytes() == ref_V.tobytes()
+    with pytest.raises(NotHermitianError, match="not Hermitian"):
+        dense_eig(A)
+
+
+def test_dense_eig_uses_a_hermitian_matrix_as_given(monkeypatch, rng):
+    # the mirrored matrix is built only for a nonzero defect
+    def forbidden(A):
+        raise AssertionError("lower-triangle copy built for a Hermitian matrix")
+
+    monkeypatch.setattr(spectralbranch.linalg, "_lower_hermitian", forbidden)
+    dense_eig(random_hermitian(rng, 12))
+    with pytest.raises(AssertionError, match="lower-triangle copy"):
+        dense_eig(random_hermitian(rng, 12) + 1e-14 * np.eye(12, k=-1))
+
+
 def tie_corpus():
     """360 Hermitian matrices, m = 1..40: random, real, a repeated diagonal,
     permuted copies of kron(I, H) and of the repeated diagonal with unit
@@ -360,3 +390,39 @@ def test_tridiagonal_eig_rejects_failed_solves(monkeypatch):
         monkeypatch.setattr(spectralbranch.linalg, "dstevd", corrupt)
         with pytest.raises(EigenConvergenceError, match="residuals too large"):
             tridiagonal_eig(d, e)
+
+
+def test_tridiagonal_eig_checks_orthogonality_on_its_own(monkeypatch):
+    # a duplicated eigenpair keeps T V - V W at rounding level: only the
+    # orthogonality term can reject it
+    real = spectralbranch.linalg.dstevd
+    d, e = np.arange(6.0), np.ones(5)
+
+    def duplicated_pair(*args, **kwargs):
+        w, V, info = real(*args, **kwargs)
+        w, V = w.copy(), V.copy(order="F")
+        V[:, 0], w[0] = V[:, 1], w[1]
+        return w, V, info
+
+    w, V, _ = duplicated_pair(d, e, compute_v=1)
+    T = tridiagonal_dense(d, e).real
+    assert np.linalg.norm(T @ V - V * w) <= 1e-13
+    monkeypatch.setattr(spectralbranch.linalg, "dstevd", duplicated_pair)
+    with pytest.raises(EigenConvergenceError, match=r"\|V\*V-I\|=1\.4"):
+        tridiagonal_eig(d, e)
+
+
+@pytest.mark.parametrize("m", [3, 26, 200])
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+@pytest.mark.parametrize("split", [False, True])
+def test_gram_defect_from_the_upper_triangle(rng, m, scale, split):
+    # ||V^T V - I||_F from dsyrk's triangle equals the norm of the full
+    # mirrored matrix; numpy's own V.T @ V rounds its entries differently
+    d, e = split_tridiagonal(rng, m) if split else (rng.standard_normal(m),
+                                                    rng.standard_normal(m - 1))
+    _, V, info = dstevd(scale * d, scale * e, compute_v=1)
+    assert info == 0
+    U = dsyrk(1.0, V, trans=1)
+    assert not np.tril(U, -1).any()
+    full = np.linalg.norm(U + np.triu(U, 1).T - np.eye(m))
+    assert abs(_gram_defect(U) - full) <= 1e-12 * full
