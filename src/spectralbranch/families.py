@@ -99,12 +99,8 @@ def graph_norm_equivalence_ratio(
     unconditionally.  Remaining samples are complex Gaussian draws; a fixed
     seed is used when no generator is given so repeated calls agree.
 
-    The basis vectors are the rows of one identity matrix, so the working
-    set is O(m^2): at m = 200 a ``schrodinger`` run peaks at 67 MB resident
-    (189 MB when each basis vector kept its own identity alive), at m = 400
-    at 79 MB (719 MB).  Each vector takes its own matrix-vector product,
-    which keeps every ratio bit-equal to the per-vector form; a batched
-    A @ U may round differently.
+    Each vector takes its own matrix-vector product, which fixes every
+    ratio's bits; a batched A @ U may round differently.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -57,11 +57,9 @@ def _frobenius(x: np.ndarray) -> float:
     return float((dznrm2 if np.iscomplexobj(x) else dnrm2)(x))
 
 
-def _hermitian_scale(norm: float, defect: Callable[[], float],
-                     tol: Tolerances) -> tuple[float, float]:
-    """(max(1, ||A||_F), Hermitian defect) from norm = ||A||_F, once A is
-    checked finite and Hermitian; defect() is asked for only when the norm
-    is finite."""
+def _hermitian_scale(norm: float, defect: Callable[[], float], tol: Tolerances) -> float:
+    """max(1, ||A||_F) from norm = ||A||_F, once A is checked finite and
+    Hermitian; defect() is asked for only when the norm is finite."""
     if not math.isfinite(norm):
         raise NotHermitianError(f"matrix has non-finite entries: frobenius norm is {norm}")
     scale = max(1.0, norm)
@@ -71,7 +69,7 @@ def _hermitian_scale(norm: float, defect: Callable[[], float],
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "
             f"{tol.hermitian_tol:.1e} x max(1, frobenius) = {tol.hermitian_tol * scale:.3e}"
         )
-    return scale, defect
+    return scale
 
 
 def ensure_hermitian(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -80,25 +78,12 @@ def ensure_hermitian(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
     return A
 
 
-def _gram_defect(G: np.ndarray) -> float:
-    """||G - I||_F of a symmetric G given by its upper triangle, with the
-    strictly lower triangle zero as dsyrk leaves it.  G's diagonal is
-    shifted by -1 in place, and the off-diagonal entries count twice:
-    ||G - I||_F^2 = 2 ||triu(G - I)||_F^2 - ||diag(G - I)||^2.
-    """
-    G.flat[::G.shape[0] + 1] -= 1.0
-    total, diagonal = _frobenius(G), _frobenius(G.diagonal())
-    # Python floats: an overflow gives inf and inf - inf NaN, which both fail
-    # the caller's bound, where numpy would warn
-    return math.sqrt(2.0 * total * total - diagonal * diagonal)
-
-
 def _lower_hermitian(A: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix that zheevd reads from A's lower triangle: the
-    strictly lower part mirrored above and the real part of the diagonal."""
-    H = np.tril(A, -1)
-    H += H.conj().T
-    H.flat[::A.shape[0] + 1] = A.diagonal().real
+    """The Hermitian matrix that eigh solves for A: A's strictly lower
+    triangle, its mirror above and the real part of A's diagonal."""
+    m = A.shape[0]
+    H = np.where(np.tri(m, k=-1, dtype=bool), A, A.conj().T)
+    H.flat[::m + 1] = A.diagonal().real
     return H
 
 
@@ -107,19 +92,22 @@ def dense_eig(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
 
     LAPACK zheevd through numpy's eigh, with V as it returns it.  A must be
     finite and Hermitian to hermitian_tol, and the reconstruction and
-    orthonormality residuals must meet eig_tol.  The reconstruction
-    residual is of the matrix eigh solves, A's lower triangle with a real
-    diagonal, so a tolerated Hermitian defect is not charged to eig_tol.
+    orthonormality residuals must meet eig_tol.  eigh solves the Hermitian
+    matrix in A's lower triangle, with a real diagonal: where the residual
+    of A as given fails, that matrix's residual is the one checked, so a
+    defect that hermitian_tol admits is not charged to eig_tol.
     """
     A = as_matrix(A)
-    scale, defect = _hermitian_scale(_frobenius(A), lambda: _hermitian_defect(A), tol)
+    scale = _hermitian_scale(_frobenius(A), lambda: _hermitian_defect(A), tol)
     try:
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigensolver failed: {exc}") from exc
-    # that matrix is A itself unless A has a defect
-    H = A if defect == 0.0 else _lower_hermitian(A)
-    resid = _frobenius(H @ V - V * w)
+    resid = _frobenius(A @ V - V * w)
+    if not resid <= tol.eig_tol * scale:
+        # built only here: on exactly Hermitian A it equals A, and the copy
+        # costs a few percent of the small-m solves the tracker makes
+        resid = _frobenius(_lower_hermitian(A) @ V - V * w)
     G = V.conj().T @ V
     G.flat[::G.shape[0] + 1] -= 1.0
     ortho = _frobenius(G)
@@ -158,26 +146,22 @@ def tridiagonal_eig(d, e, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np
                          f"got {d.shape} and {e.shape}")
     m = d.size
     # the dense matrix's defect max |t_ij - conj(t_ji)| is 2 max |Im d_i|
-    scale, _ = _hermitian_scale(_frobenius(np.concatenate([d, e, e])),
-                                lambda: 2.0 * float(np.max(np.abs(d.imag))), tol)
+    scale = _hermitian_scale(_frobenius(np.concatenate([d, e, e])),
+                             lambda: 2.0 * float(np.max(np.abs(d.imag))), tol)
     d = np.ascontiguousarray(d.real, dtype=np.float64)
     # the wrapper wants at least one off-diagonal entry even at m = 1
     w, V, info = dstevd(d, e if m > 1 else np.zeros(1), compute_v=1)
     if info != 0:
         raise EigenConvergenceError(f"eigensolver failed: dstevd returned info={info}")
-    # (TV - VW)^T row by row in V's Fortran order, where V.T is C-contiguous:
-    # row j is (d - w_j) v_j plus the two off-diagonal bands
-    Vt = V.T
-    R = d - w[:, None]
-    R *= Vt
-    band = Vt[:, 1:] * e
-    R[:, :-1] += band
-    np.multiply(Vt[:, :-1], e, out=band)
-    R[:, 1:] += band
-    resid = _frobenius(R)
+    R = d[:, None] * V - V * w
+    R[:-1] += e[:, None] * V[1:]
+    R[1:] += e[:, None] * V[:-1]
     # V^T V by dsyrk, which computes only the upper triangle (half the flops
-    # of V.T @ V) and leaves the lower one zero
-    ortho = _gram_defect(dsyrk(1.0, V, trans=1))
+    # of V.T @ V) and leaves the lower one zero.
+    G = dsyrk(1.0, V, trans=1)
+    G += np.triu(G, 1).T
+    G.flat[::m + 1] -= 1.0
+    resid, ortho = _frobenius(R), _frobenius(G)
     # written so that a NaN residual fails the test
     if not (resid <= tol.eig_tol * scale and ortho <= tol.eig_tol * m):
         raise EigenConvergenceError(

@@ -306,8 +306,7 @@ def test_package_import_leaves_scipy_optimize_unloaded():
 def test_schrodinger_report_path_stays_quadratic_in_m(tmp_path):
     # the shipped schrodinger config at m = 200 through run(), spot check and
     # Gronwall screen included: the traced peak stays a few dozen m x m
-    # matrices, where an O(m^3) transient (one identity per basis vector in
-    # the spot check) took 125 MB
+    # matrices, so any O(m^3) transient fails
     shipped = Path(__file__).resolve().parents[1] / "configs" / "schrodinger.cfg"
     text = shipped.read_text()
     assert "m = 99\n" in text

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dstevd, zhetrf
+from scipy.linalg.lapack import zhetrf
 
 from spectralbranch import (
     NotHermitianError,
@@ -17,8 +16,8 @@ from spectralbranch import (
 import spectralbranch.linalg
 from spectralbranch import EigenConvergenceError
 from spectralbranch.config import DEFAULT_TOL
-from spectralbranch.linalg import (_gram_defect, _hermitian_defect, as_matrix, dense_eig,
-                                  eigenvalue_count, tridiagonal_eig)
+from spectralbranch.linalg import (_hermitian_defect, as_matrix, dense_eig, eigenvalue_count,
+                                  tridiagonal_eig)
 
 from conftest import assert_dense_bits, hermitian_with_spectrum, random_hermitian
 
@@ -261,17 +260,6 @@ def test_dense_eig_residual_is_of_the_matrix_eigh_solves(defect):
         dense_eig(A)
 
 
-def test_dense_eig_uses_a_hermitian_matrix_as_given(monkeypatch, rng):
-    # the mirrored matrix is built only for a nonzero defect
-    def forbidden(A):
-        raise AssertionError("lower-triangle copy built for a Hermitian matrix")
-
-    monkeypatch.setattr(spectralbranch.linalg, "_lower_hermitian", forbidden)
-    dense_eig(random_hermitian(rng, 12))
-    with pytest.raises(AssertionError, match="lower-triangle copy"):
-        dense_eig(random_hermitian(rng, 12) + 1e-14 * np.eye(12, k=-1))
-
-
 def tie_corpus():
     """360 Hermitian matrices, m = 1..40: random, real, a repeated diagonal,
     permuted copies of kron(I, H) and of the repeated diagonal with unit
@@ -410,19 +398,3 @@ def test_tridiagonal_eig_checks_orthogonality_on_its_own(monkeypatch):
     monkeypatch.setattr(spectralbranch.linalg, "dstevd", duplicated_pair)
     with pytest.raises(EigenConvergenceError, match=r"\|V\*V-I\|=1\.4"):
         tridiagonal_eig(d, e)
-
-
-@pytest.mark.parametrize("m", [3, 26, 200])
-@pytest.mark.parametrize("scale", [1.0, 1e300])
-@pytest.mark.parametrize("split", [False, True])
-def test_gram_defect_from_the_upper_triangle(rng, m, scale, split):
-    # ||V^T V - I||_F from dsyrk's triangle equals the norm of the full
-    # mirrored matrix; numpy's own V.T @ V rounds its entries differently
-    d, e = split_tridiagonal(rng, m) if split else (rng.standard_normal(m),
-                                                    rng.standard_normal(m - 1))
-    _, V, info = dstevd(scale * d, scale * e, compute_v=1)
-    assert info == 0
-    U = dsyrk(1.0, V, trans=1)
-    assert not np.tril(U, -1).any()
-    full = np.linalg.norm(U + np.triu(U, 1).T - np.eye(m))
-    assert abs(_gram_defect(U) - full) <= 1e-12 * full
