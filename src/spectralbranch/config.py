@@ -435,62 +435,3 @@ def _check_config(cfg: RunConfig, sections: dict | None = None) -> None:
     if cfg.given is not None and cfg.given < 0:
         fail("[extend] requires given >= 0", "extend", "given")
 
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Render a RunConfig back to config text; parse_config round-trips it."""
-    lines = ["[run]", f"command = {cfg.command}", f"seed = {cfg.seed}"]
-    lines.append(f"grid_size = {cfg.grid_size}")
-    lines.append(f"order = {cfg.order}")
-    if cfg.t_range is not None:
-        lines.append(f"t_range = {cfg.t_range[0]!r}, {cfg.t_range[1]!r}")
-    if cfg.t is not None:
-        lines.append(f"t = {cfg.t!r}")
-    if cfg.output is not None:
-        lines.append(f"output = {cfg.output}")
-    if cfg.family is not None:
-        f = cfg.family
-        lines += ["", "[family]", f"name = {f.name}"]
-        if f.n_max is not None:
-            lines.append(f"n_max = {f.n_max}")
-        if f.m is not None:
-            lines.append(f"m = {f.m}")
-        if f.potential is not None:
-            lines.append(f"potential = {f.potential}")
-        if f.dim is not None:
-            lines.append(f"dim = {f.dim}")
-        if f.rows is not None:
-            for k, row in enumerate(f.rows):
-                lines.append(f"row{k} = " + ", ".join(row))
-    if cfg.contour is not None:
-        lines += [
-            "",
-            "[contour]",
-            f"center = {cfg.contour.center!r}",
-            f"radius = {cfg.contour.radius!r}",
-            f"nodes = {cfg.contour.nodes}",
-        ]
-    if cfg.tolerance_overrides:
-        lines += ["", "[tolerances]"]
-        for name, value in cfg.tolerance_overrides:
-            rendered = int(value) if name == "max_nodes" else repr(value)
-            lines.append(f"{name} = {rendered}")
-    if cfg.holder is not None:
-        lines += [
-            "",
-            "[holder]",
-            "n_values = " + ", ".join(str(n) for n in cfg.holder.n_values),
-            f"alpha = {cfg.holder.alpha!r}",
-        ]
-    if cfg.resolvent is not None:
-        r = cfg.resolvent
-        lines += [
-            "",
-            "[resolvent]",
-            f"m = {r.m}",
-            f"n_max = {r.n_max}",
-            f"k_fixed = {r.k_fixed}",
-            f"small_t_count = {r.small_t_count}",
-        ]
-    if cfg.given is not None:
-        lines += ["", "[extend]", f"given = {cfg.given}"]
-    return "\n".join(lines) + "\n"

@@ -533,23 +533,37 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
 
 # The screen in estimate_derivative_bound skips a point only when an upper
 # bound on its SVD norm s is at most a norm already taken.  The SVD is of
-# X = fl(A' fl(V F V^H)), F = diag(f), f = (1 + w^2)^{-1/2}, and the estimate
-# e = sqrt(lambda_max(Y^H Y)) is of Y = fl(A' fl(V F)), the same product
-# without V^H.  With u = 2^-53 and g = ||V^H V - I||_F <= eig_tol m, which
-# the eigensolver checks:
+# X = fl(A' fl(V F V^H)), F = diag(f), f = (1 + w^2)^{-1/2}.  The bound
+# splits V's columns into a head H, where f_k >= _SCREEN_HEAD max f, and a
+# tail T, the rest.  Its estimate e = sqrt(lambda_max(Y^H Y)) is of
+# Y = fl(A' fl(V_H F_H)), the head of the same product without V^H, and the
+# tail gets b = alpha max_T f, where alpha = sqrt(||A'||_1 ||A'||_inf) is
+# computed from |A'| in O(m^2).  With u = 2^-53 and g = ||V^H V - I||_F <=
+# eig_tol m, which the eigensolver checks:
 #
 #   s <= sigma_max(X) (1 + O(m u))            backward-stable SVD
 #   sigma_max(X) <= ||A' V F V^H|| + ||dX||
-#   ||A' V F V^H|| <= ||A' V F|| ||V|| <= ||A' V F|| (1 + g/2)
-#   ||A' V F|| <= sigma_max(Y) + ||dY||
+#   ||A' V F V^H|| <= ||A' V F|| ||V|| <= ||A' V F|| sqrt(1 + g)
+#   ||A' V F||^2 <= ||A' V_H F_H||^2 + ||A' V_T F_T||^2
+#   ||A' V_H F_H|| <= sigma_max(Y) + ||dY||
 #   sigma_max(Y) <= e (1 + O(m^2 u))
+#   ||A' V_T F_T|| <= ||A'||_2 ||V|| max_T f <= b (1 + O(m u)) sqrt(1 + g)
 #
-# The last line holds because forming Y^H Y errs by at most
+# The split holds because [P Q][P Q]^H = P P^H + Q Q^H, and ||A'||_2 <=
+# sqrt(||A'||_1 ||A'||_inf) (Golub & Van Loan, Matrix Computations, 4th ed.,
+# 2013, sec. 2.3).  alpha's rounding is O(m u) relative: each |a_ij| is
+# within an ulp, and a column or row sum of m nonnegative terms within
+# gamma_m.  Since hypot(p + r, q) <= hypot(p, q) + r, the rounding ||dY||
+# stays an additive term, and the two factors sqrt(1 + g), of the tail and
+# of V^H, multiply to 1 + g <= 1 + eig_tol m.  With T empty the tail is 0
+# and the bound is that of the whole of Y.
+#
+# The line on sigma_max(Y) holds because forming Y^H Y errs by at most
 # gamma_m ||Y||_F^2 <= m gamma_m ||Y||_2^2 (Higham, Accuracy and Stability
 # of Numerical Algorithms, 2nd ed., 2002, sec. 3.5) and eigvalsh is backward
 # stable, so by Weyl's inequality lambda_max moves by O(m^2 u) relative.
 # The relative terms stay below _SCREEN_SLACK up to m of about 9000, and
-# max(_SCREEN_SLACK, m^2 u) past it; g/2 is covered by eig_tol m.  The
+# max(_SCREEN_SLACK, m^2 u) past it; g is covered by eig_tol m.  The
 # rounding of the products is relative to ||A'|| ||F||, not to ||X||.  A
 # complex product errs entrywise by at most sqrt(2) gamma_{m+2} |A| |B|
 # (sec. 3.6), and ||V||_F^2 <= m (1 + g), ||F||_F <= sqrt(m) max f,
@@ -561,8 +575,14 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
 # whose sum is below 4 (m + 2)^2 u ||A'||_F max f.  That term dominates when
 # A' is large only where F is small: a derivative of 1e10 along an
 # eigenvector with eigenvalue 1e12 adds 1e-2 to X but 1e10 to ||A'||.  So a
-# point's bound is e (1 + slack + eig_tol m) + 4 (m + 2)^2 u ||A'||_F max f.
+# point's bound is hypot(e, b) (1 + slack + eig_tol m)
+# + 4 (m + 2)^2 u ||A'||_F max f.
+#
+# For a Schrodinger family f_k / f_1 falls like 1 / k^2, so the head at
+# 2^-10 keeps k up to about 2^5: at m = 99, Y is m x K with K of 33 or 34,
+# and its Gram K x K.
 _SCREEN_SLACK = 1e-8
+_SCREEN_HEAD = 2.0**-10
 
 
 def _damped_derivative(family: HermitianFamily, t: float, side: str | None) -> np.ndarray:
@@ -594,10 +614,13 @@ def _norm_estimate(Y: np.ndarray) -> float:
 def _screen_bound(family: HermitianFamily, t: float, side: str | None) -> float:
     """Upper bound on the SVD norm of _damped_derivative(family, t, side).
 
-    It estimates Y = A'(t) V F, not X = Y V^H: with V unitary both have the
+    It bounds Y = A'(t) V F, not X = Y V^H: with V unitary both have the
     same singular values whatever V's column phases.  V is _unit_eig's, the
-    same as _damped_derivative's.  Y is real when V and A'(t) are.  The
-    terms of the bound are derived above _SCREEN_SLACK.
+    same as _damped_derivative's.  The head columns, where f is at least
+    _SCREEN_HEAD max f, get the Gram estimate of A'(t) V_H F_H; the tail
+    columns get sqrt(||A'||_1 ||A'||_inf) max_T f, which needs no product,
+    and the two combine as hypot(head, tail).  Y is real when V and A'(t)
+    are.  The terms of the bound are derived above _SCREEN_SLACK.
     """
     w, V = _unit_eig(family, t)
     w = w * family.scale_prefactor
@@ -608,7 +631,14 @@ def _screen_bound(family: HermitianFamily, t: float, side: str | None) -> float:
     m = family.dim
     slack = max(_SCREEN_SLACK, m * m * 2.0**-53) + family.tol.eig_tol * m
     rounding = 4.0 * (m + 2) ** 2 * 2.0**-53 * _frobenius(Ad) * float(np.max(f))
-    return _norm_estimate(Ad @ (V * f)) * (1.0 + slack) + rounding
+    head = f >= _SCREEN_HEAD * float(np.max(f))
+    estimate = _norm_estimate(Ad @ (V[:, head] * f[head]))
+    if not head.all():
+        absd = np.abs(Ad)
+        norm_1, norm_inf = float(np.max(absd.sum(axis=0))), float(np.max(absd.sum(axis=1)))
+        tail = math.sqrt(norm_1) * math.sqrt(norm_inf) * float(np.max(f[~head]))
+        estimate = math.hypot(estimate, tail)
+    return estimate * (1.0 + slack) + rounding
 
 
 @_one_blas_thread

@@ -30,7 +30,7 @@ import dataclasses
 
 from spectralbranch.config import DEFAULT_TOL
 from spectralbranch.gallery import CurveLemmaFamily, SchrodingerFamily
-from spectralbranch.linalg import dense_eig
+from spectralbranch.linalg import dense_eig, operator_norm
 from spectralbranch.tracker import minimize_scalar, one_sided_slot_derivatives
 from spectralbranch.util import multiset_distance, one_sided_first, one_sided_second
 
@@ -621,16 +621,30 @@ def brute_force_bound(family, grid):
     either end, and central elsewhere, as the estimate takes it.
     """
     best = 0.0
-    lo, hi = min(grid), max(grid)
-    for t in map(float, grid):
+    for t, side in screen_points(family, grid):
         w, V = dense_eig(family.unit(t), family.tol)
         w = w * family.scale_prefactor
         damp = (V * (1.0 / np.sqrt(1.0 + w**2))) @ V.conj().T
-        reach = 2.0 * family.tol.h_fd * max(1.0, abs(t))
-        side = "right" if t - reach < lo else "left" if t + reach > hi else None
         Ad = spectralbranch.tracker._derivative(family, t, side)
         best = max(best, float(np.linalg.norm(Ad @ damp, 2)))
     return best
+
+
+def screen_points(family, grid):
+    """(t, side) at each grid point, side as the estimate takes A' there."""
+    lo, hi = min(grid), max(grid)
+    for t in map(float, grid):
+        reach = 2.0 * family.tol.h_fd * max(1.0, abs(t))
+        yield t, "right" if t - reach < lo else "left" if t + reach > hi else None
+
+
+@spectralbranch.linalg._one_blas_thread
+def assert_screen_bounds_hold(family, grid):
+    """Every point's screen bound is at least the SVD norm taken there."""
+    for t, side in screen_points(family, grid):
+        bound = spectralbranch.tracker._screen_bound(family, t, side)
+        norm = operator_norm(spectralbranch.tracker._damped_derivative(family, t, side))
+        assert bound >= norm, (family.name, t, bound, norm)
 
 
 def quadratic_family(seed, m, scale=1.0, deriv_scale=1.0, analytic=True):
@@ -657,12 +671,24 @@ def norm_calls(monkeypatch):
     return calls
 
 
-def test_screened_bound_equals_brute_force(norm_calls):
-    grid = np.linspace(-1.0, 1.5, 26)
+def screen_quadratic_families():
+    """44 quadratic families, m from 2 to 60, a third of them differenced."""
     for seed in range(44):
         m = 2 + (seed * 13) % 59
-        fam = quadratic_family(seed, m, scale=(0.05, 1.0, 20.0)[seed % 3],
-                               analytic=seed % 4 != 0)
+        yield seed, quadratic_family(seed, m, scale=(0.05, 1.0, 20.0)[seed % 3],
+                                     analytic=seed % 4 != 0)
+
+
+def seeded_schrodinger_family(m, seed):
+    c = np.random.default_rng(1000 * m + seed).uniform(-40.0, 40.0, size=5).tolist()
+    potential = (f"{c[0]!r}*t*x + {c[1]!r}*sin({c[2]!r}*x + {c[3]!r}*t) "
+                 f"+ {c[4]!r}*t*t*x*x")
+    return SchrodingerFamily(m=m, potential=potential).family()
+
+
+def test_screened_bound_equals_brute_force(norm_calls):
+    grid = np.linspace(-1.0, 1.5, 26)
+    for seed, fam in screen_quadratic_families():
         before = len(norm_calls)
         assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid), seed
         assert len(norm_calls) - before < grid.size, seed
@@ -716,7 +742,33 @@ def test_screened_bound_shipped_schrodinger_family(norm_calls):
     # configs/schrodinger.cfg: m = 99, V = t*x, estimate grid of 201 points
     fam = SchrodingerFamily(m=99, potential="t*x").family()
     assert estimate_derivative_bound(fam, np.linspace(0.0, 1.0, 201)) > 0.0
-    assert len(norm_calls) <= 3
+    assert len(norm_calls) == 1
+
+
+def test_screen_grams_keep_the_head_of_the_shipped_schrodinger_family(monkeypatch, norm_calls):
+    # f_k = (1 + w_k^2)^{-1/2} falls like 1/(pi^2 k^2), so most columns of
+    # A' V F go to the tail term: every Gram is smaller than m x m, and each
+    # screen point still makes one eigensolve
+    fam = SchrodingerFamily(m=99, potential="t*x").family()
+    grid = np.linspace(0.0, 1.0, 201)
+    widths, eig_calls = [], []
+    original_estimate = spectralbranch.tracker._norm_estimate
+    original_eig = spectralbranch.tracker._unit_eig
+
+    def recording(Y):
+        widths.append(Y.shape[1])
+        return original_estimate(Y)
+
+    def counting(family, t, A=None):
+        eig_calls.append(t)
+        return original_eig(family, t, A)
+
+    monkeypatch.setattr(spectralbranch.tracker, "_norm_estimate", recording)
+    monkeypatch.setattr(spectralbranch.tracker, "_unit_eig", counting)
+    assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid)
+    assert len(widths) == grid.size
+    assert max(widths) < fam.dim
+    assert len(eig_calls) == grid.size + len(norm_calls)
 
 
 @pytest.fixture
@@ -810,14 +862,68 @@ def test_screened_bound_tridiagonal_family_with_complex_derivative(estimate_dtyp
 def test_screened_bound_seeded_schrodinger_potentials(m, estimate_dtypes):
     # the tridiagonal family's estimates run in real arithmetic
     for seed in range(3):
-        c = np.random.default_rng(1000 * m + seed).uniform(-40.0, 40.0, size=5).tolist()
-        potential = (f"{c[0]!r}*t*x + {c[1]!r}*sin({c[2]!r}*x + {c[3]!r}*t) "
-                     f"+ {c[4]!r}*t*t*x*x")
-        fam = SchrodingerFamily(m=m, potential=potential).family()
+        fam = seeded_schrodinger_family(m, seed)
         grid = np.linspace(-1.0, 1.0, 17)
-        assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid), potential
+        assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid), seed
     assert len(estimate_dtypes) == 3 * grid.size
     assert all(dt == np.float64 for dt in estimate_dtypes)
+
+
+def test_screen_bound_holds_pointwise_on_quadratic_families():
+    for _, fam in screen_quadratic_families():
+        assert_screen_bounds_hold(fam, np.linspace(-1.0, 1.5, 26))
+
+
+@pytest.mark.parametrize("m", [3, 25, 26, 64, 120])
+def test_screen_bound_holds_pointwise_on_seeded_schrodinger_potentials(m):
+    for seed in range(3):
+        assert_screen_bounds_hold(seeded_schrodinger_family(m, seed), np.linspace(-1.0, 1.0, 17))
+
+
+def tail_dominated_family(m=6):
+    """A(t) = Q0 (L0 + t M) Q0^H with one null vector and the rest far out.
+
+    M is 1e-3 on the null vector and a Hermitian block of norm 1e4 on the
+    others, uncoupled, so A' = Q0 M Q0^H.  For t in [0, 0.1] the other
+    eigenvalues stay in [1.2e3, 4.2e3], where f < 2^-10: the null vector is
+    the whole head and its column of A' V F is about 1e-3, while the norm
+    of A' V F is about 4 to 5.
+    """
+    rng = np.random.default_rng(23)
+    Q0 = np.linalg.qr(rng.standard_normal((m, 2 * m)).view(complex))[0]
+    block = random_hermitian(rng, m - 1)
+    M = np.zeros((m, m), dtype=complex)
+    M[0, 0] = 1e-3
+    M[1:, 1:] = 1e4 * block / np.linalg.norm(block, 2)
+    L0 = np.diag(np.r_[0.0, np.linspace(2.2e3, 3.2e3, m - 1)])
+
+    def frame(B):
+        A = Q0 @ B @ Q0.conj().T
+        return 0.5 * (A + A.conj().T)
+
+    return HermitianFamily(name="tail-dominated", dim=m, matrix=lambda t: frame(L0 + t * M),
+                           deriv=lambda t: frame(M))
+
+
+def test_screen_tail_term_decides_on_tail_dominated_family(monkeypatch):
+    fam = tail_dominated_family()
+    grid = np.linspace(0.0, 0.1, 21)
+    heads = []
+    original = spectralbranch.tracker._norm_estimate
+
+    def recording(Y):
+        estimate = original(Y)
+        heads.append((Y.shape[1], estimate))
+        return estimate
+
+    monkeypatch.setattr(spectralbranch.tracker, "_norm_estimate", recording)
+    a = estimate_derivative_bound(fam, grid)
+    assert a == brute_force_bound(fam, grid)
+    # the head alone is a thousandth of the norm: only the tail term keeps
+    # each bound above its point's SVD norm
+    assert all(width == 1 for width, _ in heads)
+    assert max(e for _, e in heads) < 1e-3 * a
+    assert_screen_bounds_hold(fam, grid)
 
 
 def test_screen_estimates_form_no_damped_product(norm_calls, damped_calls):
