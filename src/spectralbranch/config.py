@@ -27,16 +27,10 @@ class Tolerances:
 
     hermitian_tol: float = 1e-10
     eig_tol: float = 1e-10
-    pivot_floor: float = 1e-13
     proj_tol: float = 1e-10
-    separation_margin: float = 0.1
-    imag_tol: float = 1e-8
-    recover_tol: float = 1e-7
     cluster_tol: float = 1e-6
     deriv_tie_tol: float = 1e-5
     h_fd: float = 1e-5
-    h_fd2: float = 1e-4
-    jump_floor: float = 0.9
     max_nodes: int = 1024
 
     def replace(self, **overrides) -> "Tolerances":

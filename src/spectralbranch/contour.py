@@ -30,6 +30,12 @@ from .linalg import eigenvalue_count, numerical_rank, solve_shifted
 # Geometric node error e_M ~ rho**M: the step from M/2 to M nodes is about
 # e_{M/2}, so e_M is about step**2 up to a constant this factor covers.
 _CAP_SAFETY = 100.0
+# Clearance from the spectrum, times the radius, that a contour must keep.
+_SEPARATION_MARGIN = 0.1
+# Imaginary part, over 1 + |value|, past which a Hermitian power sum or root leaks.
+_IMAG_TOL = 1e-8
+# How closely, over 1 + |s_p|, recovered eigenvalues must reproduce s_1 and s_2.
+_RECOVER_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -53,10 +59,10 @@ class Contour:
             return np.inf
         return float(np.min(np.abs(np.abs(values - self.center) - self.radius)))
 
-    def validate_against(self, spectrum, tol: Tolerances = DEFAULT_TOL) -> None:
-        """Require separation_margin * radius clearance from the given spectrum."""
+    def validate_against(self, spectrum) -> None:
+        """Require _SEPARATION_MARGIN * radius clearance from the given spectrum."""
         d = self.circle_distance(spectrum)
-        need = tol.separation_margin * self.radius
+        need = _SEPARATION_MARGIN * self.radius
         if d < need:
             raise SeparationError(
                 f"contour (center {self.center}, radius {self.radius:g}) passes within "
@@ -82,7 +88,7 @@ class Contour:
 
 
 def _node_sums(A: np.ndarray, c: complex, r: float, thetas: np.ndarray,
-               p_max: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+               p_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled sums over the given angles: sum e^{i theta} R and per-power traces."""
     m = A.shape[0]
     eye = np.eye(m, dtype=np.complex128)
@@ -91,7 +97,7 @@ def _node_sums(A: np.ndarray, c: complex, r: float, thetas: np.ndarray,
     for theta in thetas:
         e = np.exp(1j * theta)
         z = c + r * e
-        R = solve_shifted(A, z, eye, tol)
+        R = solve_shifted(A, z, eye)
         P_sum += e * R
         tr = np.trace(R)
         zp = 1.0 + 0.0j
@@ -112,12 +118,12 @@ def _quadrature(A: np.ndarray, c: complex, r: float, start_nodes: int,
     """
     M = int(start_nodes)
     thetas = 2.0 * np.pi * np.arange(M) / M
-    P_sum, s_sum = _node_sums(A, c, r, thetas, p_max, tol)
+    P_sum, s_sum = _node_sums(A, c, r, thetas, p_max)
     P = -(r / M) * P_sum
     s = -(r / M) * s_sum
     while True:
         odd = 2.0 * np.pi * (2 * np.arange(M) + 1) / (2 * M)
-        P_sum, s_sum = _node_sums(A, c, r, odd, p_max, tol)
+        P_sum, s_sum = _node_sums(A, c, r, odd, p_max)
         P_new = 0.5 * (P + -(r / M) * P_sum)
         s_new = 0.5 * (s + -(r / M) * s_sum)
         err_p = float(np.linalg.norm(P - P_new))
@@ -159,8 +165,8 @@ def riesz_projector(family: HermitianFamily, t: float, gamma: Contour) -> np.nda
     return P
 
 
-def _realize(s: np.ndarray, tol: Tolerances) -> np.ndarray:
-    bad = np.abs(s.imag) - tol.imag_tol * (1.0 + np.abs(s))
+def _realize(s: np.ndarray) -> np.ndarray:
+    bad = np.abs(s.imag) - _IMAG_TOL * (1.0 + np.abs(s))
     if np.any(bad > 0.0):
         p = int(np.argmax(bad))
         raise QuadratureError(
@@ -174,7 +180,7 @@ def newton_sums(family: HermitianFamily, t: float, gamma: Contour, p_max: int) -
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
     _, s_unit, _ = _unit_quadrature(family, family.unit(t), gamma, p_max)
-    s_real = _realize(s_unit, family.tol)
+    s_real = _realize(s_unit)
     return s_real * family.scale_prefactor ** np.arange(p_max + 1)
 
 
@@ -199,7 +205,7 @@ def newton_to_sigma(s, N: int) -> np.ndarray:
     return sigma[1:]
 
 
-def cluster_eigenvalues(sigma, N: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def cluster_eigenvalues(sigma, N: int) -> np.ndarray:
     """Roots (with multiplicity, ascending) of the monic polynomial built from sigma.
 
     Companion-matrix root finding; Hermitian provenance means the roots must
@@ -216,7 +222,7 @@ def cluster_eigenvalues(sigma, N: int, tol: Tolerances = DEFAULT_TOL) -> np.ndar
         coeffs[p] = (-1.0) ** p * sigma[p - 1]
     roots = np.roots(coeffs)
     rel_imag = np.abs(roots.imag) / (1.0 + np.abs(roots))
-    if roots.size and float(np.max(rel_imag)) > tol.imag_tol:
+    if roots.size and float(np.max(rel_imag)) > _IMAG_TOL:
         worst = roots[int(np.argmax(rel_imag))]
         raise RootRealityError(
             f"roots not real to tolerance: {worst} (relative imaginary part "
@@ -252,7 +258,7 @@ def spectral_cluster(family: HermitianFamily, t: float, gamma: Contour) -> Spect
     N = gamma.scaled(f).inertia_count(A, tol)
     P, s_complex, _ = _unit_quadrature(family, A, gamma, 2 * N)
     _check_projector(P, tol)
-    s_unit = _realize(s_complex, tol)
+    s_unit = _realize(s_complex)
     s0 = float(s_unit[0])
     if abs(s0 - N) > 1e-8:
         raise QuadratureError(f"s_0 = {s0!r} disagrees with the inertia count {N}")
@@ -265,10 +271,10 @@ def spectral_cluster(family: HermitianFamily, t: float, gamma: Contour) -> Spect
             newton_sums=np.array([0.0]), sigma=np.zeros(0), eigenvalues=np.zeros(0),
         )
     sigma_unit = newton_to_sigma(s_unit, N)
-    eig_unit = cluster_eigenvalues(sigma_unit, N, tol)
+    eig_unit = cluster_eigenvalues(sigma_unit, N)
     for p in (1, 2):
         direct = float(np.sum(eig_unit**p))
-        if abs(direct - s_unit[p]) > tol.recover_tol * (1.0 + abs(s_unit[p])):
+        if abs(direct - s_unit[p]) > _RECOVER_TOL * (1.0 + abs(s_unit[p])):
             raise QuadratureError(
                 f"recovered eigenvalues fail to reproduce s_{p}: "
                 f"{direct!r} vs {s_unit[p]!r}"

@@ -3,7 +3,7 @@
 A family evaluates at unit scale (entries O(1)) and carries a separate
 positive ``scale_prefactor`` so that extreme overall scales like 2**(-n*n)
 never touch the eigensolver; downstream code rescales exactly.  Derivatives
-are analytic when supplied, otherwise 5-point central differences.
+are analytic when supplied, otherwise 5-point differences.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import ExpressionError
 from .expressions import Expression, parse_expression
 from .linalg import as_matrix, ensure_hermitian
-from .util import central_first
+from .util import central_first, one_sided_first
 
 MatrixFn = Callable[[float], np.ndarray]
 
@@ -65,18 +65,23 @@ class HermitianFamily:
         """True-scale matrix scale_prefactor * unit(t)."""
         return self.scale_prefactor * self.unit(t)
 
-    def unit_deriv(self, t: float) -> np.ndarray:
+    def derivative(self, t: float, side: str | None = None) -> np.ndarray:
+        """True-scale A'(t): the analytic A' when the family has one (side is
+        then ignored), else five-point differences of unit(t) with step
+        h_fd max(1, |t|), central when side is None and one-sided toward
+        side ("left" or "right") otherwise, symmetrised as (D + D^H) / 2."""
         t = float(t)
         if self.deriv is not None:
-            return self._checked(self.deriv(t))
+            return self.scale_prefactor * self._checked(self.deriv(t))
         h = self.tol.h_fd * max(1.0, abs(t))
-        samples = np.stack([self.unit(t + k * h) for k in (-2, -1, 0, 1, 2)])
-        D = central_first(samples, h)
-        return 0.5 * (D + D.conj().T)
-
-    def derivative(self, t: float) -> np.ndarray:
-        """True-scale A'(t): analytic when available, else O(h^2+) central FD."""
-        return self.scale_prefactor * self.unit_deriv(t)
+        if side is None:
+            D = central_first(np.stack([self.unit(t + k * h) for k in (-2, -1, 0, 1, 2)]), h)
+        elif side in ("left", "right"):
+            sgn = 1.0 if side == "right" else -1.0
+            D = one_sided_first(np.stack([self.unit(t + sgn * j * h) for j in range(5)]), h, side)
+        else:
+            raise ValueError(f"side must be None, 'left' or 'right', got {side!r}")
+        return self.scale_prefactor * (0.5 * (D + D.conj().T))
 
 
 def _graph_norm(A: np.ndarray, u: np.ndarray) -> float:

@@ -23,11 +23,14 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.blas import dnrm2, dsyrk, dznrm2
+from scipy.linalg.blas import dnrm2, dznrm2
 from scipy.linalg.lapack import dstevd, zhetrf, zhetrf_lwork
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import EigenConvergenceError, NotHermitianError, SpectrumTouchError
+
+# A pivot at most this times max(1, largest pivot) puts the shift on the spectrum.
+_PIVOT_FLOOR = 1e-13
 
 
 def as_matrix(a) -> np.ndarray:
@@ -78,6 +81,22 @@ def ensure_hermitian(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
     return A
 
 
+def _check_eigenpairs(resid: float, V: np.ndarray, scale: float, tol: Tolerances,
+                      product: str) -> None:
+    """Both eigensolvers' check: the reconstruction residual resid, the
+    norm of product - VW ("AV" or "TV"), within eig_tol x scale and
+    ||V^H V - I||_F within eig_tol x m, else EigenConvergenceError."""
+    G = V.conj().T @ V
+    G.flat[::G.shape[0] + 1] -= 1.0
+    ortho = _frobenius(G)
+    # written so that a NaN residual fails the test
+    if not (resid <= tol.eig_tol * scale and ortho <= tol.eig_tol * V.shape[0]):
+        raise EigenConvergenceError(
+            f"eigendecomposition residuals too large: |{product}-VW|={resid:.3e}, "
+            f"|V*V-I|={ortho:.3e}"
+        )
+
+
 def _lower_hermitian(A: np.ndarray) -> np.ndarray:
     """The Hermitian matrix that eigh solves for A: A's strictly lower
     triangle, its mirror above and the real part of A's diagonal."""
@@ -108,15 +127,7 @@ def dense_eig(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
         # built only here: on exactly Hermitian A it equals A, and the copy
         # costs a few percent of the small-m solves the tracker makes
         resid = _frobenius(_lower_hermitian(A) @ V - V * w)
-    G = V.conj().T @ V
-    G.flat[::G.shape[0] + 1] -= 1.0
-    ortho = _frobenius(G)
-    # written so that a NaN residual fails the test
-    if not (resid <= tol.eig_tol * scale and ortho <= tol.eig_tol * V.shape[0]):
-        raise EigenConvergenceError(
-            f"eigendecomposition residuals too large: |AV-VW|={resid:.3e}, "
-            f"|V*V-I|={ortho:.3e}"
-        )
+    _check_eigenpairs(resid, V, scale, tol, "AV")
     return w, V
 
 
@@ -136,42 +147,30 @@ def tridiagonal_eig(d, e, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np
     e is real.  d may carry an imaginary part: beyond hermitian_tol x
     max(1, ||T||_F) it is rejected as ensure_hermitian rejects the dense
     matrix, and otherwise the real part is solved, as zheevd reads a
-    Hermitian diagonal.  The residual contract is dense_eig's, with a
-    banded product for T V.
+    Hermitian diagonal.  The residual and orthogonality checks are
+    dense_eig's, one _check_eigenpairs, with a banded product for T V.
     """
     d = np.asarray(d)
     e = np.asarray(e, dtype=np.float64)
     if d.ndim != 1 or d.size == 0 or e.shape != (d.size - 1,):
         raise ValueError(f"need d of length m >= 1 and e of length m - 1, "
                          f"got {d.shape} and {e.shape}")
-    m = d.size
     # the dense matrix's defect max |t_ij - conj(t_ji)| is 2 max |Im d_i|
     scale = _hermitian_scale(_frobenius(np.concatenate([d, e, e])),
                              lambda: 2.0 * float(np.max(np.abs(d.imag))), tol)
     d = np.ascontiguousarray(d.real, dtype=np.float64)
     # the wrapper wants at least one off-diagonal entry even at m = 1
-    w, V, info = dstevd(d, e if m > 1 else np.zeros(1), compute_v=1)
+    w, V, info = dstevd(d, e if d.size > 1 else np.zeros(1), compute_v=1)
     if info != 0:
         raise EigenConvergenceError(f"eigensolver failed: dstevd returned info={info}")
     R = d[:, None] * V - V * w
     R[:-1] += e[:, None] * V[1:]
     R[1:] += e[:, None] * V[:-1]
-    # V^T V by dsyrk, which computes only the upper triangle (half the flops
-    # of V.T @ V) and leaves the lower one zero.
-    G = dsyrk(1.0, V, trans=1)
-    G += np.triu(G, 1).T
-    G.flat[::m + 1] -= 1.0
-    resid, ortho = _frobenius(R), _frobenius(G)
-    # written so that a NaN residual fails the test
-    if not (resid <= tol.eig_tol * scale and ortho <= tol.eig_tol * m):
-        raise EigenConvergenceError(
-            f"eigendecomposition residuals too large: |TV-VW|={resid:.3e}, "
-            f"|V*V-I|={ortho:.3e}"
-        )
+    _check_eigenpairs(_frobenius(R), V, scale, tol, "TV")
     return w, V
 
 
-def solve_shifted(A, z: complex, B, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def solve_shifted(A, z: complex, B) -> np.ndarray:
     """Solve (A - z I) X = B with partial pivoting.
 
     A pivot that is singular to working precision signals that the shift sits
@@ -189,7 +188,7 @@ def solve_shifted(A, z: complex, B, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
         except np.linalg.LinAlgError as exc:
             raise SpectrumTouchError(f"contour touches spectrum at z={z!r}: {exc}") from exc
     pivots = np.abs(np.diag(lu))
-    floor = tol.pivot_floor * max(1.0, float(pivots.max(initial=0.0)))
+    floor = _PIVOT_FLOOR * max(1.0, float(pivots.max(initial=0.0)))
     if pivots.size and float(pivots.min()) <= floor:
         raise SpectrumTouchError(
             f"contour touches spectrum: pivot {pivots.min():.3e} at z={z!r} "
@@ -198,13 +197,13 @@ def solve_shifted(A, z: complex, B, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
     return lu_solve((lu, piv), B)
 
 
-def _negative_count(A: np.ndarray, s: float, tol: Tolerances) -> int:
+def _negative_count(A: np.ndarray, s: float) -> int:
     """Negative eigenvalues of A - sI: the inertia of D in A - sI = L D L^H.
 
     D from Bunch-Kaufman (zhetrf, lower storage) is block diagonal with 1x1
     and 2x2 Hermitian blocks; a 2x2 block is marked by a pair of negative
     ipiv entries.  A pivot (an eigenvalue of a block) at or below
-    pivot_floor x max(1, largest pivot) raises SpectrumTouchError.
+    _PIVOT_FLOOR x max(1, largest pivot) raises SpectrumTouchError.
     """
     m = A.shape[0]
     lwork, _ = zhetrf_lwork(m, lower=1)
@@ -218,7 +217,7 @@ def _negative_count(A: np.ndarray, s: float, tol: Tolerances) -> int:
     det, tr = a * c - b2, a + c
     big = 0.5 * np.abs(tr) + np.sqrt(0.25 * (a - c) ** 2 + b2)
     pivots = np.concatenate([np.abs(one), big, np.abs(det) / big])
-    floor = tol.pivot_floor * max(1.0, float(pivots.max()))
+    floor = _PIVOT_FLOOR * max(1.0, float(pivots.max()))
     if not float(pivots.min()) > floor:
         raise SpectrumTouchError(
             f"shift {s!r} touches the spectrum: D pivot {pivots.min():.3e} is at or "
@@ -244,7 +243,7 @@ def eigenvalue_count(A, lo: float, hi: float, tol: Tolerances = DEFAULT_TOL) -> 
     A = ensure_hermitian(A, tol)
     if A.shape[0] == 0:
         return 0
-    return _negative_count(A, hi, tol) - _negative_count(A, lo, tol)
+    return _negative_count(A, hi) - _negative_count(A, lo)
 
 
 def numerical_rank(A, tol_abs: float) -> int:

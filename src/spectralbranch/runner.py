@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import HolderSpec, ResolventSpec, RunConfig, Tolerances, _check_config
+from .config import HolderSpec, ResolventSpec, RunConfig, _check_config
 from .contour import Contour, spectral_cluster
 from .errors import ConfigError, ExpressionError, NUMERICAL_FAILURES
 from .families import HermitianFamily, graph_norm_equivalence_ratio
@@ -26,6 +26,9 @@ from .tracker import (
     track_branches,
 )
 from .util import multiset_distance
+
+# Floor for the resolvent example's norm quotients at t = 1/n, which equal bump(1) = 1.
+_JUMP_FLOOR = 0.9
 
 
 def _fmt(x: float) -> str:
@@ -98,8 +101,8 @@ def _graph_norm_lines(family: HermitianFamily, t0: float, t1: float, seed: int) 
     ]
 
 
-def _run_track(config: RunConfig, tol: Tolerances) -> _Output:
-    family = make_family(config.family, tol)
+def _run_track(config: RunConfig) -> _Output:
+    family = make_family(config.family, config.tolerances())
     branches = track_branches(family, config.t_range, config.grid_size, order=config.order)
     m = branches.n_branches
     dv = np.gradient(branches.values, branches.grid, axis=0)
@@ -118,12 +121,12 @@ def _run_track(config: RunConfig, tol: Tolerances) -> _Output:
     return header, np.column_stack([branches.grid, branches.values, dv]), lines
 
 
-def _run_project(config: RunConfig, tol: Tolerances) -> _Output:
-    family = make_family(config.family, tol)
+def _run_project(config: RunConfig) -> _Output:
+    family = make_family(config.family, config.tolerances())
     cs = config.contour
     gamma = Contour(center=complex(cs.center), radius=cs.radius, nodes=cs.nodes)
     spectrum = sorted_eigenvalues(family, config.t)
-    gamma.validate_against(spectrum, tol)
+    gamma.validate_against(spectrum)
     cluster = spectral_cluster(family, config.t, gamma)
     rows = [(float(i), v) for i, v in enumerate(cluster.eigenvalues)]
     P = cluster.projector
@@ -144,10 +147,11 @@ def _run_project(config: RunConfig, tol: Tolerances) -> _Output:
     return ["index", "eigenvalue"], rows, lines
 
 
-def _run_holder(config: RunConfig, tol: Tolerances) -> _Output:
+def _run_holder(config: RunConfig) -> _Output:
     hs = config.holder if config.holder is not None else HolderSpec()
     rows = []
     lines = ["command: counterexample-holder", f"alpha = {hs.alpha!r}"]
+    tol = config.tolerances()
     for n in hs.n_values:
         q = holder_quotient(n, hs.alpha, tol=tol)
         rows.append((float(n), q.alpha, q.closed_form, q.numerical, q.rel_diff))
@@ -158,7 +162,7 @@ def _run_holder(config: RunConfig, tol: Tolerances) -> _Output:
     return ["n", "alpha", "closed_form", "numerical", "rel_diff"], rows, lines
 
 
-def _run_resolvent(config: RunConfig, tol: Tolerances) -> _Output:
+def _run_resolvent(config: RunConfig) -> _Output:
     rs = config.resolvent if config.resolvent is not None else ResolventSpec()
     reciprocal = [1.0 / j for j in range(2, rs.n_max + 1)]
     dyadic = [2.0**-j for j in range(1, rs.small_t_count + 1)]
@@ -167,26 +171,26 @@ def _run_resolvent(config: RunConfig, tol: Tolerances) -> _Output:
     rows = [(t, pw, nq) for t, (pw, nq) in quotients.items()]
     floor = min(quotients[t][1] for t in reciprocal)
     pw_last = quotients[dyadic[-1]][0]
-    verdict = "OK" if floor >= tol.jump_floor else "BELOW FLOOR"
+    verdict = "OK" if floor >= _JUMP_FLOOR else "BELOW FLOOR"
     lines = [
         "command: counterexample-resolvent",
         f"m = {rs.m}, fixed coordinates K = {rs.k_fixed}",
         f"norm quotient floor over t = 1/n, n = 2..{rs.n_max}: {floor!r} "
-        f"(threshold {tol.jump_floor!r}): {verdict}",
+        f"(threshold {_JUMP_FLOOR!r}): {verdict}",
         f"pointwise max over k <= {rs.k_fixed} at t = {dyadic[-1]!r}: {pw_last!r}",
     ]
     return ["t", "pointwise_max", "norm_quotient"], rows, lines
 
 
-def _run_extend(config: RunConfig, tol: Tolerances) -> _Output:
-    family = make_family(config.family, tol)
+def _run_extend(config: RunConfig) -> _Output:
+    family = make_family(config.family, config.tolerances())
     k = config.given
     if k > family.dim:
         raise ConfigError(f"given must be between 0 and the family dimension {family.dim}, "
                           f"got {k}")
     branches = track_branches(family, config.t_range, config.grid_size, order=config.order)
     mu = branches.values[:, :k]
-    completion = extend_parameterization(branches, mu, order=config.order, tol=tol)
+    completion = extend_parameterization(branches, mu, order=config.order, tol=family.tol)
     header = (["t"] + [f"given_{j}" for j in range(k)]
               + [f"completed_{j}" for j in range(completion.shape[1])])
     union = np.column_stack([mu, completion])
@@ -224,8 +228,7 @@ def run(config: RunConfig, out_dir="." , verbose: bool = False) -> int:
     out = Path(out_dir)
     try:
         _check_config(config)
-        tol = config.tolerances()
-        header, rows, lines = _DISPATCH[config.command](config, tol)
+        header, rows, lines = _DISPATCH[config.command](config)
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / config.output_name()
         _write_csv(csv_path, header, rows)

@@ -28,6 +28,8 @@ from .linalg import _frobenius, _one_blas_thread, dense_eig, operator_norm, trid
 from .util import one_sided_first, one_sided_second, remove_nearest
 
 _SIDES = ("left", "right")
+# Order-2 stencil step over max(1, |t*|): wider than h_fd, as rounding grows as 1/h^2.
+_H_FD2 = 1e-4
 
 
 def _unit_eig(family: HermitianFamily, t: float,
@@ -114,22 +116,9 @@ def one_sided_slot_derivatives(family: HermitianFamily, t_star: float, slots,
     first = one_sided_first(samples, h1, side) * f
     if not second:
         return first, None
-    h2 = family.tol.h_fd2 * max(1.0, abs(t_star))
+    h2 = _H_FD2 * max(1.0, abs(t_star))
     samples2 = np.stack([_unit_eig(family, t_star + sgn * j * h2)[0][slots] for j in range(5)])
     return first, one_sided_second(samples2, h2) * f
-
-
-def _derivative(family: HermitianFamily, t: float, side: str | None) -> np.ndarray:
-    """True-scale A'(t): the family's analytic A' when it has one, else
-    five-point differences, central when side is None and one-sided toward
-    side ("left" or "right") otherwise."""
-    if family.deriv is not None or side is None:
-        return family.derivative(t)
-    sgn = 1.0 if side == "right" else -1.0
-    h = family.tol.h_fd * max(1.0, abs(t))
-    samples = np.stack([family.unit(t + sgn * j * h) for j in range(5)])
-    D = one_sided_first(samples, h, side)
-    return family.scale_prefactor * 0.5 * (D + D.conj().T)
 
 
 def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour,
@@ -159,7 +148,7 @@ def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour
     if N == 0:
         return np.zeros(0)
     F = U[:, :N]
-    C = F.conj().T @ _derivative(family, t_star, side) @ F
+    C = F.conj().T @ family.derivative(t_star, side) @ F
     C = 0.5 * (C + C.conj().T)
     return np.sort(np.linalg.eigvalsh(C))
 
@@ -368,7 +357,7 @@ def _event_contour(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
             f"probe window but the rest of the spectrum comes within {d_out!r}"
         )
     gamma = Contour(center=center, radius=radius)
-    gamma.validate_against(w_star_unit * f, family.tol)
+    gamma.validate_against(w_star_unit * f)
     expected = ghi - glo + 1
     g = gamma.scaled(f)
     for t_probe, A in zip(times, mats):
@@ -586,7 +575,7 @@ _SCREEN_HEAD = 2.0**-10
 
 
 def _damped_derivative(family: HermitianFamily, t: float, side: str | None) -> np.ndarray:
-    """X = A'(t) (I + A(t)^2)^{-1/2} at true scale, A' by _derivative(family, t, side).
+    """X = A'(t) (I + A(t)^2)^{-1/2} at true scale, A' by family.derivative(t, side).
 
     V F V^H is formed from (w, V) as _unit_eig returns them.  Its value does
     not depend on V's column phases; its last bits do, and so may the last
@@ -595,7 +584,7 @@ def _damped_derivative(family: HermitianFamily, t: float, side: str | None) -> n
     w, V = _unit_eig(family, t)
     w = w * family.scale_prefactor
     damp = (V * (1.0 / np.sqrt(1.0 + w**2))) @ V.conj().T
-    return _derivative(family, t, side) @ damp
+    return family.derivative(t, side) @ damp
 
 
 def _norm_estimate(Y: np.ndarray) -> float:
@@ -625,7 +614,7 @@ def _screen_bound(family: HermitianFamily, t: float, side: str | None) -> float:
     w, V = _unit_eig(family, t)
     w = w * family.scale_prefactor
     f = 1.0 / np.sqrt(1.0 + w**2)
-    Ad = _derivative(family, t, side)
+    Ad = family.derivative(t, side)
     if not np.iscomplexobj(V) and not np.any(Ad.imag):
         Ad = np.ascontiguousarray(Ad.real)
     m = family.dim

@@ -143,16 +143,23 @@ def test_unknown_tolerance_rejected():
         parse_config(TRACK + "\n[tolerances]\nfudge = 1e-3\n")
 
 
-@pytest.mark.parametrize("key", ["solve_tol", "deriv_tol"])
+@pytest.mark.parametrize("key", ["solve_tol", "deriv_tol", "pivot_floor", "separation_margin",
+                                 "imag_tol", "recover_tol", "h_fd2", "jump_floor"])
 def test_removed_tolerance_keys_rejected(key, tmp_path, capsys):
-    # [tolerances] accepts exactly the Tolerances fields
-    text = TRACK + f"\n[tolerances]\n{key} = 1e-6\n"
-    with pytest.raises(ConfigError, match=key):
+    # [tolerances] accepts exactly the Tolerances fields; the last six are
+    # module constants beside their one check
+    text = TRACK + f"\n[tolerances]\ncluster_tol = 1e-6\n{key} = 1e-6\n"
+    line = text.splitlines().index(f"{key} = 1e-6") + 1
+    message = f"line {line}: unknown key {key!r} in [tolerances]"
+    with pytest.raises(ConfigError) as info:
         parse_config(text)
+    assert str(info.value) == message
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
-    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert key in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 PROJECT = """

@@ -13,8 +13,9 @@ from spectralbranch import (
 )
 from spectralbranch.families import _graph_norm
 from spectralbranch.gallery import CurveLemmaFamily, ResolventExampleFamily, SchrodingerFamily
+from spectralbranch.util import central_first, one_sided_first
 
-from conftest import make_diag_family, make_offdiag_t_family
+from conftest import make_diag_family, make_offdiag_t_family, random_hermitian
 
 
 def smooth_family():
@@ -93,6 +94,42 @@ def test_fd_fallback_matches_analytic():
     for t in (-1.1, 0.0, 0.7):
         assert np.linalg.norm(bare.derivative(t) - fam.derivative(t)) < 1e-9
         assert np.linalg.norm(bare.derivative(t) - bare.derivative(t).conj().T) == 0.0
+
+
+def dense_cubic_family(rng, m, prefactor):
+    H0, H1, H2 = (random_hermitian(rng, m) for _ in range(3))
+    return HermitianFamily(name="dense-cubic", dim=m, scale_prefactor=prefactor,
+                           matrix=lambda t: H0 + np.sin(2.0 * t) * H1 + t**3 * H2)
+
+
+@pytest.mark.parametrize("prefactor", [1.0, 3.0, 2.0**-144])
+def test_fd_derivative_bits(rng, prefactor):
+    # the stencils written out: central, f (0.5 (D + D^H)), and one-sided
+    # toward side, f 0.5 (D + D^H), each of five unit samples h_fd max(1, |t|) apart
+    fam = dense_cubic_family(rng, 7, prefactor)
+    for t in (-1.7, 0.0, 0.37, 2.5):
+        h = fam.tol.h_fd * max(1.0, abs(t))
+        D = central_first(np.stack([fam.unit(t + k * h) for k in (-2, -1, 0, 1, 2)]), h)
+        assert fam.derivative(t).tobytes() == (prefactor * (0.5 * (D + D.conj().T))).tobytes()
+        assert fam.derivative(t, None).tobytes() == fam.derivative(t).tobytes()
+        for side in ("left", "right"):
+            sgn = 1.0 if side == "right" else -1.0
+            D = one_sided_first(np.stack([fam.unit(t + sgn * j * h) for j in range(5)]), h, side)
+            want = prefactor * 0.5 * (D + D.conj().T)
+            assert fam.derivative(t, side).tobytes() == want.tobytes(), (t, side)
+
+
+def test_analytic_derivative_ignores_side():
+    fam = smooth_family()
+    for t in (-1.1, 0.0, 0.7):
+        D = fam.derivative(t)
+        assert all(fam.derivative(t, side).tobytes() == D.tobytes() for side in ("left", "right"))
+
+
+def test_fd_derivative_rejects_unknown_side(rng):
+    fam = dense_cubic_family(rng, 3, 1.0)
+    with pytest.raises(ValueError, match="side"):
+        fam.derivative(0.0, "up")
 
 
 def test_graph_norm_oracles():

@@ -275,7 +275,7 @@ def test_schrodinger_grid_potential_bit_equal_to_per_point(src, m):
     for t in (0.0, 0.37, -1.25, 1.0):
         A, dA = per_point_schrodinger(src, m, t)
         assert fam.unit(t).tobytes() == A.tobytes(), t
-        assert fam.unit_deriv(t).tobytes() == dA.tobytes(), t
+        assert fam.derivative(t).tobytes() == dA.tobytes(), t
 
 
 def test_schrodinger_callable_potential_called_per_point():

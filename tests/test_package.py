@@ -1,4 +1,5 @@
 """The package's public surface and the README's library example."""
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -48,6 +49,22 @@ def test_no_callable_taking_a_family_takes_tol():
         if "family" in params and "tol" in params:
             both.add(fn.__qualname__)
     assert not both
+
+
+def test_every_tol_parameter_is_read():
+    # a tol that its function never reads is a setting that does nothing
+    paths = sorted((ROOT / "src" / "spectralbranch").glob("*.py"))
+    assert paths
+    unread = []
+    for path in paths:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+            names = {n.id for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            if "tol" in params and "tol" not in names:
+                unread.append(f"{path.name}:{fn.lineno} {fn.name}")
+    assert not unread
 
 
 def test_readme_quick_start():
