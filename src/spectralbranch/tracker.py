@@ -6,8 +6,8 @@ the collision parameter, estimates one-sided derivatives of the colliding
 slots from both sides, pairs them by sorted order (curvature-refined at
 order 2), and applies the resulting permutation so each output column is a
 differentiable branch.  Each collision is verified by exact inertia counts
-at the contour's real endpoints over a probe window: the contour must
-enclose the same number of eigenvalues at every probe time.
+at a circle's real endpoints over a probe window: the circle must enclose
+the same number of eigenvalues at every probe time.
 
 Collision detection and stencil arithmetic run at the family's unit scale so
 tiny overall prefactors do not collapse every gap below the detection
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .contour import Contour, riesz_projector
+from .contour import Contour
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
 from .linalg import _frobenius, _one_blas_thread, dense_eig, operator_norm, tridiagonal_eig
@@ -75,7 +75,6 @@ class CrossingEvent:
     labels: tuple[int, ...]        # branch label occupying each slot on the left
     sigma: tuple[int, ...]         # sigma[i] = slot continuing slots[i] on the right
     report: MatchReport
-    contour: Contour | None        # verification contour (true coordinates)
 
 
 @dataclass(frozen=True)
@@ -126,28 +125,29 @@ def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour
     """Eigenvalues of the compressed operator P A'(t*) P on range P, ascending.
 
     These are the one-sided derivatives (from either side) of the branches
-    colliding inside gamma at t_star.  The enclosed eigenvalue count is
-    probed on the requested side by inertia; a change means the box is too
-    large.
+    colliding inside gamma at t_star; one eigensolve's eigenvectors there span
+    range P.  Their count must equal inertia's at t_star and at two probes on
+    the requested side; a change means the box is too large.
     """
     if side not in _SIDES:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     sgn = 1.0 if side == "right" else -1.0
-    P = riesz_projector(family, t_star, gamma)
-    U, S, _ = np.linalg.svd(P)
-    N = int(np.count_nonzero(S > 0.5))
-    h = family.tol.h_fd * max(1.0, abs(t_star))
     g = gamma.scaled(family.scale_prefactor)
-    for j in (1, 2):
-        count = g.inertia_count(family.unit(t_star + sgn * j * h), family.tol)
+    A = family.unit(t_star)
+    w, V = _unit_eig(family, t_star, A)
+    F = V[:, np.abs(w - g.center) < g.radius]
+    N = F.shape[1]
+    h = family.tol.h_fd * max(1.0, abs(t_star))
+    for j in (0, 1, 2):
+        t = t_star + sgn * j * h
+        count = g.inertia_count(A if j == 0 else family.unit(t), family.tol)
         if count != N:
             raise RankDriftError(
                 f"box too large: contour encloses {N} eigenvalues at t={t_star!r} "
-                f"but {count} at t={t_star + sgn * j * h!r}"
+                f"but {count} at t={t!r}"
             )
     if N == 0:
         return np.zeros(0)
-    F = U[:, :N]
     C = F.conj().T @ family.derivative(t_star, side) @ F
     C = 0.5 * (C + C.conj().T)
     return np.sort(np.linalg.eigvalsh(C))
@@ -330,15 +330,15 @@ def _refine_t_star(family: HermitianFamily, grid: np.ndarray,
 _PROBE_OFFSETS = (0.0, -3.0, -1.5, 1.5, 3.0)  # units of the grid step
 
 
-def _event_contour(family: HermitianFamily, t_star: float, w_star_unit: np.ndarray,
-                   glo: int, ghi: int, dt: float) -> Contour:
-    """Verification contour around the value group [glo, ghi], with count probes.
+def _verify_window(family: HermitianFamily, t_star: float, w_star_unit: np.ndarray,
+                   glo: int, ghi: int, dt: float) -> None:
+    """Check a circle about the value group [glo, ghi]; nothing is kept.
 
     The radius must cover the cluster's drift across the probe box (3 grid
     steps each side) while keeping the rest of the spectrum outside, so it is
     sized from eigensolves at the probe times, not from t_star alone.  The
-    enclosed count at each probe time is exact, from inertia on the same
-    probe matrices.
+    circle must clear the spectrum at t_star, and its count at each probe
+    time, exact by inertia on the same probe matrices, is the group's size.
     """
     f = family.scale_prefactor
     center = float(np.mean(w_star_unit[glo:ghi + 1])) * f
@@ -367,7 +367,6 @@ def _event_contour(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
                 f"rank drift: contour around {center!r} encloses {count} eigenvalues "
                 f"at t={t_probe!r}, expected {expected}"
             )
-    return gamma
 
 
 @dataclass(frozen=True)
@@ -375,7 +374,6 @@ class _PendingEvent:
     grid_span: tuple[int, int]
     slots: tuple[int, ...]
     report: MatchReport            # holds t* and the pairing
-    contour: Contour | None
 
 
 def _match_group(family: HermitianFamily, t_star: float, slots: tuple[int, ...],
@@ -405,10 +403,10 @@ def _grid_events(family: HermitianFamily, grid: np.ndarray, values_unit: np.ndar
             )
         for glo, ghi in _tight_runs(tight[det.lo:det.hi]):
             slots = tuple(range(det.lo + glo, det.lo + ghi + 1))
-            contour = _event_contour(family, t_star, w_star, slots[0], slots[-1], dt)
+            _verify_window(family, t_star, w_star, slots[0], slots[-1], dt)
             events.append(_PendingEvent(
                 grid_span=(det.k_start, det.k_end), slots=slots,
-                report=_match_group(family, t_star, slots, order), contour=contour,
+                report=_match_group(family, t_star, slots, order),
             ))
     return events
 
@@ -433,7 +431,7 @@ def _assemble(grid: np.ndarray, values_true: np.ndarray,
         finished.append(CrossingEvent(
             t_star=ev.report.t_star, grid_span=ev.grid_span, slots=ev.slots,
             labels=tuple(np.argsort(slot_of)[slots].tolist()),
-            sigma=tuple(move[slots].tolist()), report=ev.report, contour=ev.contour,
+            sigma=tuple(move[slots].tolist()), report=ev.report,
         ))
         slot_of = move[slot_of]
     out[k:] = values_true[k:, slot_of]
@@ -499,7 +497,11 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
     if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
         raise ValueError("grid and values must be finite")
     rows, m = values.shape
-    growth = np.expm1(a * np.abs(grid[:, None] - grid[None, :]))
+    # past a |dt| of about 709.78 the growth is +inf, and so is the bound
+    # (sooner, where 1 + |v| is large): such a pair passes, as it should, so
+    # the overflow is no error
+    with np.errstate(over="ignore"):
+        growth = np.expm1(a * np.abs(grid[:, None] - grid[None, :]))
     off_diag = ~np.eye(rows, dtype=bool)
     violations: list[tuple[int, int, int, float, float]] = []
     worst = np.inf
@@ -507,7 +509,8 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
     for j in range(m):
         v = values[:, j]
         lhs = np.abs(v[:, None] - v[None, :])
-        rhs = (1.0 + np.abs(v)[None, :]) * growth
+        with np.errstate(over="ignore"):
+            rhs = (1.0 + np.abs(v)[None, :]) * growth
         margin = rhs - lhs
         worst = min(worst, float(np.min(margin[off_diag], initial=np.inf)))
         total += int(np.count_nonzero(off_diag))
@@ -729,6 +732,6 @@ def extend_parameterization(branches: BranchSet, mu_partial, order: int = 1,
             dr, sr = _grid_slot_derivatives(comp, k_star, slots, "right", dt, want_second)
             report = match_crossing(dl, dr, order=order, second_left=sl, second_right=sr,
                                     tol=tol, t_star=float(grid[k_star]))
-            pending.append(_PendingEvent((det.k_start, det.k_end), slots, report, None))
+            pending.append(_PendingEvent((det.k_start, det.k_end), slots, report))
     glued, _ = _assemble(grid, comp, pending)
     return glued

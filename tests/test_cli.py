@@ -216,6 +216,26 @@ potential = t*x
     assert data.shape == (11, 19)
 
 
+def test_schrodinger_steep_potential_runs_quietly(tmp_path, capsys):
+    # a = 2165: the Gronwall growth overflows to +inf on far pairs, which
+    # pass; the run exits 0 with nothing on stderr
+    cfg = write(tmp_path / "run.cfg", """\
+[run]
+command = schrodinger
+t_range = 0.0, 1.0
+grid_size = 101
+
+[family]
+name = schrodinger
+m = 99
+potential = 3000*exp(-((x-0.5)/0.03)^2) + 3000*(t-0.5)*x
+""")
+    assert run(parse_config(Path(cfg).read_text()), tmp_path / "out") == 0
+    assert capsys.readouterr().err == ""
+    report = (tmp_path / "out" / "branches.report.txt").read_text()
+    assert "gronwall screen: a = 2165.09" in report and "PASS" in report
+
+
 @pytest.mark.parametrize("family, key", [
     ("name = schrodinger\nm = 2", "m=2"),
     ("name = curve-lemma\nn_max = 1", "n_max"),

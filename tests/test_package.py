@@ -3,6 +3,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -77,3 +79,25 @@ def test_readme_quick_start():
     assert np.array_equal(bs.branch(0), bs.grid)
     assert len(bs.crossings) == 1
     assert abs(bs.crossings[0].t_star) < 1e-12
+
+
+def test_failing_hypothesis_test_reaches_the_summary(tmp_path):
+    # reporting a falsified @given test imports libcst, whose import warns;
+    # with every other warning an error, the session still runs to its summary
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n != n\n\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "test_probe.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=300,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "1 failed, 1 passed" in out
+    assert "INTERNALERROR" not in out

@@ -18,6 +18,7 @@ from spectralbranch import (
     HermitianFamily,
     NotHermitianError,
     RankDriftError,
+    SpectrumTouchError,
     estimate_derivative_bound,
     extend_parameterization,
     gronwall_screen,
@@ -392,7 +393,6 @@ def test_track_verifies_crossings_without_shifted_solves(monkeypatch):
                                    (_planted_pairs_family(), (-1.0, 1.0), 3)):
         bs = track_branches(fam, t_range, 81)
         assert len(bs.crossings) == n_events
-        assert all(ev.contour is not None for ev in bs.crossings)
 
 
 def test_track_rank_drift_names_probe(monkeypatch):
@@ -409,18 +409,70 @@ def test_track_rank_drift_names_probe(monkeypatch):
         track_branches(make_offdiag_t_family(), (-1.0, 1.0), 81)
 
 
-def test_one_sided_derivatives_runs_one_quadrature(monkeypatch):
-    real = spectralbranch.tracker.riesz_projector
-    calls = []
+def test_one_sided_derivatives_runs_no_quadrature(monkeypatch):
+    # range P comes from one eigensolve at t*: no shifted solve, no rank by SVD
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quadrature reached by one_sided_derivatives")
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(spectralbranch.tracker, "riesz_projector", counting)
+    for name in ("solve_shifted", "numerical_rank"):
+        monkeypatch.setattr(spectralbranch.contour, name, forbidden)
+        monkeypatch.setattr(spectralbranch.linalg, name, forbidden)
     d = one_sided_derivatives(make_offdiag_t_family(), 0.0, Contour(center=0.0, radius=0.5))
     assert np.allclose(d, [-1.0, 1.0], atol=1e-10)
-    assert calls == [0.0]
+
+
+def _planted_collision_family(rng, m, analytic):
+    """m x m family whose eigenvalue curves v_i + c_i t + q_i t^2 sit in a
+    random unitary frame; v_0 = v_1 = 0 collide at t = 0, the other m - 2
+    values lie in +-[1, 3].  Returns the family and the colliding slopes."""
+    v = np.concatenate(([0.0, 0.0], rng.choice([-1.0, 1.0], m - 2) * rng.uniform(1.0, 3.0, m - 2)))
+    c = rng.uniform(-1.0, 1.0, m)
+    c[1] = c[0] + rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 0.5)
+    q = rng.uniform(-0.5, 0.5, m)
+    U = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+
+    def matrix(t):
+        return (U * (v + c * t + q * t * t)) @ U.conj().T
+
+    def deriv(t):
+        return (U * (c + 2.0 * q * t)) @ U.conj().T
+
+    fam = HermitianFamily(name="planted-collision", dim=m, matrix=matrix,
+                          deriv=deriv if analytic else None)
+    return fam, np.sort(c[:2])
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "finite-difference"])
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_one_sided_derivatives_planted_collision(m, analytic):
+    rng = np.random.default_rng(2600 + m)
+    for _ in range(3):
+        fam, slopes = _planted_collision_family(rng, m, analytic)
+        for side in ("left", "right"):
+            d = one_sided_derivatives(fam, 0.0, Contour(center=0.0, radius=0.5), side=side)
+            np.testing.assert_allclose(d, slopes, rtol=0.0, atol=1e-9)
+
+
+def test_one_sided_derivatives_tridiagonal_simple_eigenvalue():
+    # a Schrodinger family solves (d, e) by dstevd: at a simple eigenvalue the
+    # result is the Rayleigh quotient <v, A'(t) v> of its unit eigenvector
+    fam = SchrodingerFamily(m=16, potential="40*sin(3*t + x)*x").family()
+    t = 0.3
+    w, V = np.linalg.eigh(fam.eval(t))
+    for k in (0, 7, 15):
+        gap = min(abs(w[k] - w[j]) for j in (k - 1, k + 1) if 0 <= j < w.size)
+        v = V[:, k]
+        want = float(np.vdot(v, fam.derivative(t) @ v).real)
+        for side in ("left", "right"):
+            got = one_sided_derivatives(fam, t, Contour(center=w[k], radius=0.5 * gap), side)
+            assert got.shape == (1,)
+            assert abs(got[0] - want) <= 1e-10
+
+
+def test_one_sided_derivatives_circle_through_eigenvalue():
+    # the circle about 0 of radius 0.5 passes through the eigenvalue 0.5
+    with pytest.raises(SpectrumTouchError):
+        one_sided_derivatives(make_diag_family(0.0, 0.5), 0.0, Contour(center=0.0, radius=0.5))
 
 
 def test_one_sided_derivatives_off_axis_center():
@@ -563,6 +615,18 @@ def test_gronwall_rejects_row_mismatch():
 def test_gronwall_single_point_has_no_pairs():
     rep = gronwall_screen(np.array([0.0]), np.array([[2.0]]), 0.1)
     assert rep.passed and rep.pairs_checked == 0 and rep.worst_margin == np.inf
+
+
+def test_gronwall_growth_overflow_passes_without_warning():
+    # a |dt| reaches 1000: e^{a |dt|} - 1 is +inf, so is the bound, and
+    # every pair passes with no overflow warning.  At a |dt| = 709.5 the
+    # growth is finite and the bound (1 + |v|) x growth overflows instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = gronwall_screen(np.linspace(0.0, 1.0, 11), np.zeros((11, 2)), 1000.0)
+        assert rep.passed and rep.pairs_checked == 220
+        rep = gronwall_screen(np.array([0.0, 1.0]), np.full((2, 1), 1e10), 709.5)
+        assert rep.passed and rep.worst_margin == np.inf
 
 
 def test_gronwall_passes_on_tracked_family():
@@ -1353,7 +1417,7 @@ def _pending_events(data, grid, m):
                                      pairing=tuple(zip(l_order, r_order)), residual=0.0,
                                      order=1)
         k = data.draw(st.integers(0, grid.size - 1))
-        events.append(tracker._PendingEvent((k, k), slots, report, None))
+        events.append(tracker._PendingEvent((k, k), slots, report))
     return events
 
 
