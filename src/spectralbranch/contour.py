@@ -25,7 +25,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import QuadratureError, RootRealityError, SeparationError
 from .families import HermitianFamily
-from .linalg import eigenvalue_count, numerical_rank, solve_shifted
+from .linalg import eigenvalue_count, solve_shifted
 
 # Geometric node error e_M ~ rho**M: the step from M/2 to M nodes is about
 # e_{M/2}, so e_M is about step**2 up to a constant this factor covers.
@@ -47,6 +47,8 @@ class Contour:
     nodes: int = 64
 
     def __post_init__(self):
+        if not np.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
         if not (self.radius > 0.0 and np.isfinite(self.radius)):
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.nodes < 8:
@@ -107,16 +109,28 @@ def _node_sums(A: np.ndarray, c: complex, r: float, thetas: np.ndarray,
     return P_sum, s_sum
 
 
-def _quadrature(A: np.ndarray, c: complex, r: float, start_nodes: int,
-                p_max: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, int]:
-    """Converged projector and power sums s_0..s_{p_max} in the coordinates of A.
+def _check_projector(P: np.ndarray, tol: Tolerances) -> None:
+    idem = float(np.linalg.norm(P @ P - P))
+    herm = float(np.linalg.norm(P - P.conj().T))
+    if idem > tol.proj_tol or herm > tol.proj_tol:
+        raise QuadratureError(
+            f"projector defects exceed tolerance: ||P^2-P||={idem:.3e}, "
+            f"||P-P*||={herm:.3e} (limit {tol.proj_tol:.1e})"
+        )
 
-    Returns (P, s, M).  Doubles the node count, averaging in the odd-angle
-    nodes, until both quantities move less than proj_tol.  At max_nodes the
-    geometric estimate _CAP_SAFETY * step**2 must meet proj_tol instead;
-    raises if it does not.
+
+def _quadrature(A: np.ndarray, g: Contour, p_max: int,
+                tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Converged projector and power sums s_0..s_{p_max} of A on the unit-scale g.
+
+    Returns (P, s).  Doubles the node count from g.nodes, averaging in the
+    odd-angle nodes, until both quantities move less than proj_tol.  At
+    max_nodes the geometric estimate _CAP_SAFETY * step**2 must meet proj_tol
+    instead; raises if it does not, or if P is not Hermitian and idempotent
+    to proj_tol.
     """
-    M = int(start_nodes)
+    c, r = g.center, g.radius
+    M = int(g.nodes)
     thetas = 2.0 * np.pi * np.arange(M) / M
     P_sum, s_sum = _node_sums(A, c, r, thetas, p_max)
     P = -(r / M) * P_sum
@@ -131,38 +145,21 @@ def _quadrature(A: np.ndarray, c: complex, r: float, start_nodes: int,
         M *= 2
         P, s = P_new, s_new
         if err_p <= tol.proj_tol and err_s <= tol.proj_tol:
-            return P, s, M
+            break
         if M >= tol.max_nodes:
             if _CAP_SAFETY * max(err_p, err_s) ** 2 <= tol.proj_tol:
-                return P, s, M
+                break
             raise QuadratureError(
                 f"quadrature not converged at {M} nodes: projector moved {err_p:.3e}, "
                 f"power sums moved {err_s:.3e} (limit {tol.proj_tol:.1e})"
             )
-
-
-def _unit_quadrature(family: HermitianFamily, A: np.ndarray, gamma: Contour,
-                     p_max: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """_quadrature of A = family.unit(t) on gamma mapped to unit coordinates."""
-    g = gamma.scaled(family.scale_prefactor)
-    return _quadrature(A, g.center, g.radius, g.nodes, p_max, family.tol)
-
-
-def _check_projector(P: np.ndarray, tol: Tolerances) -> None:
-    idem = float(np.linalg.norm(P @ P - P))
-    herm = float(np.linalg.norm(P - P.conj().T))
-    if idem > tol.proj_tol or herm > tol.proj_tol:
-        raise QuadratureError(
-            f"projector defects exceed tolerance: ||P^2-P||={idem:.3e}, "
-            f"||P-P*||={herm:.3e} (limit {tol.proj_tol:.1e})"
-        )
+    _check_projector(P, tol)
+    return P, s
 
 
 def riesz_projector(family: HermitianFamily, t: float, gamma: Contour) -> np.ndarray:
     """Spectral projector onto the eigenspaces enclosed by gamma at time t."""
-    P, _, _ = _unit_quadrature(family, family.unit(t), gamma, 0)
-    _check_projector(P, family.tol)
-    return P
+    return _quadrature(family.unit(t), gamma.scaled(family.scale_prefactor), 0, family.tol)[0]
 
 
 def _realize(s: np.ndarray) -> np.ndarray:
@@ -173,15 +170,6 @@ def _realize(s: np.ndarray) -> np.ndarray:
             f"power sum s_{p} has imaginary residue {s[p].imag:.3e} beyond tolerance"
         )
     return s.real.copy()
-
-
-def newton_sums(family: HermitianFamily, t: float, gamma: Contour, p_max: int) -> np.ndarray:
-    """True-scale power sums s_0..s_{p_max} of the eigenvalues enclosed by gamma."""
-    if p_max < 0:
-        raise ValueError("p_max must be nonnegative")
-    _, s_unit, _ = _unit_quadrature(family, family.unit(t), gamma, p_max)
-    s_real = _realize(s_unit)
-    return s_real * family.scale_prefactor ** np.arange(p_max + 1)
 
 
 def newton_to_sigma(s, N: int) -> np.ndarray:
@@ -212,6 +200,8 @@ def cluster_eigenvalues(sigma, N: int) -> np.ndarray:
     come out real, so a large imaginary part signals contour leakage.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
+    if N < 0:
+        raise ValueError("N must be nonnegative")
     if N == 0:
         return np.zeros(0)
     if sigma.shape[0] < N:
@@ -247,24 +237,21 @@ def spectral_cluster(family: HermitianFamily, t: float, gamma: Contour) -> Spect
     """Full contour pipeline at one parameter value.
 
     The enclosed count N comes first, exact by inertia; one quadrature then
-    yields the projector and s_0..s_{2N}, and N must agree with s_0 and with
-    the projector's rank.  Symmetric-function recovery runs at unit scale
-    (exact rescaling at the end) so tiny prefactors cannot underflow the
-    polynomial coefficients.
+    yields the projector and s_0..s_{2N}.  N must agree with s_0, and P must
+    be Hermitian and idempotent to proj_tol, which fixes its rank at N.
+    Symmetric-function recovery runs at unit scale (exact rescaling at the
+    end) so tiny prefactors cannot underflow the polynomial coefficients.
     """
     tol = family.tol
     f = family.scale_prefactor
     A = family.unit(t)
-    N = gamma.scaled(f).inertia_count(A, tol)
-    P, s_complex, _ = _unit_quadrature(family, A, gamma, 2 * N)
-    _check_projector(P, tol)
+    g = gamma.scaled(f)
+    N = g.inertia_count(A, tol)
+    P, s_complex = _quadrature(A, g, 2 * N, tol)
     s_unit = _realize(s_complex)
     s0 = float(s_unit[0])
     if abs(s0 - N) > 1e-8:
         raise QuadratureError(f"s_0 = {s0!r} disagrees with the inertia count {N}")
-    rank = numerical_rank(P, 0.5)
-    if rank != N:
-        raise QuadratureError(f"projector rank {rank} disagrees with the inertia count {N}")
     if N == 0:
         return SpectralCluster(
             t=float(t), projector=P, rank=0,

@@ -336,9 +336,11 @@ def _verify_window(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
 
     The radius must cover the cluster's drift across the probe box (3 grid
     steps each side) while keeping the rest of the spectrum outside, so it is
-    sized from eigensolves at the probe times, not from t_star alone.  The
-    circle must clear the spectrum at t_star, and its count at each probe
-    time, exact by inertia on the same probe matrices, is the group's size.
+    sized from eigensolves at the probe times, not from t_star alone.  That
+    rule already keeps the circle clear of the spectrum at t_star (the group
+    lies at least 0.23 r inside it, the rest at least 0.33 r outside), and
+    its count at each probe time, exact by inertia on the same probe
+    matrices, is the group's size.
     """
     f = family.scale_prefactor
     center = float(np.mean(w_star_unit[glo:ghi + 1])) * f
@@ -356,10 +358,8 @@ def _verify_window(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
             f"box too large: cluster around {center!r} spreads {spread!r} over the "
             f"probe window but the rest of the spectrum comes within {d_out!r}"
         )
-    gamma = Contour(center=center, radius=radius)
-    gamma.validate_against(w_star_unit * f)
     expected = ghi - glo + 1
-    g = gamma.scaled(f)
+    g = Contour(center=center, radius=radius).scaled(f)
     for t_probe, A in zip(times, mats):
         count = g.inertia_count(A, family.tol)
         if count != expected:

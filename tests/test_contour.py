@@ -14,12 +14,11 @@ from spectralbranch import (
     RootRealityError,
     SeparationError,
     cluster_eigenvalues,
-    newton_sums,
     newton_to_sigma,
     riesz_projector,
     spectral_cluster,
 )
-from spectralbranch.linalg import dense_eig
+from spectralbranch.linalg import dense_eig, numerical_rank
 from spectralbranch.util import multiset_distance
 
 from conftest import make_diag_family, random_hermitian
@@ -52,7 +51,7 @@ def test_projector_simple_eigenvalue_is_rank_one(rng):
 
 def test_newton_sums_diag_oracle():
     fam = make_diag_family(1.0, 2.0, 5.0)
-    s = newton_sums(fam, 0.0, Contour(center=1.5, radius=1.0), p_max=2)
+    s = spectral_cluster(fam, 0.0, Contour(center=1.5, radius=1.0)).newton_sums
     assert s[0] == pytest.approx(2.0, abs=1e-10)  # s_0 = rank
     assert s[1] == pytest.approx(3.0, abs=1e-10)
     assert s[2] == pytest.approx(5.0, abs=1e-10)
@@ -72,6 +71,9 @@ def test_newton_to_sigma_trivial():
 def test_newton_to_sigma_input_validation():
     with pytest.raises(ValueError):
         newton_to_sigma(np.array([2.0, 3.0]), 2)  # needs s_0..s_2
+    for N in (-1, -2):
+        with pytest.raises(ValueError, match="N must be nonnegative"):
+            cluster_eigenvalues(np.array([1.0, 2.0]), N)
 
 
 def test_cluster_eigenvalues_oracles():
@@ -103,6 +105,9 @@ def test_contour_separation_error():
 def test_contour_rejects_bad_radius():
     with pytest.raises(ValueError):
         Contour(center=0.0, radius=-1.0)
+    for center in (np.nan, np.inf, complex(1.5, np.nan)):
+        with pytest.raises(ValueError, match="center must be finite"):
+            Contour(center=center, radius=1.0)
     with pytest.raises(ValueError):
         Contour(center=0.0, radius=1.0, nodes=4)
 
@@ -158,26 +163,47 @@ def test_spectral_cluster_prefactor_invariance():
         cl = spectral_cluster(fam, 0.0, g)
         assert cl.rank == 2
         assert multiset_distance(cl.eigenvalues, f * np.array([1.0, 2.0])) <= 1e-7 * f
-    s_scaled = newton_sums(fam_scaled, 0.0, g, p_max=2)
+    s_scaled = spectral_cluster(fam_scaled, 0.0, g).newton_sums
     assert s_scaled[1] == pytest.approx(3.0 * f, rel=1e-10)
     assert s_scaled[2] == pytest.approx(5.0 * f**2, rel=1e-10)
 
 
 def test_spectral_cluster_runs_one_quadrature(monkeypatch):
-    # the inertia count fixes N first, so one quadrature yields P and s_0..s_2N
-    real = spectralbranch.contour._unit_quadrature
+    # the inertia count fixes N first, so one quadrature yields P and s_0..s_2N,
+    # and no SVD recounts the projector's rank
+    real = spectralbranch.contour._quadrature
     calls = []
 
-    def counting(family, t, gamma, p_max):
+    def counting(A, g, p_max, tol):
         calls.append(p_max)
-        return real(family, t, gamma, p_max)
+        return real(A, g, p_max, tol)
 
-    monkeypatch.setattr(spectralbranch.contour, "_unit_quadrature", counting)
+    def no_svd(*args, **kwargs):
+        raise AssertionError("spectral_cluster took an SVD")
+
+    monkeypatch.setattr(spectralbranch.contour, "_quadrature", counting)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
     cl = spectral_cluster(make_diag_family(1.0, 2.0, 5.0), 0.0, Contour(center=1.5, radius=1.0))
     assert calls == [4]
     assert cl.rank == 2
     assert np.allclose(cl.newton_sums, [2.0, 3.0, 5.0, 9.0, 17.0], atol=1e-10)
     assert np.allclose(cl.eigenvalues, [1.0, 2.0], atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), m=st.integers(1, 12), size=st.floats(0.0, 0.3))
+def test_checked_projector_rank_is_its_trace(seed, m, size):
+    # a P that passes _check_projector has eigenvalues of (P + P^H)/2 within
+    # about 2 proj_tol of 0 or 1 and singular values within proj_tol/2 of
+    # theirs, so an SVD count at 0.5 cannot differ from round(Re tr P)
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, m + 1))
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    E = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    E *= size * DEFAULT_TOL.proj_tol / np.linalg.norm(E)
+    P = Q[:, :k] @ Q[:, :k].conj().T + E
+    spectralbranch.contour._check_projector(P, DEFAULT_TOL)
+    assert numerical_rank(P, 0.5) == k == round(float(np.trace(P).real))
 
 
 def test_spectral_cluster_builds_its_matrix_once():
@@ -203,14 +229,6 @@ def test_spectral_cluster_inertia_count_mismatch_raises(monkeypatch):
         spectral_cluster(make_diag_family(1.0, 2.0, 5.0), 0.0, Contour(center=1.5, radius=1.0))
 
 
-def test_spectral_cluster_projector_rank_mismatch_raises(monkeypatch):
-    real = spectralbranch.contour.numerical_rank
-    monkeypatch.setattr(spectralbranch.contour, "numerical_rank",
-                        lambda A, tol_abs: real(A, tol_abs) + 1)
-    with pytest.raises(QuadratureError, match="projector rank 3 disagrees with the inertia count 2"):
-        spectral_cluster(make_diag_family(1.0, 2.0, 5.0), 0.0, Contour(center=1.5, radius=1.0))
-
-
 @pytest.mark.parametrize("center", [10.0, 1.5 + 3.0j])
 def test_spectral_cluster_empty_circle(center):
     # the second circle never meets the real axis, so it encloses nothing
@@ -227,8 +245,8 @@ def test_newton_matches_projected_power_traces(rng):
     fam = HermitianFamily(name="c", dim=7, matrix=lambda t: A)
     g = _isolating_contour(A, {2, 3})
     N = 2
-    s = newton_sums(fam, 0.0, g, p_max=2 * N)
-    P = riesz_projector(fam, 0.0, g)
+    cl = spectral_cluster(fam, 0.0, g)
+    s, P = cl.newton_sums, cl.projector
     for p in range(2 * N + 1):
         direct = np.trace(P @ np.linalg.matrix_power(A, p) @ P).real if p else np.trace(P).real
         assert abs(s[p] - direct) <= 1e-8 * max(1.0, abs(direct))
