@@ -1,9 +1,13 @@
-"""Tolerance settings and run configuration.
+"""Run configuration: the config file language.
 
 The config file format is line oriented: ``[section]`` headers, ``key = value``
 pairs, ``#`` comments, blank lines.  Arrays are comma separated, strings are
 unquoted.  Unknown sections or keys are hard errors, as are duplicate keys;
 every parse error is annotated with the offending line.
+
+This is the one module that knows config files exist, and it sits above the
+numerics: ``Tolerances`` comes from ``linalg``, and the families a config
+may name, with the keys each reads, from the gallery's table.
 """
 from __future__ import annotations
 
@@ -15,31 +19,9 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, ExpressionError
 from .expressions import parse_expression
+from .gallery import _FAMILIES, FamilySpec, make_family
+from .linalg import DEFAULT_TOL, Tolerances
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances used across the package.
-
-    All values are positive.  Relative scalings (what a tolerance is measured
-    against) are documented where each tolerance is consumed.
-    """
-
-    hermitian_tol: float = 1e-10
-    eig_tol: float = 1e-10
-    proj_tol: float = 1e-10
-    cluster_tol: float = 1e-6
-    deriv_tie_tol: float = 1e-5
-    h_fd: float = 1e-5
-    max_nodes: int = 1024
-
-    def replace(self, **overrides) -> "Tolerances":
-        return dataclasses.replace(self, **overrides)
-
-
-DEFAULT_TOL = Tolerances()
-
-_TOLERANCE_FIELDS = {f.name: f.type for f in dataclasses.fields(Tolerances)}
 
 # command -> (default output file, the RunConfig fields it requires)
 COMMANDS = {
@@ -58,27 +40,6 @@ _WHERE = {
     "contour": "a [contour] section",
     "given": "an [extend] section with 'given'",
 }
-
-# family name -> the FamilySpec fields it reads (``rows`` are the row<k> keys)
-_FAMILY_KEYS = {
-    "curve-lemma": ("n_max",),
-    "resolvent-example": ("m",),
-    "schrodinger": ("m", "potential"),
-    "expr": ("dim", "rows"),
-}
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Declarative family selection from a config file."""
-
-    name: str
-    n_max: int | None = None
-    m: int | None = None
-    potential: str | None = None
-    dim: int | None = None
-    rows: tuple[tuple[str, ...], ...] | None = None
-
 
 @dataclass(frozen=True)
 class ContourSpec:
@@ -114,16 +75,10 @@ class RunConfig:
     seed: int = 0
     output: str | None = None
     contour: ContourSpec | None = None
-    tolerance_overrides: tuple[tuple[str, float], ...] = ()
+    tolerances: Tolerances = DEFAULT_TOL
     holder: HolderSpec | None = None
     resolvent: ResolventSpec | None = None
     given: int | None = None
-
-    def tolerances(self) -> Tolerances:
-        kw = {}
-        for name, value in self.tolerance_overrides:
-            kw[name] = int(value) if name == "max_nodes" else value
-        return DEFAULT_TOL.replace(**kw) if kw else DEFAULT_TOL
 
     def output_name(self) -> str:
         return self.output if self.output is not None else COMMANDS[self.command][0]
@@ -134,9 +89,10 @@ _KEY_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 _KNOWN_KEYS = {
     "run": {"command", "seed", "output", "t_range", "grid_size", "order", "t"},
-    "family": {"name", "n_max", "m", "potential", "dim"},  # plus row<k>
+    # plus the row<k> keys of the ``rows`` field
+    "family": {"name"} | {k for keys, _ in _FAMILIES.values() for k in keys} - {"rows"},
     "contour": {"center", "radius", "nodes"},
-    "tolerances": set(_TOLERANCE_FIELDS),
+    "tolerances": {f.name for f in dataclasses.fields(Tolerances)},
     "holder": {"n_values", "alpha"},
     "resolvent": {"m", "n_max", "k_fixed", "small_t_count"},
     "extend": {"given"},
@@ -285,9 +241,8 @@ def parse_config(text: str) -> RunConfig:
         contour = ContourSpec(center=center, radius=radius, nodes=_as_int(csec, "nodes", 64))
 
     tsec = sections.get("tolerances", {})
-    overrides = tuple(sorted(
-        (key, float(_as_int(tsec, key) if key == "max_nodes" else _as_float(tsec, key)))
-        for key in tsec))
+    tolerances = DEFAULT_TOL.replace(**{
+        key: _as_int(tsec, key) if key == "max_nodes" else _as_float(tsec, key) for key in tsec})
 
     holder = None
     if "holder" in sections:
@@ -308,7 +263,7 @@ def parse_config(text: str) -> RunConfig:
         seed=_as_int(run, "seed", 0),
         output=_as_str(run, "output"),
         contour=contour,
-        tolerance_overrides=overrides,
+        tolerances=tolerances,
         holder=holder,
         resolvent=resolvent,
         given=_as_int(sections.get("extend", {}), "given"),
@@ -321,9 +276,10 @@ def _check_config(cfg: RunConfig, sections: dict | None = None) -> None:
     """Raise ConfigError for the first value of ``cfg`` that no run accepts.
 
     The one home of the value rules: ``parse_config`` applies it to what it
-    read and ``run`` to every config, however it was built.  ``sections``
-    are the scanned sections when ``cfg`` came from text; they supply the
-    line numbers.
+    read and ``run`` to every config, however it was built.  It builds the
+    family the config names, so a value the family refuses, or a ``given``
+    above its dimension, is refused here.  ``sections`` are the scanned
+    sections when ``cfg`` came from text; they supply the line numbers.
     """
     sections = sections or {}
 
@@ -361,15 +317,16 @@ def _check_config(cfg: RunConfig, sections: dict | None = None) -> None:
                                    or os.path.basename(cfg.output) != cfg.output):
         fail(f"output must be a file name, got {cfg.output!r}", "run", "output")
 
-    fam = cfg.family
+    fam, family = cfg.family, None
     if fam is not None:
-        if fam.name not in _FAMILY_KEYS:
-            fail(f"unknown family {fam.name!r} (expected one of {', '.join(_FAMILY_KEYS)})",
+        if fam.name not in _FAMILIES:
+            fail(f"unknown family {fam.name!r} (expected one of {', '.join(_FAMILIES)})",
                  "family", "name")
+        reads = _FAMILIES[fam.name][0]
         for field in ("n_max", "m", "potential", "dim", "rows"):
-            if getattr(fam, field) is not None and field not in _FAMILY_KEYS[fam.name]:
+            if getattr(fam, field) is not None and field not in reads:
                 key = "row0" if field == "rows" else field
-                readers = ", ".join(n for n, keys in _FAMILY_KEYS.items() if field in keys)
+                readers = ", ".join(n for n, (keys, _) in _FAMILIES.items() if field in keys)
                 fail(f"family {fam.name!r} does not read key {key!r} (read by: {readers})",
                      "family", key)
         if fam.name == "expr":
@@ -389,6 +346,11 @@ def _check_config(cfg: RunConfig, sections: dict | None = None) -> None:
                     parses(src, ("t",), f"'row{k}' entry", f"row{k}")
         if isinstance(fam.potential, str):  # run() also takes a callable, as the gallery does
             parses(fam.potential, ("t", "x"), "'potential'", "potential")
+        try:
+            family = make_family(fam, cfg.tolerances)
+        except ValueError as exc:
+            key = next((f for f in reads if getattr(fam, f) is not None), "name")
+            fail(f"family {fam.name!r}: {exc}", "family", "row0" if key == "rows" else key)
 
     c = cfg.contour
     if c is not None:
@@ -399,9 +361,7 @@ def _check_config(cfg: RunConfig, sections: dict | None = None) -> None:
         if c.nodes < 8:
             fail("contour nodes must be at least 8", "contour", "nodes")
 
-    for name, value in cfg.tolerance_overrides:
-        if name not in _TOLERANCE_FIELDS:
-            fail(f"unknown tolerance {name!r}", "tolerances", name)
+    for name, value in dataclasses.asdict(cfg.tolerances).items():
         if not 0 < value < math.inf:
             fail(f"tolerance {name!r} must be positive and finite, got {value!r}",
                  "tolerances", name)
@@ -425,7 +385,14 @@ def _check_config(cfg: RunConfig, sections: dict | None = None) -> None:
         if r.m < r.k_fixed:
             fail(f"resolvent m must be >= k_fixed, got m = {r.m}, k_fixed = {r.k_fixed}",
                  "resolvent", "m")
+        if r.small_t_count > 1074:  # 2.0**-1075 underflows to 0, where no quotient exists
+            fail(f"resolvent small_t_count must be <= 1074, got {r.small_t_count}",
+                 "resolvent", "small_t_count")
 
-    if cfg.given is not None and cfg.given < 0:
-        fail("[extend] requires given >= 0", "extend", "given")
+    if cfg.given is not None:
+        if cfg.given < 0:
+            fail("[extend] requires given >= 0", "extend", "given")
+        if family is not None and cfg.given > family.dim:
+            fail(f"given must be between 0 and the family dimension {family.dim}, "
+                 f"got {cfg.given}", "extend", "given")
 

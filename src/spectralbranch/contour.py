@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import QuadratureError, RootRealityError, SeparationError
 from .families import HermitianFamily
-from .linalg import eigenvalue_count, solve_shifted
+from .linalg import DEFAULT_TOL, Tolerances, eigenvalue_count, solve_shifted
 
 # Geometric node error e_M ~ rho**M: the step from M/2 to M nodes is about
 # e_{M/2}, so e_M is about step**2 up to a constant this factor covers.

@@ -12,10 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
-from .errors import ExpressionError
-from .expressions import Expression, parse_expression
-from .linalg import as_matrix, ensure_hermitian
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, ensure_hermitian
 from .util import central_first, one_sided_first
 
 MatrixFn = Callable[[float], np.ndarray]
@@ -122,49 +119,3 @@ def graph_norm_equivalence_ratio(
         # ||.||_s >= ||.|| > 0 for v != 0, so no division guard needed
         best = max(best, _graph_norm(A_t, v) / _graph_norm(A_s, v))
     return best
-
-
-@dataclass(frozen=True)
-class ExprMatrixSpec:
-    """Matrix family given entrywise by expressions in t.
-
-    Assembly reads the diagonal and the upper triangle; the lower triangle is
-    filled by conjugate mirroring (all expression values are real, so the
-    result is Hermitian by construction).  Lower-triangle entries must still
-    parse but their values are ignored.
-    """
-
-    dim: int
-    entries: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if len(self.entries) != self.dim or any(len(r) != self.dim for r in self.entries):
-            raise ValueError(f"entries must form a {self.dim}x{self.dim} grid")
-
-    def parsed(self) -> list[list[Expression]]:
-        return [[parse_expression(src) for src in row] for row in self.entries]
-
-    def to_family(self, name: str = "expr", tol: Tolerances = DEFAULT_TOL) -> HermitianFamily:
-        exprs = self.parsed()
-        m = self.dim
-        upper = [(i, j) for i in range(m) for j in range(i, m)]
-
-        def matrix(t: float) -> np.ndarray:
-            A = np.zeros((m, m), dtype=np.complex128)
-            try:
-                for i, j in upper:
-                    A[i, j] = A[j, i] = exprs[i][j](t)
-            except ExpressionError as exc:
-                raise ExpressionError(f"'row{i}' entry {self.entries[i][j]!r}: {exc.reason}",
-                                      exc.position) from exc
-            return A
-
-        return HermitianFamily(
-            name=name,
-            dim=m,
-            matrix=matrix,
-            scale_prefactor=1.0,
-            tol=tol,
-        )

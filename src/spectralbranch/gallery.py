@@ -12,6 +12,9 @@ the windows it is glued to zero with a C-infinity plateau.  Window-local
 work uses the coordinate sigma = s/s_n (s_n = 2^(n-n*n)), where the model
 matrix is [[1, sigma], [sigma, -1]] times the exact prefactor 2^(-n*n); all
 rescalings are powers of two and therefore exact in double precision.
+
+``make_family`` builds the family a config file names; ``_FAMILIES`` is the
+one table of those names and the keys each reads.
 """
 from __future__ import annotations
 
@@ -20,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, FamilySpec, Tolerances
 from .errors import ConfigError, ExpressionError, UnderflowGuardError
-from .expressions import parse_expression
-from .families import ExprMatrixSpec, HermitianFamily
-from .linalg import dense_eig
+from .expressions import Expression, parse_expression
+from .families import HermitianFamily
+from .linalg import DEFAULT_TOL, Tolerances, dense_eig
 from .tracker import track_branches
 from .util import central_first
 
@@ -437,29 +439,87 @@ class SchrodingerFamily:
 
 
 # ---------------------------------------------------------------------------
-# CLI registry
+# matrices written entry by entry, and the families a config file names
+
+
+@dataclass(frozen=True)
+class ExprMatrixSpec:
+    """Matrix family given entrywise by expressions in t.
+
+    Assembly reads the diagonal and the upper triangle; the lower triangle is
+    filled by conjugate mirroring (all expression values are real, so the
+    result is Hermitian by construction).  Lower-triangle entries must still
+    parse but their values are ignored.
+    """
+
+    dim: int
+    entries: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dim must be positive, got {self.dim}")
+        if len(self.entries) != self.dim or any(len(r) != self.dim for r in self.entries):
+            raise ValueError(f"entries must form a {self.dim}x{self.dim} grid")
+
+    def parsed(self) -> list[list[Expression]]:
+        return [[parse_expression(src) for src in row] for row in self.entries]
+
+    def to_family(self, name: str = "expr", tol: Tolerances = DEFAULT_TOL) -> HermitianFamily:
+        exprs = self.parsed()
+        m = self.dim
+        upper = [(i, j) for i in range(m) for j in range(i, m)]
+
+        def matrix(t: float) -> np.ndarray:
+            A = np.zeros((m, m), dtype=np.complex128)
+            try:
+                for i, j in upper:
+                    A[i, j] = A[j, i] = exprs[i][j](t)
+            except ExpressionError as exc:
+                raise ExpressionError(f"'row{i}' entry {self.entries[i][j]!r}: {exc.reason}",
+                                      exc.position) from exc
+            return A
+
+        return HermitianFamily(name=name, dim=m, matrix=matrix, tol=tol)
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """A family as a config file names it; a key left None takes the default
+    of the family's own class."""
+
+    name: str
+    n_max: int | None = None
+    m: int | None = None
+    potential: str | None = None
+    dim: int | None = None
+    rows: tuple[tuple[str, ...], ...] | None = None
+
+
+def _expr_family(tol: Tolerances, dim: int | None = None,
+                 rows: tuple[tuple[str, ...], ...] | None = None) -> HermitianFamily:
+    if dim is None or rows is None:
+        raise ConfigError("expr family needs dim and row entries")
+    return ExprMatrixSpec(dim=dim, entries=rows).to_family(tol=tol)
+
+
+# family name -> (the FamilySpec fields it reads, where ``rows`` are the
+# row<k> keys; its builder from tol and the fields a config set)
+_FAMILIES = {
+    "curve-lemma": (("n_max",), lambda **kw: CurveLemmaFamily(**kw).global_family()),
+    "resolvent-example": (("m",), lambda **kw: ResolventExampleFamily(**kw).family()),
+    "schrodinger": (("m", "potential"), lambda **kw: SchrodingerFamily(**kw).family()),
+    "expr": (("dim", "rows"), _expr_family),
+}
 
 
 def make_family(spec: FamilySpec, tol: Tolerances = DEFAULT_TOL) -> HermitianFamily:
-    """Build the family a config file names.
+    """Build the family a config file names from the fields it set.
 
-    A value the family's constructor refuses is a ConfigError: the config
-    named it.
+    A value the family refuses raises its constructor's ValueError; the
+    config check builds every family it is given and reports that error at
+    the line of the key.
     """
-    try:
-        if spec.name == "curve-lemma":
-            n_max = spec.n_max if spec.n_max is not None else 12
-            return CurveLemmaFamily(n_max=n_max, tol=tol).global_family()
-        if spec.name == "resolvent-example":
-            m = spec.m if spec.m is not None else 200
-            return ResolventExampleFamily(m=m, tol=tol).family()
-        if spec.name == "schrodinger":
-            m = spec.m if spec.m is not None else 99
-            return SchrodingerFamily(m=m, potential=spec.potential, tol=tol).family()
-    except ValueError as exc:
-        raise ConfigError(f"family {spec.name!r}: {exc}") from exc
-    if spec.name == "expr":
-        if spec.dim is None or spec.rows is None:
-            raise ConfigError("expr family needs dim and row entries")
-        return ExprMatrixSpec(dim=spec.dim, entries=spec.rows).to_family(tol=tol)
-    raise ConfigError(f"unknown family {spec.name!r}")
+    if spec.name not in _FAMILIES:
+        raise ConfigError(f"unknown family {spec.name!r}")
+    fields, build = _FAMILIES[spec.name]
+    return build(tol=tol, **{f: getattr(spec, f) for f in fields if getattr(spec, f) is not None})

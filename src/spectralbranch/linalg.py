@@ -10,11 +10,13 @@ is the only form: nothing the package reports depends on a choice of
 eigenvector phase, and nothing rewrites V.  The tracker's entry points run
 every OpenBLAS pool on one thread (``_one_blas_thread``), because at their
 sizes the pools' threads cost more CPU than the work they share.
+``Tolerances`` lives here, in the lowest module that reads one.
 """
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
 import functools
 import math
 import threading
@@ -26,8 +28,30 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.blas import dnrm2, dznrm2
 from scipy.linalg.lapack import dstevd, zhetrf, zhetrf_lwork
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import EigenConvergenceError, NotHermitianError, SpectrumTouchError
+
+
+@dataclasses.dataclass(frozen=True)
+class Tolerances:
+    """Numerical tolerances used across the package.
+
+    All values are positive.  Relative scalings (what a tolerance is measured
+    against) are documented where each tolerance is consumed.
+    """
+
+    hermitian_tol: float = 1e-10
+    eig_tol: float = 1e-10
+    proj_tol: float = 1e-10
+    cluster_tol: float = 1e-6
+    deriv_tie_tol: float = 1e-5
+    h_fd: float = 1e-5
+    max_nodes: int = 1024
+
+    def replace(self, **overrides) -> "Tolerances":
+        return dataclasses.replace(self, **overrides)
+
+
+DEFAULT_TOL = Tolerances()
 
 # A pivot at most this times max(1, largest pivot) puts the shift on the spectrum.
 _PIVOT_FLOOR = 1e-13

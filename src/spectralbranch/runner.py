@@ -102,7 +102,7 @@ def _graph_norm_lines(family: HermitianFamily, t0: float, t1: float, seed: int) 
 
 
 def _run_track(config: RunConfig) -> _Output:
-    family = make_family(config.family, config.tolerances())
+    family = make_family(config.family, config.tolerances)
     branches = track_branches(family, config.t_range, config.grid_size, order=config.order)
     m = branches.n_branches
     dv = np.gradient(branches.values, branches.grid, axis=0)
@@ -122,7 +122,7 @@ def _run_track(config: RunConfig) -> _Output:
 
 
 def _run_project(config: RunConfig) -> _Output:
-    family = make_family(config.family, config.tolerances())
+    family = make_family(config.family, config.tolerances)
     cs = config.contour
     gamma = Contour(center=complex(cs.center), radius=cs.radius, nodes=cs.nodes)
     spectrum = sorted_eigenvalues(family, config.t)
@@ -151,9 +151,8 @@ def _run_holder(config: RunConfig) -> _Output:
     hs = config.holder if config.holder is not None else HolderSpec()
     rows = []
     lines = ["command: counterexample-holder", f"alpha = {hs.alpha!r}"]
-    tol = config.tolerances()
     for n in hs.n_values:
-        q = holder_quotient(n, hs.alpha, tol=tol)
+        q = holder_quotient(n, hs.alpha, tol=config.tolerances)
         rows.append((float(n), q.alpha, q.closed_form, q.numerical, q.rel_diff))
         lines.append(
             f"n={n}: closed-form {q.closed_form!r}, numerical {q.numerical!r} "
@@ -183,11 +182,8 @@ def _run_resolvent(config: RunConfig) -> _Output:
 
 
 def _run_extend(config: RunConfig) -> _Output:
-    family = make_family(config.family, config.tolerances())
+    family = make_family(config.family, config.tolerances)
     k = config.given
-    if k > family.dim:
-        raise ConfigError(f"given must be between 0 and the family dimension {family.dim}, "
-                          f"got {k}")
     branches = track_branches(family, config.t_range, config.grid_size, order=config.order)
     mu = branches.values[:, :k]
     completion = extend_parameterization(branches, mu, order=config.order, tol=family.tol)

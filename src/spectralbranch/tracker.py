@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .contour import Contour
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
-from .linalg import _frobenius, _one_blas_thread, dense_eig, operator_norm, tridiagonal_eig
+from .linalg import (DEFAULT_TOL, Tolerances, _frobenius, _one_blas_thread, dense_eig,
+                     operator_norm, tridiagonal_eig)
 from .util import one_sided_first, one_sided_second, remove_nearest
 
 _SIDES = ("left", "right")
@@ -99,25 +99,36 @@ def one_sided_slot_derivatives(family: HermitianFamily, t_star: float, slots,
                                side: str, second: bool = False):
     """One-sided d/dt of the sorted-eigenvalue slot curves at t_star.
 
-    Fresh eigensolves at five stencil points on the requested side; returns
-    (first, second) true-scale arrays over ``slots`` (second is None unless
-    requested).  Probes may leave any grid of interest; families are total.
+    Fresh eigensolves at t_star and four stencil points per step on the
+    requested side; returns (first, second) true-scale arrays over ``slots``
+    (second is None unless requested).  Probes may leave any grid of
+    interest; families are total.
     """
     if side not in _SIDES:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     slots = list(slots)
     if not all(isinstance(s, (int, np.integer)) and 0 <= s < family.dim for s in slots):
         raise ValueError(f"slots must be integers in [0, {family.dim}), got {slots}")
+    return _slot_derivatives(family, t_star, _unit_eig(family, t_star)[0], slots, side, second)
+
+
+def _slot_derivatives(family: HermitianFamily, t_star: float, w_star: np.ndarray,
+                      slots: list[int], side: str, second: bool):
+    """one_sided_slot_derivatives with w_star, the unit-scale eigenvalues at
+    t_star, as every stencil's j = 0 sample; ``slots`` is a list."""
     sgn = 1.0 if side == "right" else -1.0
+
+    def samples(h: float) -> np.ndarray:
+        return np.stack([w_star[slots]] + [_unit_eig(family, t_star + sgn * j * h)[0][slots]
+                                           for j in range(1, 5)])
+
     f = family.scale_prefactor
     h1 = family.tol.h_fd * max(1.0, abs(t_star))
-    samples = np.stack([_unit_eig(family, t_star + sgn * j * h1)[0][slots] for j in range(5)])
-    first = one_sided_first(samples, h1, side) * f
+    first = one_sided_first(samples(h1), h1, side) * f
     if not second:
         return first, None
     h2 = _H_FD2 * max(1.0, abs(t_star))
-    samples2 = np.stack([_unit_eig(family, t_star + sgn * j * h2)[0][slots] for j in range(5)])
-    return first, one_sided_second(samples2, h2) * f
+    return first, one_sided_second(samples(h2), h2) * f
 
 
 def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour,
@@ -376,11 +387,10 @@ class _PendingEvent:
     report: MatchReport            # holds t* and the pairing
 
 
-def _match_group(family: HermitianFamily, t_star: float, slots: tuple[int, ...],
-                 order: int) -> MatchReport:
-    want_second = order == 2
-    dl, sl = one_sided_slot_derivatives(family, t_star, slots, "left", second=want_second)
-    dr, sr = one_sided_slot_derivatives(family, t_star, slots, "right", second=want_second)
+def _match_group(family: HermitianFamily, t_star: float, w_star: np.ndarray,
+                 slots: tuple[int, ...], order: int) -> MatchReport:
+    dl, sl = _slot_derivatives(family, t_star, w_star, list(slots), "left", order == 2)
+    dr, sr = _slot_derivatives(family, t_star, w_star, list(slots), "right", order == 2)
     return match_crossing(dl, dr, order=order, second_left=sl, second_right=sr,
                           tol=family.tol, t_star=t_star)
 
@@ -406,7 +416,7 @@ def _grid_events(family: HermitianFamily, grid: np.ndarray, values_unit: np.ndar
             _verify_window(family, t_star, w_star, slots[0], slots[-1], dt)
             events.append(_PendingEvent(
                 grid_span=(det.k_start, det.k_end), slots=slots,
-                report=_match_group(family, t_star, slots, order),
+                report=_match_group(family, t_star, w_star, slots, order),
             ))
     return events
 

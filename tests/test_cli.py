@@ -247,7 +247,19 @@ def test_exit_2_family_refuses_value(family, key, tmp_path, capsys):
                                       f"grid_size = 5\n[family]\n{family}\n")
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and key in err
+    assert err.startswith("config error: line 7: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_2_small_t_count_past_underflow(tmp_path, capsys):
+    # 2^-1075 rounds to 0.0, where the difference quotient has no value;
+    # 2^-1074 is the least positive double
+    text = "[run]\ncommand = counterexample-resolvent\n[resolvent]\nsmall_t_count = 1100\n"
+    parse_config(text.replace("1100", "1074"))
+    cfg = write(tmp_path / "run.cfg", text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 4: ") and "small_t_count" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -287,7 +299,7 @@ def test_tolerances_section_sets_the_gronwall_rate(tmp_path):
     config = parse_config(TRACK_CFG.replace("row0 = 0, t\nrow1 = t, 0",
                                             "row0 = sin(2*t), 1\nrow1 = 1, 0")
                           + "\n[tolerances]\nh_fd = 0.01\n")
-    tol = config.tolerances()
+    tol = config.tolerances
     assert run(config, out_dir=tmp_path) == 0
     est_grid = np.linspace(-1.0, 1.0, 201)
     a = 1.01 * estimate_derivative_bound(make_family(config.family, tol), est_grid)

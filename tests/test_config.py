@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectralbranch import (
+    DEFAULT_TOL,
     ConfigError,
     ContourSpec,
     FamilySpec,
@@ -16,6 +18,8 @@ from spectralbranch import (
     run,
 )
 from spectralbranch.cli import main
+
+EXTEND = (Path(__file__).resolve().parents[1] / "configs" / "extend_partial.cfg").read_text()
 
 TRACK = """
 [run]
@@ -132,7 +136,7 @@ def test_bad_order():
 def test_tolerance_overrides_flow_into_tolerances():
     text = TRACK + "\n[tolerances]\ncluster_tol = 1e-4\nmax_nodes = 256\n"
     cfg = parse_config(text)
-    tol = cfg.tolerances()
+    tol = cfg.tolerances
     assert tol.cluster_tol == 1e-4
     assert tol.max_nodes == 256
     assert isinstance(tol.max_nodes, int)
@@ -284,7 +288,7 @@ def test_parse_full_project_config():
         seed=7,
         output="out.csv",
         contour=ContourSpec(center=1.5, radius=1.25, nodes=128),
-        tolerance_overrides=(("max_nodes", 512.0), ("proj_tol", 1e-9)),
+        tolerances=DEFAULT_TOL.replace(max_nodes=512, proj_tol=1e-9),
     )
 
 
@@ -347,8 +351,7 @@ _HOLDER = RunConfig(command="counterexample-holder")
      "nodes"),
     (dataclasses.replace(_HOLDER, holder=HolderSpec(n_values=(1,))), "n_values"),
     (dataclasses.replace(_HOLDER, holder=HolderSpec(alpha=2.0)), "alpha"),
-    (dataclasses.replace(_TRACK, tolerance_overrides=(("eig_tol", -1e-10),)), "eig_tol"),
-    (dataclasses.replace(_TRACK, tolerance_overrides=(("fudge", 1e-3),)), "fudge"),
+    (dataclasses.replace(_TRACK, tolerances=DEFAULT_TOL.replace(eig_tol=-1e-10)), "eig_tol"),
     (dataclasses.replace(_TRACK, family=FamilySpec(name="schrodinger", m=2),
                          command="schrodinger"), "m=2"),
     (dataclasses.replace(_TRACK, family=FamilySpec(name="curve-lemma", n_max=1)), "n_max"),
@@ -356,7 +359,7 @@ _HOLDER = RunConfig(command="counterexample-holder")
      "m must be positive"),
     (dataclasses.replace(_TRACK, family=FamilySpec(name="curve-lemma", m=5)), "key 'm'"),
 ], ids=["grid_size-1", "order-3", "t_range-reversed", "t_range-inf", "radius-negative",
-        "nodes-4", "n_values-1", "alpha-2", "tolerance-negative", "tolerance-unknown",
+        "nodes-4", "n_values-1", "alpha-2", "tolerance-negative",
         "schrodinger-m-2", "curve-lemma-n_max-1", "resolvent-example-m-0",
         "curve-lemma-reads-no-m"])
 def test_run_refuses_invalid_code_built_config(cfg, key, tmp_path, capsys):
@@ -379,8 +382,16 @@ def test_run_refuses_invalid_code_built_config(cfg, key, tmp_path, capsys):
     ("[run]\ncommand = extend\nt_range = 0, 1\n[family]\nname = curve-lemma\n[extend]\n",
      2, "given"),
     ("[run]\ncommand = counterexample-resolvent\n[resolvent]\nn_max = 20\nm = 0\n", 5, "m = 0"),
+    ("[run]\ncommand = schrodinger\nt_range = 0, 1\n[family]\nname = schrodinger\nm = 2\n",
+     6, "m=2"),
+    ("[run]\ncommand = track\nt_range = 3, 3.5\n[family]\nname = curve-lemma\nn_max = 1\n",
+     6, "n_max"),
+    ("[run]\ncommand = track\nt_range = 0, 1\n[family]\nname = resolvent-example\nm = 0\n",
+     6, "m must be positive"),
+    (EXTEND.replace("given = 1", "given = 5"), 15, "family dimension 3, got 5"),
 ], ids=["family-reads-no-m", "row-gap", "t_range-span", "seed-negative", "output-path",
-        "schrodinger-needs-family", "extend-empty-section", "resolvent-m-0"])
+        "schrodinger-needs-family", "extend-empty-section", "resolvent-m-0",
+        "schrodinger-m-2", "curve-lemma-n_max-1", "resolvent-example-m-0", "extend-given-5"])
 def test_parse_rule_line_numbers(text, line, key, tmp_path, capsys):
     with pytest.raises(ConfigError, match=f"^line {line}: "):
         parse_config(text)

@@ -69,6 +69,21 @@ def test_every_tol_parameter_is_read():
     assert not unread
 
 
+def test_numerics_sit_below_the_config_language():
+    # imports run one way: no numerics module imports the config language,
+    # and below the gallery none parses an expression
+    below = {"linalg": {"config", "expressions"}, "families": {"config", "expressions"},
+             "contour": {"config", "expressions"}, "tracker": {"config", "expressions"},
+             "gallery": {"config"}}
+    crossing = []
+    for name, banned in below.items():
+        tree = ast.parse((ROOT / "src" / "spectralbranch" / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in banned:
+                crossing.append(f"{name} imports .{node.module}")
+    assert not crossing
+
+
 def test_readme_quick_start():
     section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]

@@ -1536,8 +1536,9 @@ def test_minimize_scalar_rejects_bad_bounds(a, b):
 @pytest.mark.parametrize("order", [1, 2])
 def test_track_reuses_refinement_eigensolve_at_t_star(order, monkeypatch):
     # dense solves: one per grid point and per minimizer evaluation, and at
-    # each crossing four probe times and five stencil points per side and
-    # order; the eigenvalues at t* are the minimizer's own
+    # each crossing four probe times and four stencil points per side and
+    # order; the eigenvalues at t*, each stencil's first point included,
+    # are the minimizer's own
     real_eig = spectralbranch.tracker.dense_eig
     real_min = spectralbranch.tracker.minimize_scalar
     eigs = evals = 0
@@ -1559,4 +1560,4 @@ def test_track_reuses_refinement_eigensolve_at_t_star(order, monkeypatch):
     monkeypatch.setattr(spectralbranch.tracker, "minimize_scalar", counting_min)
     bs = track_branches(_planted_pairs_family(), (-1.0, 1.0), 81, order=order)
     assert len(bs.crossings) == 3
-    assert eigs == 81 + evals + len(bs.crossings) * (4 + 10 * order)
+    assert eigs == 81 + evals + len(bs.crossings) * (4 + 8 * order)
