@@ -346,6 +346,9 @@ def _check_config(cfg: RunConfig, sections: dict | None = None) -> None:
                     parses(src, ("t",), f"'row{k}' entry", f"row{k}")
         if isinstance(fam.potential, str):  # run() also takes a callable, as the gallery does
             parses(fam.potential, ("t", "x"), "'potential'", "potential")
+        elif fam.potential is not None and not callable(fam.potential):
+            fail(f"'potential' must be an expression string or a callable, "
+                 f"got {type(fam.potential).__name__}", "family", "potential")
         try:
             family = make_family(fam, cfg.tolerances)
         except ValueError as exc:

@@ -7,9 +7,12 @@ of the package relies on.  The two eigensolvers, ``dense_eig`` (zheevd) and
 formed dense), return checked (w, V) as LAPACK gives them: ascending
 eigenvalues, orthonormal eigenvectors with whatever phases LAPACK left.  That
 is the only form: nothing the package reports depends on a choice of
-eigenvector phase, and nothing rewrites V.  The tracker's entry points run
-every OpenBLAS pool on one thread (``_one_blas_thread``), because at their
-sizes the pools' threads cost more CPU than the work they share.
+eigenvector phase, and nothing rewrites V.  A solve that needs only w
+skips the dense V: ``_tridiagonal_form`` makes zheevd's own reduction of A to
+real tridiagonal (d, e), and ``tridiagonal_eig`` solves it, with zheevd's w
+bit for bit.  The tracker's entry points run every OpenBLAS pool on one
+thread (``_one_blas_thread``), because at their sizes the pools' threads cost
+more CPU than the work they share.
 ``Tolerances`` lives here, in the lowest module that reads one.
 """
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.blas import dnrm2, dznrm2
-from scipy.linalg.lapack import dstevd, zhetrf, zhetrf_lwork
+from scipy.linalg.lapack import dstevd, zhetrd, zhetrd_lwork, zhetrf, zhetrf_lwork
 
 from .errors import EigenConvergenceError, NotHermitianError, SpectrumTouchError
 
@@ -192,6 +195,51 @@ def tridiagonal_eig(d, e, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np
     R[1:] += e[:, None] * V[:-1]
     _check_eigenpairs(_frobenius(R), V, scale, tol, "TV")
     return w, V
+
+
+@functools.cache
+def _zhetrd_lwork(m: int) -> int:
+    """The blocked workspace zhetrd asks for at m rows, as zheevd queries it."""
+    work, _ = zhetrd_lwork(m, lower=1)
+    return int(work.real)
+
+
+def _tridiagonal_form(A: np.ndarray,
+                      tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal d and off-diagonal e of the real symmetric tridiagonal T = Q^H A Q
+    that zheevd solves for A, an already checked finite Hermitian matrix.
+
+    zheevd reduces A's lower triangle with zhetrd, blocked above 32 rows,
+    and hands the real (d, e) to dstedc; its back-transformation V = Q Z never
+    changes w.  This is the same call, on the lower triangle and with the
+    workspace zhetrd_lwork gives, so tridiagonal_eig(d, e)'s w equals
+    dense_eig(A)'s bit for bit (the upper triangle, or the default unblocked
+    workspace, rounds differently).  The exception is scaling.  Entries above
+    about 1e+145 or below about 1e-146, and below about 1e-123 at 25 rows or
+    fewer (where zheevd runs complex QR), make zheevd and dstevd rescale
+    under their own rules, so there the bits may differ, though w is still
+    checked.  Entries of 1e-100 and 1e+140 matched; 1e+150 and 1e-150 did
+    not, nor did 1e-125 at 2 to 25 rows.
+
+    T is tied to A by the Frobenius norm, which a unitary similarity keeps:
+    | ||T||_F - ||A||_F | must be within eig_tol x max(1, ||A||_F), against A
+    as given or, where that fails, the matrix zhetrd read (_lower_hermitian),
+    else EigenConvergenceError.
+    """
+    _, d, e, _, info = zhetrd(A, lower=1, lwork=_zhetrd_lwork(A.shape[0]))
+    if info != 0:
+        raise EigenConvergenceError(f"tridiagonal reduction failed: zhetrd returned info={info}")
+    norm, norm_t = _frobenius(A), _frobenius(np.concatenate([d, e, e]))
+    bound = tol.eig_tol * max(1.0, norm)
+    # written so that a NaN norm fails the test
+    if not abs(norm_t - norm) <= bound:
+        norm = _frobenius(_lower_hermitian(A))
+        if not abs(norm_t - norm) <= bound:
+            raise EigenConvergenceError(
+                f"tridiagonal reduction lost the matrix: ||T||_F={norm_t:.17g} but "
+                f"||A||_F={norm:.17g}"
+            )
+    return d, e
 
 
 def solve_shifted(A, z: complex, B) -> np.ndarray:

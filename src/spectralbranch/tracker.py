@@ -23,8 +23,8 @@ import numpy as np
 from .contour import Contour
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
-from .linalg import (DEFAULT_TOL, Tolerances, _frobenius, _one_blas_thread, dense_eig,
-                     operator_norm, tridiagonal_eig)
+from .linalg import (DEFAULT_TOL, Tolerances, _frobenius, _one_blas_thread, _tridiagonal_form,
+                     dense_eig, operator_norm, tridiagonal_eig)
 from .util import one_sided_first, one_sided_second, remove_nearest
 
 _SIDES = ("left", "right")
@@ -42,9 +42,20 @@ def _unit_eig(family: HermitianFamily, t: float,
     return dense_eig(family.unit(t) if A is None else A, family.tol)
 
 
+def _unit_values(family: HermitianFamily, t: float, A: np.ndarray | None = None) -> np.ndarray:
+    """Unit-scale eigenvalues at t, _unit_eig's w bit for bit without its V:
+    tridiagonal_eig on the family's (d, e), or on the (d, e) that zheevd
+    reduces family.unit(t), or A if it is already built, to."""
+    if family.tridiagonal is not None:
+        d, e = family.tridiagonal(float(t))
+    else:
+        d, e = _tridiagonal_form(family.unit(t) if A is None else A, family.tol)
+    return tridiagonal_eig(d, e, family.tol)[0]
+
+
 def sorted_eigenvalues(family: HermitianFamily, t: float) -> np.ndarray:
     """Ascending true-scale eigenvalues of A(t)."""
-    return _unit_eig(family, t)[0] * family.scale_prefactor
+    return _unit_values(family, t) * family.scale_prefactor
 
 
 @dataclass(frozen=True)
@@ -109,7 +120,7 @@ def one_sided_slot_derivatives(family: HermitianFamily, t_star: float, slots,
     slots = list(slots)
     if not all(isinstance(s, (int, np.integer)) and 0 <= s < family.dim for s in slots):
         raise ValueError(f"slots must be integers in [0, {family.dim}), got {slots}")
-    return _slot_derivatives(family, t_star, _unit_eig(family, t_star)[0], slots, side, second)
+    return _slot_derivatives(family, t_star, _unit_values(family, t_star), slots, side, second)
 
 
 def _slot_derivatives(family: HermitianFamily, t_star: float, w_star: np.ndarray,
@@ -119,7 +130,7 @@ def _slot_derivatives(family: HermitianFamily, t_star: float, w_star: np.ndarray
     sgn = 1.0 if side == "right" else -1.0
 
     def samples(h: float) -> np.ndarray:
-        return np.stack([w_star[slots]] + [_unit_eig(family, t_star + sgn * j * h)[0][slots]
+        return np.stack([w_star[slots]] + [_unit_values(family, t_star + sgn * j * h)[slots]
                                            for j in range(1, 5)])
 
     f = family.scale_prefactor
@@ -327,11 +338,11 @@ def _refine_t_star(family: HermitianFamily, grid: np.ndarray,
     a = float(grid[max(det.k_start - 1, 0)])
     b = float(grid[min(det.k_end + 1, grid.shape[0] - 1)])
     if a == b:
-        return a, _unit_eig(family, a)[0]
+        return a, _unit_values(family, a)
     solved: dict[float, np.ndarray] = {}
 
     def spread(t: float) -> float:
-        w = solved[t] = _unit_eig(family, t)[0]
+        w = solved[t] = _unit_values(family, t)
         return float(w[det.hi] - w[det.lo])
 
     t_star = minimize_scalar(spread, a, b, 1e-10 * max(1.0, abs(a), abs(b)))
@@ -357,7 +368,7 @@ def _verify_window(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
     center = float(np.mean(w_star_unit[glo:ghi + 1])) * f
     times = [t_star + off * dt for off in _PROBE_OFFSETS]
     mats = [family.unit(t) for t in times]
-    values = [_unit_eig(family, t, A)[0] * f if off != 0.0 else w_star_unit * f
+    values = [_unit_values(family, t, A) * f if off != 0.0 else w_star_unit * f
               for off, t, A in zip(_PROBE_OFFSETS, times, mats)]
     spread = max(np.max(np.abs(w[glo:ghi + 1] - center)) for w in values)
     rest = [np.concatenate([w[:glo], w[ghi + 1:]]) for w in values]
@@ -465,7 +476,7 @@ def track_branches(family: HermitianFamily, t_range, grid_size: int,
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     grid = np.linspace(t0, t1, grid_size)
-    values_unit = np.array([_unit_eig(family, t)[0] for t in grid])
+    values_unit = np.array([_unit_values(family, t) for t in grid])
     pending = _grid_events(family, grid, values_unit, order)
     values_true = values_unit * family.scale_prefactor
     matched, events = _assemble(grid, values_true, pending)

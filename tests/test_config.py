@@ -358,10 +358,12 @@ _HOLDER = RunConfig(command="counterexample-holder")
     (dataclasses.replace(_TRACK, family=FamilySpec(name="resolvent-example", m=0)),
      "m must be positive"),
     (dataclasses.replace(_TRACK, family=FamilySpec(name="curve-lemma", m=5)), "key 'm'"),
+    (dataclasses.replace(_TRACK, family=FamilySpec(name="schrodinger", potential=5),
+                         command="schrodinger", t_range=(0.0, 1.0)), "'potential' must be"),
 ], ids=["grid_size-1", "order-3", "t_range-reversed", "t_range-inf", "radius-negative",
         "nodes-4", "n_values-1", "alpha-2", "tolerance-negative",
         "schrodinger-m-2", "curve-lemma-n_max-1", "resolvent-example-m-0",
-        "curve-lemma-reads-no-m"])
+        "curve-lemma-reads-no-m", "schrodinger-potential-not-callable"])
 def test_run_refuses_invalid_code_built_config(cfg, key, tmp_path, capsys):
     # one check for configs read from text and built in code: exit 2, the
     # key named, nothing written

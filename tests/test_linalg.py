@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,8 +18,8 @@ from spectralbranch import (
 import spectralbranch.linalg
 from spectralbranch import EigenConvergenceError
 from spectralbranch.config import DEFAULT_TOL
-from spectralbranch.linalg import (_hermitian_defect, as_matrix, dense_eig, eigenvalue_count,
-                                  tridiagonal_eig)
+from spectralbranch.linalg import (_hermitian_defect, _one_blas_thread, _tridiagonal_form,
+                                  as_matrix, dense_eig, eigenvalue_count, tridiagonal_eig)
 
 from conftest import assert_dense_bits, hermitian_with_spectrum, random_hermitian
 
@@ -398,3 +400,76 @@ def test_tridiagonal_eig_checks_orthogonality_on_its_own(monkeypatch):
     monkeypatch.setattr(spectralbranch.linalg, "dstevd", duplicated_pair)
     with pytest.raises(EigenConvergenceError, match=r"\|V\*V-I\|=1\.4"):
         tridiagonal_eig(d, e)
+
+
+# --------------------------------------------------------- tridiagonal form
+
+
+def values_corpus():
+    """Seven kinds of Hermitian matrix at m = 1..64, 96, 128 and 160: complex,
+    real, diagonal, a triply degenerate eigenvalue, rank one, and complex
+    scaled by 1e-100 and by 1e+100."""
+    rng = np.random.default_rng(30)
+    for m in [*range(1, 65), 96, 128, 160]:
+        A = random_hermitian(rng, m)
+        spectrum = rng.standard_normal(m)
+        spectrum[:3] = 0.75
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        yield A
+        yield random_hermitian(rng, m).real.astype(complex)
+        yield np.diag(rng.standard_normal(m)).astype(complex)
+        yield hermitian_with_spectrum(rng, spectrum)
+        yield np.outer(v, v.conj())
+        yield 1e-100 * A
+        yield 1e+100 * A
+
+
+@pytest.mark.parametrize("one_thread", [True, False], ids=["one-blas-thread", "default-threads"])
+def test_tridiagonal_form_values_bit_equal_to_dense(one_thread):
+    # zheevd's own reduction, solved by the tridiagonal solver: dense_eig's w
+    # without forming V, on one BLAS thread (as the tracker runs) and not
+    n = 0
+    with _one_blas_thread if one_thread else contextlib.nullcontext():
+        for A in values_corpus():
+            w = tridiagonal_eig(*_tridiagonal_form(A))[0]
+            assert w.tobytes() == dense_eig(A)[0].tobytes(), A.shape
+            n += 1
+    assert n == 469
+
+
+@pytest.mark.parametrize("defect", [
+    np.array([[0.0, 0.0], [1e-7, 0.0]]),
+    np.array([[0.0, 1e-7], [0.0, 0.0]]),
+], ids=["lower", "upper"])
+def test_tridiagonal_form_is_of_the_matrix_zhetrd_reads(defect):
+    # ||T||_F misses ||A||_F by more than eig_tol here, but equals the norm of
+    # the lower triangle with a real diagonal, which zheevd solves too
+    A = np.array([[1.0, 0.5], [0.5, -2.0]], dtype=complex) + defect
+    loose = DEFAULT_TOL.replace(hermitian_tol=1e-4)
+    d, e = _tridiagonal_form(A, loose)
+    assert abs(np.linalg.norm(np.concatenate([d, e, e])) - np.linalg.norm(A)) > 1e-10
+    assert tridiagonal_eig(d, e, loose)[0].tobytes() == dense_eig(A, loose)[0].tobytes()
+
+
+def test_tridiagonal_form_rejects_a_reduction_that_lost_the_matrix(monkeypatch, rng):
+    real = spectralbranch.linalg.zhetrd
+    A = random_hermitian(rng, 40)
+
+    def failed(*args, **kwargs):
+        *out, _ = real(*args, **kwargs)
+        return (*out, 3)
+
+    def perturbed(*args, **kwargs):
+        c, d, e, tau, info = real(*args, **kwargs)
+        return c, d, e + 1e-6, tau, info
+
+    monkeypatch.setattr(spectralbranch.linalg, "zhetrd", failed)
+    with pytest.raises(EigenConvergenceError, match="info=3"):
+        _tridiagonal_form(A)
+    monkeypatch.setattr(spectralbranch.linalg, "zhetrd", perturbed)
+    with pytest.raises(EigenConvergenceError, match="lost the matrix"):
+        _tridiagonal_form(A)
+    # the tridiagonal solve alone would accept the wrong T: only the tie to
+    # A's norm rejects it
+    _, d, e, _, _ = perturbed(A, lower=1)
+    tridiagonal_eig(d, e)

@@ -381,6 +381,38 @@ def _planted_pairs_family():
     return HermitianFamily(name="three-pairs", dim=6, matrix=matrix)
 
 
+def _crossing_bytes(bs):
+    """Every number a BranchSet reports, as bytes."""
+    parts = [bs.values.tobytes()]
+    for ev in bs.crossings:
+        r = ev.report
+        parts += [np.float64(ev.t_star).tobytes(), np.float64(r.residual).tobytes(),
+                  repr((ev.slots, ev.labels, ev.sigma, r.pairing)).encode(),
+                  r.left.tobytes(), r.right.tobytes()]
+        parts += [x.tobytes() for x in (r.second_left, r.second_right) if x is not None]
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_track_dense_family_forms_no_eigenvectors(order, monkeypatch):
+    # every solve of a dense family is values-only, and its values equal
+    # dense_eig's: the tracked output is that of the eigenvector path
+    fam = _planted_pairs_family()
+    monkeypatch.setattr(spectralbranch.tracker, "_unit_values",
+                        lambda family, t, A=None: spectralbranch.tracker._unit_eig(family, t, A)[0])
+    reference = track_branches(fam, (-1.0, 1.0), 81, order=order)
+    monkeypatch.undo()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense eigenvectors formed during tracking")
+
+    monkeypatch.setattr(spectralbranch.tracker, "dense_eig", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    bs = track_branches(fam, (-1.0, 1.0), 81, order=order)
+    assert len(bs.crossings) == 3
+    assert _crossing_bytes(bs) == _crossing_bytes(reference)
+
+
 def test_track_verifies_crossings_without_shifted_solves(monkeypatch):
     # every crossing is still counted at its probe times, by inertia: the
     # contour quadrature's shifted solves are never reached
@@ -503,6 +535,7 @@ def test_track_schrodinger_solves_without_dense_matrices(monkeypatch):
         raise AssertionError("dense matrix built or solved on the tridiagonal path")
 
     monkeypatch.setattr(spectralbranch.tracker, "dense_eig", forbidden)
+    monkeypatch.setattr(spectralbranch.tracker, "_tridiagonal_form", forbidden)
     monkeypatch.setattr(HermitianFamily, "unit", forbidden)
     bs = track_branches(fam, (0.0, 1.0), 41)
     assert not bs.crossings
@@ -1535,11 +1568,11 @@ def test_minimize_scalar_rejects_bad_bounds(a, b):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_track_reuses_refinement_eigensolve_at_t_star(order, monkeypatch):
-    # dense solves: one per grid point and per minimizer evaluation, and at
+    # values solves: one per grid point and per minimizer evaluation, and at
     # each crossing four probe times and four stencil points per side and
     # order; the eigenvalues at t*, each stencil's first point included,
     # are the minimizer's own
-    real_eig = spectralbranch.tracker.dense_eig
+    real_eig = spectralbranch.tracker.tridiagonal_eig
     real_min = spectralbranch.tracker.minimize_scalar
     eigs = evals = 0
 
@@ -1556,7 +1589,7 @@ def test_track_reuses_refinement_eigensolve_at_t_star(order, monkeypatch):
 
         return real_min(g, *args, **kwargs)
 
-    monkeypatch.setattr(spectralbranch.tracker, "dense_eig", counting_eig)
+    monkeypatch.setattr(spectralbranch.tracker, "tridiagonal_eig", counting_eig)
     monkeypatch.setattr(spectralbranch.tracker, "minimize_scalar", counting_min)
     bs = track_branches(_planted_pairs_family(), (-1.0, 1.0), 81, order=order)
     assert len(bs.crossings) == 3
