@@ -8,8 +8,9 @@ projector and the requested power sums stabilize below proj_tol, capped at
 max_nodes.
 
 The enclosed eigenvalue count needs no quadrature: it is exact by inertia
-(``Contour.inertia_count``), so ``spectral_cluster`` knows N first and one
-quadrature yields the projector and s_0..s_{2N} together.
+(``Contour.inertia_count``, Sturm counts on zheevd's tridiagonal form of A),
+so ``spectral_cluster`` knows N first and one quadrature yields the
+projector and s_0..s_{2N} together.
 
 All linear solves run at the family's unit scale: a contour given in true
 coordinates maps to unit coordinates via z -> z/f with f = scale_prefactor,
@@ -70,18 +71,17 @@ class Contour:
                 f"{d:.3e} of the spectrum; margin requires {need:.3e}"
             )
 
-    def inertia_count(self, A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-        """Exact count of the eigenvalues of Hermitian A inside the circle, by inertia.
-
-        The eigenvalues are real, so the disk holds exactly those in the open
-        interval where the circle meets the real axis.
-        """
+    def _real_interval(self) -> tuple[float, float] | None:
+        """The open interval where the disk meets the real axis, or None."""
         c = complex(self.center)
-        half_sq = self.radius**2 - c.imag**2
-        if half_sq <= 0.0:
-            return 0
-        half = float(np.sqrt(half_sq))
-        return eigenvalue_count(A, c.real - half, c.real + half, tol)
+        half = float(np.sqrt(max(self.radius**2 - c.imag**2, 0.0)))
+        return (c.real - half, c.real + half) if half > 0.0 else None
+
+    def inertia_count(self, A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+        """Exact count of the eigenvalues of Hermitian A inside the circle, by
+        inertia: being real, those in the disk's _real_interval."""
+        interval = self._real_interval()
+        return 0 if interval is None else eigenvalue_count(A, *interval, tol)
 
     def scaled(self, f: float) -> "Contour":
         """Image of the contour under z -> z/f (map to unit coordinates)."""

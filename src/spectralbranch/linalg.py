@@ -10,9 +10,10 @@ is the only form: nothing the package reports depends on a choice of
 eigenvector phase, and nothing rewrites V.  A solve that needs only w
 skips the dense V: ``_tridiagonal_form`` makes zheevd's own reduction of A to
 real tridiagonal (d, e), and ``tridiagonal_eig`` solves it, with zheevd's w
-bit for bit.  The tracker's entry points run every OpenBLAS pool on one
-thread (``_one_blas_thread``), because at their sizes the pools' threads cost
-more CPU than the work they share.
+bit for bit, and ``_sturm_counts`` counts eigenvalues on the same (d, e).
+The tracker's entry points run every OpenBLAS pool on one thread
+(``_one_blas_thread``), because at their sizes the pools' threads cost more
+CPU than the work they share.
 ``Tolerances`` lives here, in the lowest module that reads one.
 """
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.blas import dnrm2, dznrm2
-from scipy.linalg.lapack import dstevd, zhetrd, zhetrd_lwork, zhetrf, zhetrf_lwork
+from scipy.linalg.lapack import dstevd, zhetrd, zhetrd_lwork
 
 from .errors import EigenConvergenceError, NotHermitianError, SpectrumTouchError
 
@@ -56,7 +57,7 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
-# A pivot at most this times max(1, largest pivot) puts the shift on the spectrum.
+# Relative distance at which a shift touches the spectrum (solve_shifted, _sturm_counts).
 _PIVOT_FLOOR = 1e-13
 
 
@@ -269,62 +270,59 @@ def solve_shifted(A, z: complex, B) -> np.ndarray:
     return lu_solve((lu, piv), B)
 
 
-def _negative_count(A: np.ndarray, s: float) -> int:
-    """Negative eigenvalues of A - sI: the inertia of D in A - sI = L D L^H.
-
-    D from Bunch-Kaufman (zhetrf, lower storage) is block diagonal with 1x1
-    and 2x2 Hermitian blocks; a 2x2 block is marked by a pair of negative
-    ipiv entries.  A pivot (an eigenvalue of a block) at or below
-    _PIVOT_FLOOR x max(1, largest pivot) raises SpectrumTouchError.
+def _sturm_counts(d, e, shifts) -> list[int]:
+    """Eigenvalues of the real tridiagonal T (diagonal d, off-diagonal e) below
+    each shift s: by Sylvester's law, the negative pivots q_i = (d_i - s) -
+    e_{i-1} (e_{i-1} / q_{i-1}) of T - sI = L D L^T, an O(m) count that is
+    backward stable (Kahan 1966; Demmel, Applied Numerical Linear Algebra,
+    1997, sec. 5.3.4).  A pivot below pivmin puts s near an eigenvalue of a
+    leading block, not of T, and counts as -pivmin, as in LAPACK's dlaneg.
+    e (e / q) never forms e^2, which overflows from 1.3e154; where e / q
+    overflows (in Python floats, with no warning) the infinite q adds 0 to
+    the next pivot, as in the limit.  Each s is counted at s -+ delta, delta
+    = _PIVOT_FLOOR x max(1, max |d| + 2 max |e|); where the counts differ an
+    eigenvalue lies within delta of s: SpectrumTouchError.  d counts by its
+    real part; a non-finite entry raises NotHermitianError.
     """
-    m = A.shape[0]
-    lwork, _ = zhetrf_lwork(m, lower=1)
-    ldu, ipiv, _ = zhetrf(A - s * np.eye(m), lower=1, lwork=int(lwork.real), overwrite_a=1)
-    d = ldu.diagonal().real
-    paired = ipiv < 0
-    k = np.flatnonzero(paired & (np.cumsum(paired) % 2 == 1))  # first row of each 2x2
-    one = d[~paired]
-    a, c = d[k], d[k + 1]
-    b2 = np.abs(ldu[k + 1, k]) ** 2
-    det, tr = a * c - b2, a + c
-    big = 0.5 * np.abs(tr) + np.sqrt(0.25 * (a - c) ** 2 + b2)
-    pivots = np.concatenate([np.abs(one), big, np.abs(det) / big])
-    floor = _PIVOT_FLOOR * max(1.0, float(pivots.max()))
-    if not float(pivots.min()) > floor:
-        raise SpectrumTouchError(
-            f"shift {s!r} touches the spectrum: D pivot {pivots.min():.3e} is at or "
-            f"below the working-precision floor {floor:.3e}"
-        )
-    # Bunch-Kaufman takes a 2x2 pivot only when its off-diagonal dominates,
-    # so det < 0 there in practice; the trace term keeps the rule exact for
-    # any Hermitian 2x2 block.
-    return int(np.count_nonzero(one < 0.0) + np.count_nonzero(det < 0.0)
-               + 2 * np.count_nonzero((det > 0.0) & (tr < 0.0)))
+    d, e = np.real(d), np.asarray(e, dtype=np.float64)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise NotHermitianError("tridiagonal matrix has non-finite entries")
+    scale = max(1.0, float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0)))
+    delta, pivmin = _PIVOT_FLOOR * scale, float(np.finfo(np.float64).tiny) * scale
+    rows = list(zip(d.tolist(), [0.0] + e.tolist()))
+
+    def below(x: float) -> int:
+        q, n = 1.0, 0
+        for di, ei in rows:
+            q = (di - x) - ei * (ei / q)
+            if abs(q) < pivmin:
+                q = -pivmin
+            n += q < 0.0
+        return n
+
+    counts = []
+    for s in map(float, shifts):
+        lo, hi = below(s - delta), below(s + delta)
+        if lo != hi:
+            raise SpectrumTouchError(f"shift {s!r} touches the spectrum, to within {delta:.3e}")
+        counts.append(lo)
+    return counts
 
 
 def eigenvalue_count(A, lo: float, hi: float, tol: Tolerances = DEFAULT_TOL) -> int:
     """Exact number of eigenvalues of Hermitian A in the open interval (lo, hi).
 
-    Sylvester's law of inertia: A - sI has as many negative eigenvalues as A
-    has below s, so the count is nu(A - hi I) - nu(A - lo I), read off two
-    LDL^H factorizations (spectrum slicing).  An endpoint on the spectrum to
-    working precision raises SpectrumTouchError instead of returning a count.
+    Spectrum slicing: A = Q T Q^H for the tridiagonal T that zheevd reduces A
+    to, so the count is T's Sturm count below hi less that below lo.  An end
+    within delta of the spectrum (_sturm_counts) raises SpectrumTouchError.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
     A = ensure_hermitian(A, tol)
     if A.shape[0] == 0:
         return 0
-    return _negative_count(A, hi) - _negative_count(A, lo)
-
-
-def numerical_rank(A, tol_abs: float) -> int:
-    """Number of singular values strictly above the absolute threshold."""
-    A = np.asarray(A, dtype=np.complex128)
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.count_nonzero(s > tol_abs))
+    below_lo, below_hi = _sturm_counts(*_tridiagonal_form(A, tol), (lo, hi))
+    return below_hi - below_lo
 
 
 def operator_norm(A) -> float:
@@ -375,7 +373,7 @@ def _blas_pools() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]
 class _OneBlasThread(contextlib.ContextDecorator):
     """Run every OpenBLAS pool on one thread inside the block or decorated call.
 
-    The tracker's work is many small eigensolves, LDL^H factorizations and
+    The tracker's work is many small eigensolves, tridiagonal reductions and
     products, and it switches between numpy's and scipy's OpenBLAS; on each
     switch the other pool's threads wake and spin.  One thread per pool
     does the same work at a fraction of the CPU.

@@ -5,9 +5,9 @@ where branches cross.  This module detects the collisions on a grid, refines
 the collision parameter, estimates one-sided derivatives of the colliding
 slots from both sides, pairs them by sorted order (curvature-refined at
 order 2), and applies the resulting permutation so each output column is a
-differentiable branch.  Each collision is verified by exact inertia counts
-at a circle's real endpoints over a probe window: the circle must enclose
-the same number of eigenvalues at every probe time.
+differentiable branch.  Each collision is verified by exact Sturm counts at
+a circle's real endpoints, on the (d, e) of the values solves over a probe
+window: the circle must enclose the same number of eigenvalues at each time.
 
 Collision detection and stencil arithmetic run at the family's unit scale so
 tiny overall prefactors do not collapse every gap below the detection
@@ -23,8 +23,8 @@ import numpy as np
 from .contour import Contour
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
-from .linalg import (DEFAULT_TOL, Tolerances, _frobenius, _one_blas_thread, _tridiagonal_form,
-                     dense_eig, operator_norm, tridiagonal_eig)
+from .linalg import (DEFAULT_TOL, Tolerances, _frobenius, _one_blas_thread, _sturm_counts,
+                     _tridiagonal_form, dense_eig, operator_norm, tridiagonal_eig)
 from .util import one_sided_first, one_sided_second, remove_nearest
 
 _SIDES = ("left", "right")
@@ -32,25 +32,30 @@ _SIDES = ("left", "right")
 _H_FD2 = 1e-4
 
 
-def _unit_eig(family: HermitianFamily, t: float,
-              A: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-scale (w, V) at t as the solver returns them: tridiagonal_eig on
-    (d, e) for a tridiagonal family, else dense_eig on family.unit(t), or on A
-    if it is already built."""
+def _unit_eig(family: HermitianFamily, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-scale (w, V) at t: tridiagonal_eig on the family's (d, e), else dense_eig."""
     if family.tridiagonal is not None:
         return tridiagonal_eig(*family.tridiagonal(float(t)), family.tol)
-    return dense_eig(family.unit(t) if A is None else A, family.tol)
+    return dense_eig(family.unit(t), family.tol)
 
 
-def _unit_values(family: HermitianFamily, t: float, A: np.ndarray | None = None) -> np.ndarray:
-    """Unit-scale eigenvalues at t, _unit_eig's w bit for bit without its V:
-    tridiagonal_eig on the family's (d, e), or on the (d, e) that zheevd
-    reduces family.unit(t), or A if it is already built, to."""
+def _unit_form(family: HermitianFamily, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-scale (d, e) at t: the family's own, or zheevd's of family.unit(t)."""
     if family.tridiagonal is not None:
-        d, e = family.tridiagonal(float(t))
-    else:
-        d, e = _tridiagonal_form(family.unit(t) if A is None else A, family.tol)
-    return tridiagonal_eig(d, e, family.tol)[0]
+        return family.tridiagonal(float(t))
+    return _tridiagonal_form(family.unit(t), family.tol)
+
+
+def _unit_values(family: HermitianFamily, t: float) -> np.ndarray:
+    """Unit-scale eigenvalues at t, _unit_eig's w bit for bit without its V."""
+    return tridiagonal_eig(*_unit_form(family, t), family.tol)[0]
+
+
+def _enclosed_count(g: Contour, d: np.ndarray, e: np.ndarray) -> int:
+    """Eigenvalues in the unit-scale circle g of the matrix reduced to (d, e)."""
+    interval = g._real_interval()
+    below = _sturm_counts(d, e, interval) if interval else [0, 0]
+    return below[1] - below[0]
 
 
 def sorted_eigenvalues(family: HermitianFamily, t: float) -> np.ndarray:
@@ -148,21 +153,20 @@ def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour
 
     These are the one-sided derivatives (from either side) of the branches
     colliding inside gamma at t_star; one eigensolve's eigenvectors there span
-    range P.  Their count must equal inertia's at t_star and at two probes on
-    the requested side; a change means the box is too large.
+    range P.  Their count must equal the Sturm count in gamma at t_star and
+    at two probes on the requested side; a change means the box is too large.
     """
     if side not in _SIDES:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     sgn = 1.0 if side == "right" else -1.0
     g = gamma.scaled(family.scale_prefactor)
-    A = family.unit(t_star)
-    w, V = _unit_eig(family, t_star, A)
+    w, V = _unit_eig(family, t_star)
     F = V[:, np.abs(w - g.center) < g.radius]
     N = F.shape[1]
     h = family.tol.h_fd * max(1.0, abs(t_star))
     for j in (0, 1, 2):
         t = t_star + sgn * j * h
-        count = g.inertia_count(A if j == 0 else family.unit(t), family.tol)
+        count = _enclosed_count(g, *_unit_form(family, t))
         if count != N:
             raise RankDriftError(
                 f"box too large: contour encloses {N} eigenvalues at t={t_star!r} "
@@ -361,15 +365,15 @@ def _verify_window(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
     sized from eigensolves at the probe times, not from t_star alone.  That
     rule already keeps the circle clear of the spectrum at t_star (the group
     lies at least 0.23 r inside it, the rest at least 0.33 r outside), and
-    its count at each probe time, exact by inertia on the same probe
-    matrices, is the group's size.
+    its count at each probe time, a Sturm count on the (d, e) that the probe's
+    eigensolve solves, is the group's size.
     """
     f = family.scale_prefactor
     center = float(np.mean(w_star_unit[glo:ghi + 1])) * f
     times = [t_star + off * dt for off in _PROBE_OFFSETS]
-    mats = [family.unit(t) for t in times]
-    values = [_unit_values(family, t, A) * f if off != 0.0 else w_star_unit * f
-              for off, t, A in zip(_PROBE_OFFSETS, times, mats)]
+    forms = [_unit_form(family, t) for t in times]
+    values = [tridiagonal_eig(*form, family.tol)[0] * f if off != 0.0 else w_star_unit * f
+              for off, form in zip(_PROBE_OFFSETS, forms)]
     spread = max(np.max(np.abs(w[glo:ghi + 1] - center)) for w in values)
     rest = [np.concatenate([w[:glo], w[ghi + 1:]]) for w in values]
     d_out = min((float(np.min(np.abs(r - center))) for r in rest if r.size),
@@ -382,8 +386,8 @@ def _verify_window(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
         )
     expected = ghi - glo + 1
     g = Contour(center=center, radius=radius).scaled(f)
-    for t_probe, A in zip(times, mats):
-        count = g.inertia_count(A, family.tol)
+    for t_probe, form in zip(times, forms):
+        count = _enclosed_count(g, *form)
         if count != expected:
             raise RankDriftError(
                 f"rank drift: contour around {center!r} encloses {count} eigenvalues "

@@ -39,6 +39,14 @@ def random_hermitian(rng: np.random.Generator, m: int, scale: float = 1.0) -> np
     return scale * 0.5 * (M + M.conj().T)
 
 
+def numerical_rank(A, tol_abs: float) -> int:
+    """Number of singular values strictly above the absolute threshold."""
+    A = np.asarray(A, dtype=np.complex128)
+    if A.size == 0:
+        return 0
+    return int(np.count_nonzero(np.linalg.svd(A, compute_uv=False) > tol_abs))
+
+
 def hermitian_with_spectrum(rng: np.random.Generator, eigenvalues) -> np.ndarray:
     """Hermitian matrix with prescribed spectrum and Haar-ish eigenbasis."""
     w = np.asarray(eigenvalues, dtype=float)

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import hermitian_with_spectrum, make_offdiag_t_family, random_hermitian
+from conftest import (hermitian_with_spectrum, make_offdiag_t_family, numerical_rank,
+                      random_hermitian)
 
 from spectralbranch import (
     Contour,
@@ -25,7 +26,6 @@ from spectralbranch import (
     extend_parameterization,
     gronwall_screen,
     holder_quotient,
-    numerical_rank,
     one_sided_slot_derivatives,
     operator_norm,
     parse_config,

@@ -18,10 +18,10 @@ from spectralbranch import (
     riesz_projector,
     spectral_cluster,
 )
-from spectralbranch.linalg import dense_eig, numerical_rank
+from spectralbranch.linalg import dense_eig
 from spectralbranch.util import multiset_distance
 
-from conftest import make_diag_family, random_hermitian
+from conftest import make_diag_family, numerical_rank, random_hermitian
 
 
 def test_projector_diag_oracle():

@@ -5,23 +5,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scipy.linalg.lapack import zhetrf
-
 from spectralbranch import (
     NotHermitianError,
     SpectrumTouchError,
     ensure_hermitian,
-    numerical_rank,
     operator_norm,
     solve_shifted,
 )
 import spectralbranch.linalg
 from spectralbranch import EigenConvergenceError
 from spectralbranch.config import DEFAULT_TOL
-from spectralbranch.linalg import (_hermitian_defect, _one_blas_thread, _tridiagonal_form,
-                                  as_matrix, dense_eig, eigenvalue_count, tridiagonal_eig)
+from spectralbranch.linalg import (_PIVOT_FLOOR, _hermitian_defect, _one_blas_thread,
+                                  _sturm_counts, _tridiagonal_form, as_matrix, dense_eig,
+                                  eigenvalue_count, tridiagonal_eig)
 
-from conftest import assert_dense_bits, hermitian_with_spectrum, random_hermitian
+from conftest import assert_dense_bits, hermitian_with_spectrum, numerical_rank, random_hermitian
 
 
 def test_eig_2x2_oracle():
@@ -122,11 +120,9 @@ def test_unitary_invariance_of_spectrum(seed):
 # ------------------------------------------------------------ inertia counts
 
 
-def test_eigenvalue_count_2x2_pivot_oracle():
-    # [[0,1],[1,0]] has eigenvalues -1, +1; the shift 0 leaves a zero diagonal,
-    # so Bunch-Kaufman must take a 2x2 pivot
+def test_eigenvalue_count_2x2_oracle():
+    # [[0,1],[1,0]] has eigenvalues -1, +1; the shift 0 leaves a zero diagonal
     A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert np.all(zhetrf(A, lower=1)[1] < 0)
     assert eigenvalue_count(A, 0.0, 2.0) == 1
     assert eigenvalue_count(A, -2.0, 0.0) == 1
     assert eigenvalue_count(A, -2.0, 2.0) == 2
@@ -144,7 +140,7 @@ def _zero_diagonal_hermitian(rng, m):
 def test_eigenvalue_count_matches_eigvalsh(seed, m, zero_diag):
     rng = np.random.default_rng(seed)
     if zero_diag:
-        # the shift 0 keeps the zero diagonal, forcing 2x2 pivots for m >= 2
+        # the shift 0 keeps the zero diagonal
         A = _zero_diagonal_hermitian(rng, m)
         ends = [0.0, float(rng.normal(scale=3.0))]
     else:
@@ -158,11 +154,10 @@ def test_eigenvalue_count_matches_eigvalsh(seed, m, zero_diag):
     assert eigenvalue_count(A, lo, hi) == want
 
 
-def test_eigenvalue_count_zero_diagonal_uses_2x2_pivots():
+def test_eigenvalue_count_zero_diagonal():
     rng = np.random.default_rng(7)
     for m in (2, 5, 12, 40):
         A = _zero_diagonal_hermitian(rng, m)
-        assert np.any(zhetrf(A, lower=1)[1] < 0)
         w = np.linalg.eigvalsh(A)
         assert eigenvalue_count(A, 0.0, 50.0) == np.count_nonzero(w > 0.0)
         assert eigenvalue_count(A, -50.0, 0.0) == np.count_nonzero(w < 0.0)
@@ -184,6 +179,98 @@ def test_eigenvalue_count_shift_on_eigenvalue_raises(seed):
 def test_eigenvalue_count_rejects_empty_interval():
     with pytest.raises(ValueError):
         eigenvalue_count(np.eye(2, dtype=complex), 1.0, 1.0)
+
+
+# ------------------------------------------------------------- Sturm counts
+
+
+def _dense_tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _touch_delta(d, e):
+    """The half-width of the touch rule that _sturm_counts states."""
+    return _PIVOT_FLOOR * max(1.0, np.max(np.abs(d)) + 2.0 * np.max(np.abs(e), initial=0.0))
+
+
+def _tridiagonal_case(rng, m, kind):
+    """(d, e) of one kind, and shifts worth counting at: random ones and 0."""
+    d, e = rng.normal(size=m), rng.normal(size=m - 1)
+    if kind == "zero-diagonal":
+        d[:] = 0.0
+    elif kind == "split":
+        e[rng.random(m - 1) < 0.4] = 0.0
+    elif kind == "degenerate":
+        # copies of one block, split apart: every eigenvalue repeats
+        k = int(rng.integers(1, 4))
+        block_d, block_e = rng.normal(size=k), rng.normal(size=k - 1)
+        d = np.resize(block_d, m)
+        e = np.resize(np.concatenate([block_e, [0.0]]), m - 1)
+    elif kind == "rank-one":
+        # v v^T for a v with two nonzeros next to each other, or one alone
+        d[:], e[:] = 0.0, 0.0
+        i = int(rng.integers(0, m))
+        a, b = rng.normal(size=2)
+        d[i] = a * a
+        if i + 1 < m:
+            d[i + 1], e[i] = b * b, a * b
+    shifts = np.concatenate([rng.normal(scale=2.0, size=6), [0.0]])
+    return d, e, shifts
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 100_000), m=st.integers(1, 60),
+       kind=st.sampled_from(["random", "zero-diagonal", "split", "degenerate", "rank-one"]),
+       scale=st.sampled_from([1.0, 1e154, 1e300]))
+def test_sturm_counts_match_eigvalsh(seed, m, kind, scale):
+    rng = np.random.default_rng(seed)
+    d, e, shifts = _tridiagonal_case(rng, m, kind)
+    d, e, shifts = scale * d, scale * e, scale * shifts
+    w = np.linalg.eigvalsh(_dense_tridiagonal(d, e))
+    # a shift on the spectrum raises by design (tested below); eigvalsh
+    # itself is only good to a few ulps of the norm
+    gap = np.min(np.abs(np.subtract.outer(w, shifts)), axis=0)
+    shifts = shifts[gap > 1e-8 * max(scale, float(np.max(np.abs(w))))]
+    assume(shifts.size)
+    assert _sturm_counts(d, e, shifts) == [int(np.count_nonzero(w < s)) for s in shifts]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e154, 1e300])
+def test_sturm_counts_at_and_near_exact_eigenvalues(scale):
+    # [[0, 1], [1, 0]] has eigenvalues -1 and 1, and the split diagonal its
+    # own entries, exactly also once scaled by a power of ten
+    for d, e, w in (([0.0, 0.0], [1.0], [-1.0, 1.0]),
+                    ([-1.5, 0.5, 0.5, 2.0], [0.0, 0.0, 0.0], [-1.5, 0.5, 0.5, 2.0])):
+        d, e, w = scale * np.array(d), scale * np.array(e), scale * np.array(w)
+        delta = _touch_delta(d, e)
+        for lam in w:
+            with pytest.raises(SpectrumTouchError, match="touches the spectrum"):
+                _sturm_counts(d, e, [lam])
+            below = int(np.count_nonzero(w < lam))
+            assert _sturm_counts(d, e, [lam - 10.0 * delta, lam + 10.0 * delta]) == \
+                [below, below + int(np.count_nonzero(w == lam))]
+
+
+@pytest.mark.parametrize("d1, e0", [(0.0, 0.3), (1.0, 1e3)])
+def test_sturm_counts_replace_a_zero_pivot(d1, e0):
+    # the count at s is taken at s - delta, where the first pivot
+    # d_0 - (s - delta) is exactly 0: it counts as -pivmin, with no division
+    # by zero, and the next pivot is large, or +inf where e_0 / pivmin
+    # overflows (e_0 = 1e3)
+    s = 0.25
+    delta = _PIVOT_FLOOR * max(1.0, d1 + 2.0 * e0)
+    d, e = np.array([s - delta, d1]), np.array([e0])
+    assert _touch_delta(d, e) == delta
+    w = np.linalg.eigvalsh(_dense_tridiagonal(d, e))
+    assert _sturm_counts(d, e, [s]) == [int(np.count_nonzero(w < s))] == [1]
+
+
+def test_sturm_counts_one_row_and_non_finite_entries():
+    assert _sturm_counts(np.array([2.0]), np.zeros(0), [1.0, 3.0, -5.0]) == [0, 1, 0]
+    assert _sturm_counts(np.array([2.0 + 1e-12j]), np.zeros(0), [3.0]) == [1]
+    for d, e in (([np.nan, 1.0], [0.5]), ([0.0, 1.0], [np.inf])):
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            _sturm_counts(np.array(d), np.array(e), [0.5])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

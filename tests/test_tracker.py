@@ -399,7 +399,7 @@ def test_track_dense_family_forms_no_eigenvectors(order, monkeypatch):
     # dense_eig's: the tracked output is that of the eigenvector path
     fam = _planted_pairs_family()
     monkeypatch.setattr(spectralbranch.tracker, "_unit_values",
-                        lambda family, t, A=None: spectralbranch.tracker._unit_eig(family, t, A)[0])
+                        lambda family, t: spectralbranch.tracker._unit_eig(family, t)[0])
     reference = track_branches(fam, (-1.0, 1.0), 81, order=order)
     monkeypatch.undo()
 
@@ -429,14 +429,14 @@ def test_track_verifies_crossings_without_shifted_solves(monkeypatch):
 
 def test_track_rank_drift_names_probe(monkeypatch):
     # a count mismatch at a probe time raises with t and both counts
-    real = spectralbranch.contour.eigenvalue_count
+    real = spectralbranch.tracker._enclosed_count
     calls = []
 
-    def off_by_one(A, lo, hi, tol):
-        calls.append((lo, hi))
-        return real(A, lo, hi, tol) + (1 if len(calls) == 3 else 0)
+    def off_by_one(g, d, e):
+        calls.append(g)
+        return real(g, d, e) + (1 if len(calls) == 3 else 0)
 
-    monkeypatch.setattr(spectralbranch.contour, "eigenvalue_count", off_by_one)
+    monkeypatch.setattr(spectralbranch.tracker, "_enclosed_count", off_by_one)
     with pytest.raises(RankDriftError, match=r"encloses 3 eigenvalues at t=.*expected 2"):
         track_branches(make_offdiag_t_family(), (-1.0, 1.0), 81)
 
@@ -447,8 +447,7 @@ def test_one_sided_derivatives_runs_no_quadrature(monkeypatch):
         raise AssertionError("quadrature reached by one_sided_derivatives")
 
     monkeypatch.setattr(spectralbranch.contour, "solve_shifted", forbidden)
-    for name in ("solve_shifted", "numerical_rank"):
-        monkeypatch.setattr(spectralbranch.linalg, name, forbidden)
+    monkeypatch.setattr(spectralbranch.linalg, "solve_shifted", forbidden)
     d = one_sided_derivatives(make_offdiag_t_family(), 0.0, Contour(center=0.0, radius=0.5))
     assert np.allclose(d, [-1.0, 1.0], atol=1e-10)
 
@@ -540,6 +539,26 @@ def test_track_schrodinger_solves_without_dense_matrices(monkeypatch):
     bs = track_branches(fam, (0.0, 1.0), 41)
     assert not bs.crossings
     assert bs.values.tobytes() == dense.values.tobytes()
+
+
+def test_track_tridiagonal_family_with_crossings_forms_no_matrix():
+    # d = (t, -t, 0.5), e = 0 crosses at -0.5, 0 and 0.5: every solve and
+    # every probe count runs on the family's own (d, e)
+    def matrix(t):
+        raise AssertionError("dense matrix formed for a tridiagonal family")
+
+    fam = HermitianFamily(name="split-lines", dim=3, matrix=matrix,
+                          deriv=lambda t: np.diag([1.0, -1.0, 0.0]).astype(complex),
+                          tridiagonal=lambda t: (np.array([t, -t, 0.5]), np.zeros(2)))
+    bs = track_branches(fam, (-1.0, 1.0), 101)
+    assert [ev.t_star for ev in bs.crossings] == pytest.approx([-0.5, 0.0, 0.5], abs=1e-8)
+    lines = np.stack([bs.grid, -bs.grid, np.full_like(bs.grid, 0.5)], axis=1)
+    # each column follows its own line
+    err = np.max(np.abs(bs.values[:, :, None] - lines[:, None, :]), axis=0)
+    assert sorted(np.argmin(err, axis=1).tolist()) == [0, 1, 2]
+    assert np.max(np.min(err, axis=1)) <= 1e-12
+    d = one_sided_derivatives(fam, 0.0, Contour(center=0.0, radius=0.25))
+    assert np.allclose(d, [-1.0, 1.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("potential, message", [
@@ -856,9 +875,9 @@ def test_screen_grams_keep_the_head_of_the_shipped_schrodinger_family(monkeypatc
         widths.append(Y.shape[1])
         return original_estimate(Y)
 
-    def counting(family, t, A=None):
+    def counting(family, t):
         eig_calls.append(t)
-        return original_eig(family, t, A)
+        return original_eig(family, t)
 
     monkeypatch.setattr(spectralbranch.tracker, "_norm_estimate", recording)
     monkeypatch.setattr(spectralbranch.tracker, "_unit_eig", counting)
@@ -1046,8 +1065,8 @@ def test_eigenvector_phases_reach_only_the_last_bits_of_the_bound(monkeypatch):
     real_unit_eig = spectralbranch.tracker._unit_eig
     draws = np.random.default_rng(11)
 
-    def rephased(family, t, A=None):
-        w, V = real_unit_eig(family, t, A)
+    def rephased(family, t):
+        w, V = real_unit_eig(family, t)
         if np.iscomplexobj(V):
             return w, V * np.exp(2j * np.pi * draws.random(V.shape[1]))
         return w, V * draws.choice([-1.0, 1.0], V.shape[1])
