@@ -11,7 +11,9 @@ eigenvector phase, and nothing rewrites V.  A solve that needs only w
 skips the dense V: ``_tridiagonal_form`` makes zheevd's own reduction of A to
 real tridiagonal (d, e), and ``tridiagonal_eig`` solves it, with zheevd's w
 bit for bit, and ``_sturm_counts`` counts eigenvalues on the same (d, e).
-The tracker's entry points run every OpenBLAS pool on one thread
+``_psd_certified`` proves a Hermitian matrix in LAPACK band storage
+positive semidefinite, rounding errors included, with one Cholesky and no
+eigensolve.  The tracker's entry points run every OpenBLAS pool on one thread
 (``_one_blas_thread``), because at their sizes the pools' threads cost more
 CPU than the work they share.
 ``Tolerances`` lives here, in the lowest module that reads one.
@@ -30,7 +32,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.blas import dnrm2, dznrm2
-from scipy.linalg.lapack import dstevd, zhetrd, zhetrd_lwork
+from scipy.linalg.lapack import dpbtrf, dstevd, zhetrd, zhetrd_lwork, zpbtrf
 
 from .errors import EigenConvergenceError, NotHermitianError, SpectrumTouchError
 
@@ -178,15 +180,7 @@ def tridiagonal_eig(d, e, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np
     Hermitian diagonal.  The residual and orthogonality checks are
     dense_eig's, one _check_eigenpairs, with a banded product for T V.
     """
-    d = np.asarray(d)
-    e = np.asarray(e, dtype=np.float64)
-    if d.ndim != 1 or d.size == 0 or e.shape != (d.size - 1,):
-        raise ValueError(f"need d of length m >= 1 and e of length m - 1, "
-                         f"got {d.shape} and {e.shape}")
-    # the dense matrix's defect max |t_ij - conj(t_ji)| is 2 max |Im d_i|
-    scale = _hermitian_scale(_frobenius(np.concatenate([d, e, e])),
-                             lambda: 2.0 * float(np.max(np.abs(d.imag))), tol)
-    d = np.ascontiguousarray(d.real, dtype=np.float64)
+    d, e, scale = _checked_tridiagonal(d, e, tol)
     # the wrapper wants at least one off-diagonal entry even at m = 1
     w, V, info = dstevd(d, e if d.size > 1 else np.zeros(1), compute_v=1)
     if info != 0:
@@ -196,6 +190,19 @@ def tridiagonal_eig(d, e, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np
     R[1:] += e[:, None] * V[:-1]
     _check_eigenpairs(_frobenius(R), V, scale, tol, "TV")
     return w, V
+
+
+def _checked_tridiagonal(d, e, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float]:
+    """tridiagonal_eig's checks: the real (d, e) it solves and max(1, ||T||_F)."""
+    d = np.asarray(d)
+    e = np.asarray(e, dtype=np.float64)
+    if d.ndim != 1 or d.size == 0 or e.shape != (d.size - 1,):
+        raise ValueError(f"need d of length m >= 1 and e of length m - 1, "
+                         f"got {d.shape} and {e.shape}")
+    # the dense matrix's defect max |t_ij - conj(t_ji)| is 2 max |Im d_i|
+    scale = _hermitian_scale(_frobenius(np.concatenate([d, e, e])),
+                             lambda: 2.0 * float(np.max(np.abs(d.imag))), tol)
+    return np.ascontiguousarray(d.real, dtype=np.float64), e, scale
 
 
 @functools.cache
@@ -331,6 +338,39 @@ def operator_norm(A) -> float:
     if A.size == 0:
         return 0.0
     return float(np.linalg.norm(A, 2))
+
+
+def _band(X: np.ndarray, kd: int) -> np.ndarray:
+    """LAPACK lower band storage of X: ab[l, j] = X[j + l, j], 0 past row m."""
+    rows = np.arange(kd + 1)[:, None] + np.arange(X.shape[0])
+    return np.where(rows < X.shape[0], X[np.minimum(rows, X.shape[0] - 1), rows[0]], 0)
+
+
+def _psd_certified(ab: np.ndarray, err: Callable[[np.ndarray], np.ndarray]) -> bool:
+    """True only if every S + E is positive semidefinite, S the Hermitian
+    matrix in lower band storage ab and |E| x <= err(x) for all x >= 0.
+
+    One Cholesky (pbtrf) of D^-1 S D^-1 - delta I decides, D the powers of
+    two that put its diagonal in [1/4, 1).  If it completes, D^-1 S D^-1 =
+    L L^H + delta I - dS, |dS| <= g |L| |L^H|, g = 4 (kd + 2) u (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, Thm
+    10.3; the 4 covers complex arithmetic).  Row i of L has squared norm
+    (L L^H)_ii < 1 / (1 - g), so by Cauchy-Schwarz a row of |L| |L^H| sums
+    to less than (2 kd + 1) / (1 - g).  delta covers that inf-norm of dS,
+    the inf-norm of D^-1 |E| D^-1 and u for the shift's rounding and for
+    underflow, so S + E >= 0 (Demmel, LAPACK Working Note 14, 1989; Rump,
+    "Verification of positive definiteness", BIT 2006).
+    """
+    kd, m = ab.shape[0] - 1, ab.shape[1]
+    if not (np.all(ab[0].real > 0.0) and np.all(np.isfinite(ab))):
+        return False
+    inv = np.ldexp(1.0, -np.frexp(np.sqrt(ab[0].real))[1])
+    g = 4.0 * (kd + 2) * 2.0**-53
+    delta = 2.0 * (float(np.max(inv * err(inv))) + g * (2 * kd + 2))
+    S = ab * inv[np.minimum(np.arange(kd + 1)[:, None] + np.arange(m), m - 1)] * inv
+    S[0] -= delta
+    # written so that a NaN delta fails the test
+    return (zpbtrf if np.iscomplexobj(S) else dpbtrf)(S, lower=1)[1] == 0 and delta < np.inf
 
 
 # Thread-count API of the OpenBLAS that numpy's wheel bundles (64-bit

@@ -23,7 +23,8 @@ import numpy as np
 from .contour import Contour
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
-from .linalg import (DEFAULT_TOL, Tolerances, _frobenius, _one_blas_thread, _sturm_counts,
+from .linalg import (DEFAULT_TOL, Tolerances, _band, _checked_tridiagonal, _frobenius,
+                     _hermitian_defect, _one_blas_thread, _psd_certified, _sturm_counts,
                      _tridiagonal_form, dense_eig, operator_norm, tridiagonal_eig)
 from .util import one_sided_first, one_sided_second, remove_nearest
 
@@ -598,6 +599,29 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
 # For a Schrodinger family f_k / f_1 falls like 1 / k^2, so the head at
 # 2^-10 keeps k up to about 2^5: at m = 99, Y is m x K with K of 33 or 34,
 # and its Gram K x K.
+#
+# Read downward, with sigma_min(V) >= sqrt(1 - g) and Y_H a block of A' V F,
+# the chain gives the lower bound max(0, e (1 - slack) - rounding).
+#
+# The certificate (_clears) needs no eigensolve.  Take any (w, V) that the
+# eigensolver accepts for the H = p H_u it solves (p the prefactor; H_u is
+# T(d, e) with d real, or A if exactly Hermitian), R = H V - V W with ||R||
+# <= r = p (eig_tol + (m + 2)^2 u) max(1, ||H_u||_F), the check and its
+# rounding, and G = V^H V - I:
+#
+#   F (V^H V + (HV)^H HV) F = F (I + W^2) F + F (G + W G W) F
+#                             + F (W V^H R + R^H V W) F + F R^H R F,
+#
+# of norm at most (sqrt(1 + g) + r max f)^2 ([F; W F] has orthonormal
+# columns up to f's rounding).  So A'^H A' <= c^2 (I + H^2) gives ||A' V F||
+# <= c (sqrt(1 + g) + r max f), and with max f <= 1 the chain gives s <= c
+# (1 + slack) (1 + r) + 4 (m + 2)^2 u ||A'||_F, the threshold less 2^-40.
+# _psd_certified decides M = c^2 I + (c H)^2 - A'^H A' >= 0, A' and c
+# scaled by a power of two as in _norm_estimate.  M's entries are sums of
+# at most n products (n = m, or 5 for a tridiagonal H and diagonal A', in
+# O(m)), so they err by at most 2 (n + 8) u (c^2 I + |cH| |cH| + |A'|^T
+# |A'|); underflow adds 2^-1074 an entry, inside that once c^2 > 2^-960.
+# A cleared point runs no eigensolver, so it raises no EigenConvergenceError.
 _SCREEN_SLACK = 1e-8
 _SCREEN_HEAD = 2.0**-10
 
@@ -628,16 +652,17 @@ def _norm_estimate(Y: np.ndarray) -> float:
     return math.ldexp(math.sqrt(max(lam, 0.0)), k)
 
 
-def _screen_bound(family: HermitianFamily, t: float, side: str | None) -> float:
-    """Upper bound on the SVD norm of _damped_derivative(family, t, side).
+def _screen_bound(family: HermitianFamily, t: float, side: str | None) -> tuple[float, float]:
+    """Lower and upper bounds on the SVD norm of _damped_derivative(family, t, side).
 
     It bounds Y = A'(t) V F, not X = Y V^H: with V unitary both have the
     same singular values whatever V's column phases.  V is _unit_eig's, the
     same as _damped_derivative's.  The head columns, where f is at least
     _SCREEN_HEAD max f, get the Gram estimate of A'(t) V_H F_H; the tail
     columns get sqrt(||A'||_1 ||A'||_inf) max_T f, which needs no product,
-    and the two combine as hypot(head, tail).  Y is real when V and A'(t)
-    are.  The terms of the bound are derived above _SCREEN_SLACK.
+    and the two combine as hypot(head, tail); the lower bound is the head's.
+    Y is real when V and A'(t) are.  The bounds are derived above
+    _SCREEN_SLACK.
     """
     w, V = _unit_eig(family, t)
     w = w * family.scale_prefactor
@@ -650,12 +675,63 @@ def _screen_bound(family: HermitianFamily, t: float, side: str | None) -> float:
     rounding = 4.0 * (m + 2) ** 2 * 2.0**-53 * _frobenius(Ad) * float(np.max(f))
     head = f >= _SCREEN_HEAD * float(np.max(f))
     estimate = _norm_estimate(Ad @ (V[:, head] * f[head]))
+    lower = max(0.0, estimate * (1.0 - slack) - rounding)
     if not head.all():
         absd = np.abs(Ad)
         norm_1, norm_inf = float(np.max(absd.sum(axis=0))), float(np.max(absd.sum(axis=1)))
         tail = math.sqrt(norm_1) * math.sqrt(norm_inf) * float(np.max(f[~head]))
         estimate = math.hypot(estimate, tail)
-    return estimate * (1.0 + slack) + rounding
+    return lower, estimate * (1.0 + slack) + rounding
+
+
+def _clears(family: HermitianFamily, t: float, side: str | None, threshold: float) -> bool:
+    """True only if the SVD norm of _damped_derivative(family, t, side) is at
+    most threshold, proved with no eigensolve (derived above _SCREEN_SLACK).
+    A(t) and A'(t) are checked as _screen_bound checks them."""
+    tol, m, p = family.tol, family.dim, family.scale_prefactor
+    if family.tridiagonal is not None:
+        d, e, scale = _checked_tridiagonal(*family.tridiagonal(float(t)), tol)
+    else:
+        A = family.unit(t)
+        scale = max(1.0, _frobenius(A))
+    Ad = family.derivative(t, side)
+    if not np.any(Ad):
+        return threshold >= 0.0
+    u = 2.0**-53
+    slack = max(_SCREEN_SLACK, m * m * u) + tol.eig_tol * m
+    r = p * scale * (tol.eig_tol + (m + 2) ** 2 * u)
+    c = (threshold - 4.0 * (m + 2) ** 2 * u * _frobenius(Ad)) / ((1.0 + slack) * (1.0 + r))
+    k = max(math.frexp(float(np.max(np.abs(Ad))))[1], -1021)
+    c = math.ldexp(c * (1.0 - 2.0**-40), -k)
+    if not c > 2.0**-480:
+        return False
+    Ad = Ad * math.ldexp(1.0, -k)
+    a, n = np.abs(np.diagonal(Ad)), m
+    if family.tridiagonal is not None and np.count_nonzero(Ad) == np.count_nonzero(a):
+        hd, he, n = c * p * d, c * p * e, 5
+        M = np.zeros((3, m))
+        M[0] = hd * hd + np.r_[0.0, he * he] + np.r_[he * he, 0.0] - a * a
+        M[1, :-1] = he * (hd[:-1] + hd[1:])
+        M[2, :-2] = he[:-1] * he[1:]
+
+        def gram_err(x):
+            y = x
+            for _ in range(2):  # y = |H| |H| x
+                y = abs(hd) * y + np.r_[0.0, abs(he) * y[:-1]] + np.r_[abs(he) * y[1:], 0.0]
+            return y + a * a * x
+    else:
+        if family.tridiagonal is not None:
+            A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        elif _hermitian_defect(A):
+            return False
+        H, Ad = (X if np.any(X.imag) else X.real for X in (c * p * A, Ad))
+        M = _band(H.conj().T @ H - Ad.conj().T @ Ad, m - 1)
+        abs_h, abs_d = np.abs(H), np.abs(Ad)
+
+        def gram_err(x):
+            return abs_h.T @ (abs_h @ x) + abs_d.T @ (abs_d @ x)
+    M[0] += c * c
+    return _psd_certified(M, lambda x: 2.0 * (n + 8) * u * (c * c * x + gram_err(x)))
 
 
 @_one_blas_thread
@@ -666,10 +742,12 @@ def estimate_derivative_bound(family: HermitianFamily, grid) -> float:
     Rayleigh quotient of A'(t) at a unit eigenvector, and (I + A^2)^{1/2}
     stretches that eigenvector by sqrt(1 + lambda^2) <= 1 + |lambda|.
 
-    A cheap upper bound on each point's norm orders the points; exact SVD
-    norms are then taken, largest bound first, until no remaining bound can
-    exceed the running maximum.  The maximum does not depend on the order,
-    so the result equals the maximum of every point's SVD norm.
+    Coarse to fine, a point is cleared when one Cholesky of the graph-norm
+    pencil c^2 (I + A^2) - A'^H A' proves its norm at most c, the largest
+    lower bound so far; other points get lower and upper bounds from one
+    eigensolve.  Exact SVD norms follow, largest upper bound first, until
+    no remaining bound can exceed the running maximum.  So the result
+    equals the maximum of every point's SVD norm.
 
     A finite-difference A' is one-sided, pointing into the grid, within
     2 h_fd max(1, |t|) of either end: the family is evaluated only between
@@ -684,7 +762,13 @@ def estimate_derivative_bound(family: HermitianFamily, grid) -> float:
     lo, hi = grid.min(), grid.max()
     sides = ["right" if t - r < lo else "left" if t + r > hi else None
              for t, r in zip(ts, reach)]
-    bounds = np.array([_screen_bound(family, t, side) for t, side in zip(ts, sides)])
+    last = len(ts) - 1
+    bounds, threshold = np.full(len(ts), -np.inf), -math.inf
+    # coarse to fine: both ends, then each index by the largest power of two dividing it
+    for i in [0, last][:len(ts)] + sorted(range(1, last), key=lambda i: -(i & -i)):
+        if not (threshold >= 0.0 and _clears(family, ts[i], sides[i], threshold)):
+            lower, bounds[i] = _screen_bound(family, ts[i], sides[i])
+            threshold = max(threshold, lower)
     best = 0.0
     for n, i in enumerate(np.argsort(-bounds, kind="stable")):
         if n and bounds[i] <= best:

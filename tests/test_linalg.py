@@ -15,9 +15,9 @@ from spectralbranch import (
 import spectralbranch.linalg
 from spectralbranch import EigenConvergenceError
 from spectralbranch.config import DEFAULT_TOL
-from spectralbranch.linalg import (_PIVOT_FLOOR, _hermitian_defect, _one_blas_thread,
-                                  _sturm_counts, _tridiagonal_form, as_matrix, dense_eig,
-                                  eigenvalue_count, tridiagonal_eig)
+from spectralbranch.linalg import (_PIVOT_FLOOR, _band, _hermitian_defect, _one_blas_thread,
+                                  _psd_certified, _sturm_counts, _tridiagonal_form, as_matrix,
+                                  dense_eig, eigenvalue_count, tridiagonal_eig)
 
 from conftest import assert_dense_bits, hermitian_with_spectrum, numerical_rank, random_hermitian
 
@@ -560,3 +560,42 @@ def test_tridiagonal_form_rejects_a_reduction_that_lost_the_matrix(monkeypatch, 
     # A's norm rejects it
     _, d, e, _, _ = perturbed(A, lower=1)
     tridiagonal_eig(d, e)
+
+
+def test_band_storage_holds_the_lower_diagonals(rng):
+    X = random_hermitian(rng, 5)
+    ab = _band(X, 2)
+    for l in range(3):
+        assert np.array_equal(ab[l, :5 - l], np.diagonal(X, -l)) and not ab[l, 5 - l:].any()
+
+
+def test_psd_certificate_refuses_a_negative_eigenvalue_at_rounding_level():
+    # tridiag(1/2, a, 1/2) at m = 50 has least eigenvalue a - cos(pi / 51):
+    # the kernel's rounding bound, delta, is about 1e-14 here
+    m = 50
+    cos = np.cos(np.pi / (m + 1))
+
+    def band(shift):
+        return np.array([np.full(m, cos + shift), np.r_[np.full(m - 1, 0.5), 0.0]])
+
+    def least(shift):
+        ab = band(shift)
+        T = np.diag(ab[0]) + np.diag(ab[1, :-1], 1) + np.diag(ab[1, :-1], -1)
+        return np.linalg.eigvalsh(T)[0]
+
+    def exact(x):
+        return np.zeros_like(x)
+
+    for shift in (-2e-14, -1e-15):
+        assert least(shift) < 0.0
+        assert not _psd_certified(band(shift), exact)
+    assert least(1e-12) > 0.0
+    assert _psd_certified(band(1e-12), exact)
+    assert _psd_certified(band(1e-12).astype(complex), exact)
+    # an error bound of 1e-11 I, wider than the margin, admits an indefinite matrix
+    assert not _psd_certified(band(1e-12), lambda x: 1e-11 * x)
+    # the power-of-two scaling makes the test blind to the size of the diagonal
+    D = np.ldexp(1.0, np.arange(m) * 20 - 500)
+    rows = np.minimum(np.arange(2)[:, None] + np.arange(m), m - 1)
+    assert _psd_certified(band(1e-12) * D[rows] * D, exact)
+    assert not _psd_certified(band(-2e-14) * D[rows] * D, exact)

@@ -756,11 +756,11 @@ def screen_points(family, grid):
 
 @spectralbranch.linalg._one_blas_thread
 def assert_screen_bounds_hold(family, grid):
-    """Every point's screen bound is at least the SVD norm taken there."""
+    """Every point's screen bounds hold the SVD norm taken there."""
     for t, side in screen_points(family, grid):
-        bound = spectralbranch.tracker._screen_bound(family, t, side)
+        lower, upper = spectralbranch.tracker._screen_bound(family, t, side)
         norm = operator_norm(spectralbranch.tracker._damped_derivative(family, t, side))
-        assert bound >= norm, (family.name, t, bound, norm)
+        assert lower <= norm <= upper, (family.name, t, lower, norm, upper)
 
 
 def quadratic_family(seed, m, scale=1.0, deriv_scale=1.0, analytic=True):
@@ -828,10 +828,9 @@ def test_screened_bound_extreme_entries(deriv_scale, norm_calls):
     assert len(norm_calls) <= 3
 
 
-def test_screened_bound_near_ties(norm_calls):
-    # A(t) = 0 and A'(t) = Q(t) diag(s) Q(t)^H with a different unitary Q(t)
-    # at every point: every norm is max(s) up to rounding, so the estimates
-    # cannot order the points and the screen must take every exact norm
+def near_ties_family():
+    """A(t) = 0 and A'(t) = Q(t) diag(s) Q(t)^H with a different unitary Q(t)
+    at every t: every norm is max |s| up to rounding."""
     s = np.array([3.0, -1.5, 0.25, 2.0, -2.75])
 
     def deriv(t):
@@ -839,8 +838,14 @@ def test_screened_bound_near_ties(norm_calls):
         Q, _ = np.linalg.qr(Z)
         return (Q * s) @ Q.conj().T
 
-    fam = HermitianFamily(name="near-ties", dim=5, matrix=lambda t: np.zeros((5, 5)),
-                          deriv=deriv)
+    return HermitianFamily(name="near-ties", dim=5, matrix=lambda t: np.zeros((5, 5)),
+                           deriv=deriv)
+
+
+def test_screened_bound_near_ties(norm_calls):
+    # the estimates cannot order the points, so the screen must take every
+    # exact norm
+    fam = near_ties_family()
     grid = np.linspace(0.0, 1.0, 30)
     assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid)
     assert len(norm_calls) == grid.size
@@ -861,30 +866,54 @@ def test_screened_bound_shipped_schrodinger_family(norm_calls):
     assert len(norm_calls) == 1
 
 
-def test_screen_grams_keep_the_head_of_the_shipped_schrodinger_family(monkeypatch, norm_calls):
+@pytest.fixture
+def eig_calls(monkeypatch):
+    calls = []
+    original = spectralbranch.tracker._unit_eig
+
+    def counting(family, t):
+        calls.append(t)
+        return original(family, t)
+
+    monkeypatch.setattr(spectralbranch.tracker, "_unit_eig", counting)
+    return calls
+
+
+def test_screen_grams_keep_the_head_of_the_shipped_schrodinger_family(monkeypatch, eig_calls):
     # f_k = (1 + w_k^2)^{-1/2} falls like 1/(pi^2 k^2), so most columns of
-    # A' V F go to the tail term: every Gram is smaller than m x m, and each
-    # screen point still makes one eigensolve
+    # A' V F go to the tail term: every Gram that runs is smaller than
+    # m x m, and the certificate leaves at most one point to the screen
     fam = SchrodingerFamily(m=99, potential="t*x").family()
     grid = np.linspace(0.0, 1.0, 201)
-    widths, eig_calls = [], []
+    widths = []
     original_estimate = spectralbranch.tracker._norm_estimate
-    original_eig = spectralbranch.tracker._unit_eig
 
     def recording(Y):
         widths.append(Y.shape[1])
         return original_estimate(Y)
 
-    def counting(family, t):
-        eig_calls.append(t)
-        return original_eig(family, t)
-
     monkeypatch.setattr(spectralbranch.tracker, "_norm_estimate", recording)
-    monkeypatch.setattr(spectralbranch.tracker, "_unit_eig", counting)
     assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid)
-    assert len(widths) == grid.size
-    assert max(widths) < fam.dim
-    assert len(eig_calls) == grid.size + len(norm_calls)
+    assert widths and max(widths) < fam.dim
+    assert len(eig_calls) <= 2
+
+
+@pytest.mark.parametrize("make, grid, most", [
+    # configs/schrodinger.cfg's family on its estimate grid: the first
+    # point is the maximum, and it clears all the others
+    (lambda: SchrodingerFamily(m=99, potential="t*x").family(), np.linspace(0.0, 1.0, 201), 2),
+    # A' = 0: every point after the first clears at the threshold 0
+    (lambda: make_diag_family(1.0, 2.0, -3.0), np.linspace(0.0, 1.0, 201), 2),
+    # criterion 08's curve-lemma family: A' = 0 between the windows
+    (lambda: CurveLemmaFamily(n_max=12).global_family(),
+     np.linspace(*CurveLemmaFamily(n_max=12).full_range(), 4001), 20),
+])
+def test_certificate_clears_points_without_an_eigensolve(make, grid, most, eig_calls,
+                                                         norm_calls):
+    fam = make()
+    assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid)
+    assert len(eig_calls) <= most
+    assert len(norm_calls) == 1
 
 
 @pytest.fixture
@@ -913,14 +942,25 @@ def estimate_dtypes(monkeypatch):
     return dtypes
 
 
-def test_screened_bound_covers_rounding_of_damped_large_derivative(norm_calls):
-    # In a fixed frame Q0, A(t) turns its null vector v0(t) within span(q0, q1)
-    # and has eigenvalues 1e12 to 3e12 elsewhere; A' is constant, equal to 1
-    # on that plane, coupled to q2 and q3, and 1e10 to 3e10 off it.  So
-    # ||A' F|| is sqrt(2) up to 1e-5 at every point while the products round
-    # at u ||A'|| ||F||, about 1e-6 of it: the estimates and the SVD norms
-    # order the points differently, and only the per-point rounding term
-    # keeps the screen from skipping the maximum
+@pytest.fixture
+def certificate_dtypes(monkeypatch):
+    dtypes = []
+    original = spectralbranch.tracker._psd_certified
+
+    def recording(ab, err):
+        dtypes.append(ab.dtype)
+        return original(ab, err)
+
+    monkeypatch.setattr(spectralbranch.tracker, "_psd_certified", recording)
+    return dtypes
+
+
+def damped_large_derivative_family():
+    """In a fixed frame Q0, A(t) turns its null vector v0(t) within
+    span(q0, q1) and has eigenvalues 1e12 to 3e12 elsewhere; A' is
+    constant, equal to 1 on that plane, coupled to q2 and q3, and 1e10 to
+    3e10 off it.  So ||A' F|| is sqrt(2) up to 1e-5 at every point while
+    the products round at u ||A'|| ||F||, about 1e-6 of it."""
     m = 6
     Z = np.random.default_rng(11).standard_normal((m, 2 * m)).view(complex)
     Q0 = np.linalg.qr(Z)[0]
@@ -938,8 +978,16 @@ def test_screened_bound_covers_rounding_of_damped_large_derivative(norm_calls):
         A = (Q * lam) @ Q.conj().T
         return 0.5 * (A + A.conj().T)
 
-    fam = HermitianFamily(name="damped-large-derivative", dim=m, matrix=matrix,
-                          deriv=lambda t: Ad)
+    return HermitianFamily(name="damped-large-derivative", dim=m, matrix=matrix,
+                           deriv=lambda t: Ad)
+
+
+def test_screened_bound_covers_rounding_of_damped_large_derivative(norm_calls):
+    # the estimates and the SVD norms order the points differently, and
+    # only the per-point rounding term keeps the screen from skipping the
+    # maximum
+    fam = damped_large_derivative_family()
+    Ad = fam.derivative(0.0)
     damped = spectralbranch.tracker._damped_derivative(fam, 0.0, None)
     assert np.linalg.norm(Ad, 2) / np.linalg.norm(damped, 2) >= 1e10
     grid = np.linspace(0.0, 1.0, 40)
@@ -947,9 +995,9 @@ def test_screened_bound_covers_rounding_of_damped_large_derivative(norm_calls):
     assert len(norm_calls) == grid.size
 
 
-def test_screened_bound_tridiagonal_family_with_complex_derivative(estimate_dtypes):
-    # real tridiagonal A(t), solved by dstevd, with a Hermitian A'(t) that
-    # has imaginary off-diagonal entries: the estimate runs in complex
+def complex_derivative_tridiagonal_family():
+    """Real tridiagonal A(t), solved by dstevd, with a Hermitian A'(t) that
+    has imaginary off-diagonal entries."""
     m = 40
     d0 = np.linspace(-3.0, 5.0, m)
     off = np.full(m - 1, 0.75)
@@ -966,23 +1014,29 @@ def test_screened_bound_tridiagonal_family_with_complex_derivative(estimate_dtyp
         D += np.diag(np.full(m - 1, 0.5j * (2.0 + t)), 1)
         return D + np.diag(np.full(m - 1, -0.5j * (2.0 + t)), -1)
 
-    fam = HermitianFamily(name="tridiagonal-complex-derivative", dim=m, matrix=matrix,
-                          deriv=deriv, tridiagonal=lambda t: (diagonal(t), off))
+    return HermitianFamily(name="tridiagonal-complex-derivative", dim=m, matrix=matrix,
+                           deriv=deriv, tridiagonal=lambda t: (diagonal(t), off))
+
+
+def test_screened_bound_tridiagonal_family_with_complex_derivative(estimate_dtypes,
+                                                                   certificate_dtypes):
+    # the estimates and the certificate run in complex
+    fam = complex_derivative_tridiagonal_family()
     grid = np.linspace(-1.0, 1.0, 25)
     assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid)
-    assert len(estimate_dtypes) == grid.size
-    assert all(dt == np.complex128 for dt in estimate_dtypes)
+    assert estimate_dtypes and all(dt == np.complex128 for dt in estimate_dtypes)
+    assert certificate_dtypes and all(dt == np.complex128 for dt in certificate_dtypes)
 
 
 @pytest.mark.parametrize("m", [3, 25, 26, 64, 120])
-def test_screened_bound_seeded_schrodinger_potentials(m, estimate_dtypes):
-    # the tridiagonal family's estimates run in real arithmetic
+def test_screened_bound_seeded_schrodinger_potentials(m, estimate_dtypes, certificate_dtypes):
+    # the tridiagonal family's estimates and certificate run in real arithmetic
     for seed in range(3):
         fam = seeded_schrodinger_family(m, seed)
         grid = np.linspace(-1.0, 1.0, 17)
         assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid), seed
-    assert len(estimate_dtypes) == 3 * grid.size
-    assert all(dt == np.float64 for dt in estimate_dtypes)
+    assert estimate_dtypes and all(dt == np.float64 for dt in estimate_dtypes)
+    assert certificate_dtypes and all(dt == np.float64 for dt in certificate_dtypes)
 
 
 def test_screen_bound_holds_pointwise_on_quadratic_families():
@@ -1040,6 +1094,49 @@ def test_screen_tail_term_decides_on_tail_dominated_family(monkeypatch):
     assert all(width == 1 for width, _ in heads)
     assert max(e for _, e in heads) < 1e-3 * a
     assert_screen_bounds_hold(fam, grid)
+
+
+@spectralbranch.linalg._one_blas_thread
+def assert_certificate_sound(family, grid, proves_near_norm=False):
+    """At every point the certificate refuses a threshold just below the
+    SVD norm s taken there, and with proves_near_norm it proves 1.01 s."""
+    clears = spectralbranch.tracker._clears
+    for t, side in screen_points(family, grid):
+        s = operator_norm(spectralbranch.tracker._damped_derivative(family, t, side))
+        assert not clears(family, t, side, s * (1.0 - 2.0**-30)), (family.name, t, s)
+        if proves_near_norm:
+            assert clears(family, t, side, 1.01 * s), (family.name, t, s)
+
+
+def test_certificate_is_sound_and_tight_on_quadratic_and_schrodinger_families():
+    for _, fam in screen_quadratic_families():
+        assert_certificate_sound(fam, np.linspace(-1.0, 1.5, 26), proves_near_norm=True)
+    for m in (3, 25, 26, 64, 120):
+        for seed in range(3):
+            assert_certificate_sound(seeded_schrodinger_family(m, seed),
+                                     np.linspace(-1.0, 1.0, 17), proves_near_norm=True)
+
+
+def test_certificate_keeps_the_eigensolver_residual_tolerance():
+    # the proof holds for every (w, V) the eigensolver would accept, whose
+    # residual may reach r = eig_tol max(1, ||T||_F): a threshold r / 2
+    # above the norm is refused, one 2 r above it proved
+    fam = SchrodingerFamily(m=99, potential="t*x").family()
+    d, e = fam.tridiagonal(0.5)
+    r = fam.tol.eig_tol * np.linalg.norm(np.concatenate([d, e, e]))
+    s = operator_norm(spectralbranch.tracker._damped_derivative(fam, 0.5, None))
+    assert not spectralbranch.tracker._clears(fam, 0.5, None, s * (1.0 + 0.5 * r))
+    assert spectralbranch.tracker._clears(fam, 0.5, None, s * (1.0 + 2.0 * r))
+
+
+def test_certificate_refuses_below_the_norm_on_hard_families():
+    for fam, grid in ((tail_dominated_family(), np.linspace(0.0, 0.1, 21)),
+                      (damped_large_derivative_family(), np.linspace(0.0, 1.0, 40)),
+                      (complex_derivative_tridiagonal_family(), np.linspace(-1.0, 1.0, 25)),
+                      (near_ties_family(), np.linspace(0.0, 1.0, 30)),
+                      (quadratic_family(7, 9, deriv_scale=1e-170), np.linspace(-1.0, 1.0, 41)),
+                      (quadratic_family(7, 9, deriv_scale=1e150), np.linspace(-1.0, 1.0, 41))):
+        assert_certificate_sound(fam, grid)
 
 
 def test_screen_estimates_form_no_damped_product(norm_calls, damped_calls):
