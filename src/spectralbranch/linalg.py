@@ -11,11 +11,10 @@ eigenvector phase, and nothing rewrites V.  A solve that needs only w
 skips the dense V: ``_tridiagonal_form`` makes zheevd's own reduction of A to
 real tridiagonal (d, e), and ``tridiagonal_eig`` solves it, with zheevd's w
 bit for bit, and ``_sturm_counts`` counts eigenvalues on the same (d, e).
-``_psd_certified`` proves a Hermitian matrix in LAPACK band storage
-positive semidefinite, rounding errors included, with one Cholesky and no
-eigensolve.  The tracker's entry points run every OpenBLAS pool on one thread
-(``_one_blas_thread``), because at their sizes the pools' threads cost more
-CPU than the work they share.
+``_psd_certified`` proves a banded Hermitian matrix positive semidefinite,
+rounding included, with one Cholesky.  The tracker's entry points run every
+OpenBLAS pool on one thread (``_one_blas_thread``), because at their sizes
+the pools' threads cost more CPU than the work they share.
 ``Tolerances`` lives here, in the lowest module that reads one.
 """
 from __future__ import annotations

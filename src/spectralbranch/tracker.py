@@ -617,11 +617,12 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
 # <= c (sqrt(1 + g) + r max f), and with max f <= 1 the chain gives s <= c
 # (1 + slack) (1 + r) + 4 (m + 2)^2 u ||A'||_F, the threshold less 2^-40.
 # _psd_certified decides M = c^2 I + (c H)^2 - A'^H A' >= 0, A' and c
-# scaled by a power of two as in _norm_estimate.  M's entries are sums of
-# at most n products (n = m, or 5 for a tridiagonal H and diagonal A', in
-# O(m)), so they err by at most 2 (n + 8) u (c^2 I + |cH| |cH| + |A'|^T
-# |A'|); underflow adds 2^-1074 an entry, inside that once c^2 > 2^-960.
-# A cleared point runs no eigensolver, so it raises no EigenConvergenceError.
+# scaled by a power of two as in _norm_estimate, c capped at 2^480 (a lower
+# c proves a lower threshold).  M's entries are sums of at most n products
+# (n = m, or 5 in O(m) for a tridiagonal H and diagonal A'), so they err by
+# at most 2 (n + 8) u (c^2 I + |cH| |cH| + |A'|^T |A'|); underflow adds
+# 2^-1074 an entry, inside that once c^2 > 2^-960.  A cleared point runs no
+# eigensolver, so it raises no EigenConvergenceError.
 _SCREEN_SLACK = 1e-8
 _SCREEN_HEAD = 2.0**-10
 
@@ -652,8 +653,15 @@ def _norm_estimate(Y: np.ndarray) -> float:
     return math.ldexp(math.sqrt(max(lam, 0.0)), k)
 
 
-def _screen_bound(family: HermitianFamily, t: float, side: str | None) -> tuple[float, float]:
-    """Lower and upper bounds on the SVD norm of _damped_derivative(family, t, side).
+def _screen_terms(family: HermitianFamily, Ad: np.ndarray, fmax: float) -> tuple[float, float]:
+    """The chain's slack and rounding 4 (m + 2)^2 u ||A'||_F max f (above _SCREEN_SLACK)."""
+    m = family.dim
+    return (max(_SCREEN_SLACK, m * m * 2.0**-53) + family.tol.eig_tol * m,
+            4.0 * (m + 2) ** 2 * 2.0**-53 * _frobenius(Ad) * fmax)
+
+
+def _screen_bound(family: HermitianFamily, t: float, Ad: np.ndarray) -> tuple[float, float]:
+    """Lower and upper bounds on ||_damped_derivative(family, t, side)||, Ad its A'.
 
     It bounds Y = A'(t) V F, not X = Y V^H: with V unitary both have the
     same singular values whatever V's column phases.  V is _unit_eig's, the
@@ -667,12 +675,9 @@ def _screen_bound(family: HermitianFamily, t: float, side: str | None) -> tuple[
     w, V = _unit_eig(family, t)
     w = w * family.scale_prefactor
     f = 1.0 / np.sqrt(1.0 + w**2)
-    Ad = family.derivative(t, side)
     if not np.iscomplexobj(V) and not np.any(Ad.imag):
         Ad = np.ascontiguousarray(Ad.real)
-    m = family.dim
-    slack = max(_SCREEN_SLACK, m * m * 2.0**-53) + family.tol.eig_tol * m
-    rounding = 4.0 * (m + 2) ** 2 * 2.0**-53 * _frobenius(Ad) * float(np.max(f))
+    slack, rounding = _screen_terms(family, Ad, float(np.max(f)))
     head = f >= _SCREEN_HEAD * float(np.max(f))
     estimate = _norm_estimate(Ad @ (V[:, head] * f[head]))
     lower = max(0.0, estimate * (1.0 - slack) - rounding)
@@ -684,30 +689,33 @@ def _screen_bound(family: HermitianFamily, t: float, side: str | None) -> tuple[
     return lower, estimate * (1.0 + slack) + rounding
 
 
-def _clears(family: HermitianFamily, t: float, side: str | None, threshold: float) -> bool:
-    """True only if the SVD norm of _damped_derivative(family, t, side) is at
-    most threshold, proved with no eigensolve (derived above _SCREEN_SLACK).
-    A(t) and A'(t) are checked as _screen_bound checks them."""
-    tol, m, p = family.tol, family.dim, family.scale_prefactor
+def _checked_unit(family: HermitianFamily, t: float) -> tuple:
+    """A(t) checked as the eigensolver checks it: (d, e, max(1, ||T||_F)), else
+    (A, None, max(1, ||A||_F)).  A(t)'s errors come before those of A'(t)."""
     if family.tridiagonal is not None:
-        d, e, scale = _checked_tridiagonal(*family.tridiagonal(float(t)), tol)
-    else:
-        A = family.unit(t)
-        scale = max(1.0, _frobenius(A))
-    Ad = family.derivative(t, side)
+        return _checked_tridiagonal(*family.tridiagonal(float(t)), family.tol)
+    A = family.unit(t)
+    return A, None, max(1.0, _frobenius(A))
+
+
+def _clears(family: HermitianFamily, unit: tuple, Ad: np.ndarray, threshold: float) -> bool:
+    """True only if ||_damped_derivative(family, t, side)|| <= threshold is
+    proved with no eigensolve (derived above _SCREEN_SLACK), unit =
+    _checked_unit(family, t) and Ad = family.derivative(t, side)."""
+    tol, m, p = family.tol, family.dim, family.scale_prefactor
+    d, e, scale = unit
     if not np.any(Ad):
         return threshold >= 0.0
-    u = 2.0**-53
-    slack = max(_SCREEN_SLACK, m * m * u) + tol.eig_tol * m
-    r = p * scale * (tol.eig_tol + (m + 2) ** 2 * u)
-    c = (threshold - 4.0 * (m + 2) ** 2 * u * _frobenius(Ad)) / ((1.0 + slack) * (1.0 + r))
+    slack, rounding = _screen_terms(family, Ad, 1.0)
+    r = p * scale * (tol.eig_tol + (m + 2) ** 2 * 2.0**-53)
+    c = (threshold - rounding) / ((1.0 + slack) * (1.0 + r)) * (1.0 - 2.0**-40)
     k = max(math.frexp(float(np.max(np.abs(Ad))))[1], -1021)
-    c = math.ldexp(c * (1.0 - 2.0**-40), -k)
+    c = math.ldexp(c, min(-k, 480 - math.frexp(c)[1]))
     if not c > 2.0**-480:
         return False
     Ad = Ad * math.ldexp(1.0, -k)
     a, n = np.abs(np.diagonal(Ad)), m
-    if family.tridiagonal is not None and np.count_nonzero(Ad) == np.count_nonzero(a):
+    if e is not None and np.count_nonzero(Ad) == np.count_nonzero(a):
         hd, he, n = c * p * d, c * p * e, 5
         M = np.zeros((3, m))
         M[0] = hd * hd + np.r_[0.0, he * he] + np.r_[he * he, 0.0] - a * a
@@ -720,9 +728,8 @@ def _clears(family: HermitianFamily, t: float, side: str | None, threshold: floa
                 y = abs(hd) * y + np.r_[0.0, abs(he) * y[:-1]] + np.r_[abs(he) * y[1:], 0.0]
             return y + a * a * x
     else:
-        if family.tridiagonal is not None:
-            A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        elif _hermitian_defect(A):
+        A = d if e is None else np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        if _hermitian_defect(A):
             return False
         H, Ad = (X if np.any(X.imag) else X.real for X in (c * p * A, Ad))
         M = _band(H.conj().T @ H - Ad.conj().T @ Ad, m - 1)
@@ -731,7 +738,7 @@ def _clears(family: HermitianFamily, t: float, side: str | None, threshold: floa
         def gram_err(x):
             return abs_h.T @ (abs_h @ x) + abs_d.T @ (abs_d @ x)
     M[0] += c * c
-    return _psd_certified(M, lambda x: 2.0 * (n + 8) * u * (c * c * x + gram_err(x)))
+    return _psd_certified(M, lambda x: (n + 8) * 2.0**-52 * (c * c * x + gram_err(x)))
 
 
 @_one_blas_thread
@@ -744,10 +751,9 @@ def estimate_derivative_bound(family: HermitianFamily, grid) -> float:
 
     Coarse to fine, a point is cleared when one Cholesky of the graph-norm
     pencil c^2 (I + A^2) - A'^H A' proves its norm at most c, the largest
-    lower bound so far; other points get lower and upper bounds from one
-    eigensolve.  Exact SVD norms follow, largest upper bound first, until
-    no remaining bound can exceed the running maximum.  So the result
-    equals the maximum of every point's SVD norm.
+    lower bound so far; one eigensolve bounds each other point.  Exact SVD
+    norms follow, largest upper bound first, until no remaining bound can
+    exceed the running maximum, so the result is every point's maximum.
 
     A finite-difference A' is one-sided, pointing into the grid, within
     2 h_fd max(1, |t|) of either end: the family is evaluated only between
@@ -766,8 +772,9 @@ def estimate_derivative_bound(family: HermitianFamily, grid) -> float:
     bounds, threshold = np.full(len(ts), -np.inf), -math.inf
     # coarse to fine: both ends, then each index by the largest power of two dividing it
     for i in [0, last][:len(ts)] + sorted(range(1, last), key=lambda i: -(i & -i)):
-        if not (threshold >= 0.0 and _clears(family, ts[i], sides[i], threshold)):
-            lower, bounds[i] = _screen_bound(family, ts[i], sides[i])
+        unit, Ad = _checked_unit(family, ts[i]), family.derivative(ts[i], sides[i])
+        if not (threshold >= 0.0 and _clears(family, unit, Ad, threshold)):
+            lower, bounds[i] = _screen_bound(family, ts[i], Ad)
             threshold = max(threshold, lower)
     best = 0.0
     for n, i in enumerate(np.argsort(-bounds, kind="stable")):
