@@ -10,8 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from spectralbranch import SchrodingerFamily, track_branches
-from spectralbranch.config import DEFAULT_TOL
-from spectralbranch.linalg import dense_eig
+from spectralbranch.linalg import DEFAULT_TOL, dense_eig
 from spectralbranch.tracker import one_sided_slot_derivatives
 
 

@@ -24,8 +24,9 @@ class HermitianFamily:
 
     ``matrix`` and ``deriv`` both produce unit-scale values; the true
     operator is ``scale_prefactor * matrix(t)``.  Families must be pure
-    functions defined on all of R: the Gronwall estimate stays inside its
-    grid, but tracking stencils near a crossing may step outside the range.
+    functions defined on all of R: the Gronwall estimate stays inside a
+    grid at least 6 h_fd max(1, |t|) wide at each of its points t, but a
+    narrower grid and tracking stencils near a crossing may step outside it.
     ``tol`` is the only source of tolerances for code that takes the family.
     A real symmetric tridiagonal family may also give
     ``tridiagonal(t) -> (d, e)``, the diagonal and off-diagonal of the same

@@ -33,23 +33,28 @@ _SIDES = ("left", "right")
 _H_FD2 = 1e-4
 
 
-def _unit_eig(family: HermitianFamily, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-scale (w, V) at t: tridiagonal_eig on the family's (d, e), else dense_eig."""
+def _read_unit(family: HermitianFamily, t: float) -> tuple:
+    """A(t) at unit scale, the only read of the family in this module: its own
+    (d, e), checked as tridiagonal_eig checks them, else (family.unit(t), None)."""
     if family.tridiagonal is not None:
-        return tridiagonal_eig(*family.tridiagonal(float(t)), family.tol)
-    return dense_eig(family.unit(t), family.tol)
+        return _checked_tridiagonal(*family.tridiagonal(float(t)), family.tol)[:2]
+    return family.unit(t), None
 
 
-def _unit_form(family: HermitianFamily, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-scale (d, e) at t: the family's own, or zheevd's of family.unit(t)."""
-    if family.tridiagonal is not None:
-        return family.tridiagonal(float(t))
-    return _tridiagonal_form(family.unit(t), family.tol)
+def _unit_form(family: HermitianFamily, unit: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) of unit = _read_unit(family, t): its own, or zheevd's of the matrix."""
+    return unit if unit[1] is not None else _tridiagonal_form(unit[0], family.tol)
+
+
+def _eigenpairs(family: HermitianFamily, unit: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) of unit = _read_unit(family, t): tridiagonal_eig on (d, e), else dense_eig."""
+    x, e = unit
+    return dense_eig(x, family.tol) if e is None else tridiagonal_eig(x, e, family.tol)
 
 
 def _unit_values(family: HermitianFamily, t: float) -> np.ndarray:
-    """Unit-scale eigenvalues at t, _unit_eig's w bit for bit without its V."""
-    return tridiagonal_eig(*_unit_form(family, t), family.tol)[0]
+    """Unit-scale eigenvalues at t, _eigenpairs' w bit for bit without its V."""
+    return tridiagonal_eig(*_unit_form(family, _read_unit(family, t)), family.tol)[0]
 
 
 def _enclosed_count(g: Contour, d: np.ndarray, e: np.ndarray) -> int:
@@ -161,13 +166,14 @@ def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     sgn = 1.0 if side == "right" else -1.0
     g = gamma.scaled(family.scale_prefactor)
-    w, V = _unit_eig(family, t_star)
+    unit = _read_unit(family, t_star)
+    w, V = _eigenpairs(family, unit)
     F = V[:, np.abs(w - g.center) < g.radius]
     N = F.shape[1]
     h = family.tol.h_fd * max(1.0, abs(t_star))
     for j in (0, 1, 2):
         t = t_star + sgn * j * h
-        count = _enclosed_count(g, *_unit_form(family, t))
+        count = _enclosed_count(g, *_unit_form(family, _read_unit(family, t) if j else unit))
         if count != N:
             raise RankDriftError(
                 f"box too large: contour encloses {N} eigenvalues at t={t_star!r} "
@@ -372,7 +378,7 @@ def _verify_window(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
     f = family.scale_prefactor
     center = float(np.mean(w_star_unit[glo:ghi + 1])) * f
     times = [t_star + off * dt for off in _PROBE_OFFSETS]
-    forms = [_unit_form(family, t) for t in times]
+    forms = [_unit_form(family, _read_unit(family, t)) for t in times]
     values = [tridiagonal_eig(*form, family.tol)[0] * f if off != 0.0 else w_star_unit * f
               for off, form in zip(_PROBE_OFFSETS, forms)]
     spread = max(np.max(np.abs(w[glo:ghi + 1] - center)) for w in values)
@@ -553,18 +559,19 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
 # bound on its SVD norm s is at most a norm already taken.  The SVD is of
 # X = fl(A' fl(V F V^H)), F = diag(f), f = (1 + w^2)^{-1/2}.  The bound
 # splits V's columns into a head H, where f_k >= _SCREEN_HEAD max f, and a
-# tail T, the rest.  Its estimate e = sqrt(lambda_max(Y^H Y)) is of
-# Y = fl(A' fl(V_H F_H)), the head of the same product without V^H, and the
-# tail gets b = alpha max_T f, where alpha = sqrt(||A'||_1 ||A'||_inf) is
-# computed from |A'| in O(m^2).  With u = 2^-53 and g = ||V^H V - I||_F <=
-# eig_tol m, which the eigensolver checks:
+# tail T, the rest.  Its estimate e is the largest singular value, by the
+# same SVD, of Y = fl(A' fl(V_H F_H)), the head of the same product without
+# V^H, and the tail gets b = alpha max_T f, where alpha =
+# sqrt(||A'||_1 ||A'||_inf) is computed from |A'| in O(m^2).  With
+# u = 2^-53 and g = ||V^H V - I||_F <= eig_tol m, which the eigensolver
+# checks:
 #
 #   s <= sigma_max(X) (1 + O(m u))            backward-stable SVD
 #   sigma_max(X) <= ||A' V F V^H|| + ||dX||
 #   ||A' V F V^H|| <= ||A' V F|| ||V|| <= ||A' V F|| sqrt(1 + g)
 #   ||A' V F||^2 <= ||A' V_H F_H||^2 + ||A' V_T F_T||^2
 #   ||A' V_H F_H|| <= sigma_max(Y) + ||dY||
-#   sigma_max(Y) <= e (1 + O(m^2 u))
+#   sigma_max(Y) <= e (1 + O(m u))            the same SVD, of Y
 #   ||A' V_T F_T|| <= ||A'||_2 ||V|| max_T f <= b (1 + O(m u)) sqrt(1 + g)
 #
 # The split holds because [P Q][P Q]^H = P P^H + Q Q^H, and ||A'||_2 <=
@@ -576,16 +583,15 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
 # of V^H, multiply to 1 + g <= 1 + eig_tol m.  With T empty the tail is 0
 # and the bound is that of the whole of Y.
 #
-# The line on sigma_max(Y) holds because forming Y^H Y errs by at most
-# gamma_m ||Y||_F^2 <= m gamma_m ||Y||_2^2 (Higham, Accuracy and Stability
-# of Numerical Algorithms, 2nd ed., 2002, sec. 3.5) and eigvalsh is backward
-# stable, so by Weyl's inequality lambda_max moves by O(m^2 u) relative.
-# The relative terms stay below _SCREEN_SLACK up to m of about 9000, and
-# max(_SCREEN_SLACK, m^2 u) past it; g is covered by eig_tol m.  The
-# rounding of the products is relative to ||A'|| ||F||, not to ||X||.  A
-# complex product errs entrywise by at most sqrt(2) gamma_{m+2} |A| |B|
-# (sec. 3.6), and ||V||_F^2 <= m (1 + g), ||F||_F <= sqrt(m) max f,
-# ||A'||_2 <= ||A'||_F, so
+# The SVD is LAPACK's gesdd (numpy's svd), which puts every singular value
+# within O(m u) of the largest (LAPACK Users' Guide, 3rd ed., 1999, sec.
+# 4.9) and scales a matrix whose entries would underflow or overflow.  The
+# relative terms are thus O(m u), inside max(_SCREEN_SLACK, m^2 u); g is
+# covered by eig_tol m.  The rounding of the products is relative to
+# ||A'|| ||F||, not to ||X||.  A complex product errs entrywise by at most
+# sqrt(2) gamma_{m+2} |A| |B| (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., 2002, sec. 3.6), and ||V||_F^2 <= m (1 + g),
+# ||F||_F <= sqrt(m) max f, ||A'||_2 <= ||A'||_F, so
 #
 #   ||dY|| <= sqrt(2) gamma_{m+3} sqrt(m) (1 + g) ||A'||_F max f
 #   ||dX|| <= sqrt(2) gamma_{m+3} (m + sqrt(m)) (1 + g) ||A'||_F max f
@@ -597,8 +603,7 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
 # + 4 (m + 2)^2 u ||A'||_F max f.
 #
 # For a Schrodinger family f_k / f_1 falls like 1 / k^2, so the head at
-# 2^-10 keeps k up to about 2^5: at m = 99, Y is m x K with K of 33 or 34,
-# and its Gram K x K.
+# 2^-10 keeps k up to about 2^5: at m = 99, Y is m x K with K of 33 or 34.
 #
 # Read downward, with sigma_min(V) >= sqrt(1 - g) and Y_H a block of A' V F,
 # the chain gives the lower bound max(0, e (1 - slack) - rounding).
@@ -617,12 +622,13 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
 # <= c (sqrt(1 + g) + r max f), and with max f <= 1 the chain gives s <= c
 # (1 + slack) (1 + r) + 4 (m + 2)^2 u ||A'||_F, the threshold less 2^-40.
 # _psd_certified decides M = c^2 I + (c H)^2 - A'^H A' >= 0, A' and c
-# scaled by a power of two as in _norm_estimate, c capped at 2^480 (a lower
-# c proves a lower threshold).  M's entries are sums of at most n products
-# (n = m, or 5 in O(m) for a tridiagonal H and diagonal A'), so they err by
-# at most 2 (n + 8) u (c^2 I + |cH| |cH| + |A'|^T |A'|); underflow adds
-# 2^-1074 an entry, inside that once c^2 > 2^-960.  A cleared point runs no
-# eigensolver, so it raises no EigenConvergenceError.
+# scaled by the power of two that puts A''s largest entry in [1/2, 1), c
+# capped at 2^480 (a lower c proves a lower threshold).  M's entries are
+# sums of at most n products (n = m, or 5 in O(m) for a tridiagonal H and
+# diagonal A'), so they err by at most 2 (n + 8) u (c^2 I + |cH| |cH| +
+# |A'|^T |A'|); underflow adds 2^-1074 an entry, inside that once
+# c^2 > 2^-960.  A cleared point runs no eigensolver, so it raises no
+# EigenConvergenceError.
 _SCREEN_SLACK = 1e-8
 _SCREEN_HEAD = 2.0**-10
 
@@ -630,27 +636,19 @@ _SCREEN_HEAD = 2.0**-10
 def _damped_derivative(family: HermitianFamily, t: float, side: str | None) -> np.ndarray:
     """X = A'(t) (I + A(t)^2)^{-1/2} at true scale, A' by family.derivative(t, side).
 
-    V F V^H is formed from (w, V) as _unit_eig returns them.  Its value does
-    not depend on V's column phases; its last bits do, and so may the last
-    bits of the SVD norm taken of X.
+    V F V^H is formed from (w, V) as _eigenpairs returns them.  Its value
+    does not depend on V's column phases; its last bits do, and so may the
+    last bits of the SVD norm taken of X.
     """
-    w, V = _unit_eig(family, t)
+    w, V = _eigenpairs(family, _read_unit(family, t))
     w = w * family.scale_prefactor
     damp = (V * (1.0 / np.sqrt(1.0 + w**2))) @ V.conj().T
     return family.derivative(t, side) @ damp
 
 
 def _norm_estimate(Y: np.ndarray) -> float:
-    """sqrt(lambda_max(Y^H Y)), the largest singular value up to O(m^2 u).
-
-    Z = Y 2^-k has its largest entry in [1/2, 1): the power of two is exact,
-    and Z^H Z then neither underflows nor overflows (gallery entries reach
-    2^-144).  k stays above -1022 so that 2^-k is finite.
-    """
-    k = max(math.frexp(float(np.max(np.abs(Y))))[1], -1021)
-    Z = Y * math.ldexp(1.0, -k)
-    lam = float(np.linalg.eigvalsh(Z.conj().T @ Z)[-1])
-    return math.ldexp(math.sqrt(max(lam, 0.0)), k)
+    """The largest singular value of Y by LAPACK gesdd, up to O(m u)."""
+    return float(np.linalg.svd(Y, compute_uv=False)[0])
 
 
 def _screen_terms(family: HermitianFamily, Ad: np.ndarray, fmax: float) -> tuple[float, float]:
@@ -660,19 +658,20 @@ def _screen_terms(family: HermitianFamily, Ad: np.ndarray, fmax: float) -> tuple
             4.0 * (m + 2) ** 2 * 2.0**-53 * _frobenius(Ad) * fmax)
 
 
-def _screen_bound(family: HermitianFamily, t: float, Ad: np.ndarray) -> tuple[float, float]:
-    """Lower and upper bounds on ||_damped_derivative(family, t, side)||, Ad its A'.
+def _screen_bound(family: HermitianFamily, unit: tuple, Ad: np.ndarray) -> tuple[float, float]:
+    """Lower and upper bounds on ||_damped_derivative(family, t, side)||, unit =
+    _read_unit(family, t) and Ad its A'.
 
     It bounds Y = A'(t) V F, not X = Y V^H: with V unitary both have the
-    same singular values whatever V's column phases.  V is _unit_eig's, the
+    same singular values whatever V's column phases.  V is _eigenpairs', the
     same as _damped_derivative's.  The head columns, where f is at least
-    _SCREEN_HEAD max f, get the Gram estimate of A'(t) V_H F_H; the tail
-    columns get sqrt(||A'||_1 ||A'||_inf) max_T f, which needs no product,
-    and the two combine as hypot(head, tail); the lower bound is the head's.
-    Y is real when V and A'(t) are.  The bounds are derived above
-    _SCREEN_SLACK.
+    _SCREEN_HEAD max f, get the largest singular value of A'(t) V_H F_H by
+    SVD; the tail columns get sqrt(||A'||_1 ||A'||_inf) max_T f, which needs
+    no product, and the two combine as hypot(head, tail); the lower bound is
+    the head's.  Y is real when V and A'(t) are.  The bounds are derived
+    above _SCREEN_SLACK.
     """
-    w, V = _unit_eig(family, t)
+    w, V = _eigenpairs(family, unit)
     w = w * family.scale_prefactor
     f = 1.0 / np.sqrt(1.0 + w**2)
     if not np.iscomplexobj(V) and not np.any(Ad.imag):
@@ -689,24 +688,17 @@ def _screen_bound(family: HermitianFamily, t: float, Ad: np.ndarray) -> tuple[fl
     return lower, estimate * (1.0 + slack) + rounding
 
 
-def _checked_unit(family: HermitianFamily, t: float) -> tuple:
-    """A(t) checked as the eigensolver checks it: (d, e, max(1, ||T||_F)), else
-    (A, None, max(1, ||A||_F)).  A(t)'s errors come before those of A'(t)."""
-    if family.tridiagonal is not None:
-        return _checked_tridiagonal(*family.tridiagonal(float(t)), family.tol)
-    A = family.unit(t)
-    return A, None, max(1.0, _frobenius(A))
-
-
 def _clears(family: HermitianFamily, unit: tuple, Ad: np.ndarray, threshold: float) -> bool:
     """True only if ||_damped_derivative(family, t, side)|| <= threshold is
     proved with no eigensolve (derived above _SCREEN_SLACK), unit =
-    _checked_unit(family, t) and Ad = family.derivative(t, side)."""
+    _read_unit(family, t) and Ad = family.derivative(t, side)."""
     tol, m, p = family.tol, family.dim, family.scale_prefactor
-    d, e, scale = unit
+    d, e = unit
     if not np.any(Ad):
         return threshold >= 0.0
     slack, rounding = _screen_terms(family, Ad, 1.0)
+    # max(1, ||H_u||_F), the scale the eigensolver checks H_u against
+    scale = max(1.0, _frobenius(d if e is None else np.concatenate([d, e, e])))
     r = p * scale * (tol.eig_tol + (m + 2) ** 2 * 2.0**-53)
     c = (threshold - rounding) / ((1.0 + slack) * (1.0 + r)) * (1.0 - 2.0**-40)
     k = max(math.frexp(float(np.max(np.abs(Ad))))[1], -1021)
@@ -756,8 +748,10 @@ def estimate_derivative_bound(family: HermitianFamily, grid) -> float:
     exceed the running maximum, so the result is every point's maximum.
 
     A finite-difference A' is one-sided, pointing into the grid, within
-    2 h_fd max(1, |t|) of either end: the family is evaluated only between
-    the grid's least and greatest points.
+    2 h_fd max(1, |t|) of either end.  Its stencil reaches 4 h_fd max(1, |t|)
+    from t, so where the grid is at least 6 h_fd max(1, |t|) wide at each of
+    its points t, the family is evaluated only between the grid's least and
+    greatest points; a narrower grid is differenced outside itself.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
@@ -772,9 +766,10 @@ def estimate_derivative_bound(family: HermitianFamily, grid) -> float:
     bounds, threshold = np.full(len(ts), -np.inf), -math.inf
     # coarse to fine: both ends, then each index by the largest power of two dividing it
     for i in [0, last][:len(ts)] + sorted(range(1, last), key=lambda i: -(i & -i)):
-        unit, Ad = _checked_unit(family, ts[i]), family.derivative(ts[i], sides[i])
+        # A(t) is read, and checked, before A'(t) is formed
+        unit, Ad = _read_unit(family, ts[i]), family.derivative(ts[i], sides[i])
         if not (threshold >= 0.0 and _clears(family, unit, Ad, threshold)):
-            lower, bounds[i] = _screen_bound(family, ts[i], Ad)
+            lower, bounds[i] = _screen_bound(family, unit, Ad)
             threshold = max(threshold, lower)
     best = 0.0
     for n, i in enumerate(np.argsort(-bounds, kind="stable")):

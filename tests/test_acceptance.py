@@ -36,8 +36,7 @@ from spectralbranch import (
     spectral_cluster,
     track_branches,
 )
-from spectralbranch.config import DEFAULT_TOL
-from spectralbranch.linalg import dense_eig
+from spectralbranch.linalg import DEFAULT_TOL, dense_eig
 
 SQRT2 = float(np.sqrt(2.0))
 

@@ -14,10 +14,10 @@ from spectralbranch import (
 )
 import spectralbranch.linalg
 from spectralbranch import EigenConvergenceError
-from spectralbranch.config import DEFAULT_TOL
-from spectralbranch.linalg import (_PIVOT_FLOOR, _band, _hermitian_defect, _one_blas_thread,
-                                  _psd_certified, _sturm_counts, _tridiagonal_form, as_matrix,
-                                  dense_eig, eigenvalue_count, tridiagonal_eig)
+from spectralbranch.linalg import (DEFAULT_TOL, _PIVOT_FLOOR, _band, _hermitian_defect,
+                                  _one_blas_thread, _psd_certified, _sturm_counts,
+                                  _tridiagonal_form, as_matrix, dense_eig, eigenvalue_count,
+                                  tridiagonal_eig)
 
 from conftest import assert_dense_bits, hermitian_with_spectrum, numerical_rank, random_hermitian
 

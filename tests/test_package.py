@@ -84,6 +84,18 @@ def test_numerics_sit_below_the_config_language():
     assert not crossing
 
 
+def test_tracker_reads_the_family_in_one_function():
+    # one function reads A(t) and every consumer works from what it returned,
+    # so no point of the estimate or of a crossing reads its matrix twice
+    tree = ast.parse((ROOT / "src" / "spectralbranch" / "tracker.py").read_text())
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "tridiagonal"
+               or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "unit"}
+    assert len(readers) == 1, sorted(readers)
+
+
 def test_readme_quick_start():
     section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]

@@ -29,9 +29,8 @@ from spectralbranch import (
 )
 import dataclasses
 
-from spectralbranch.config import DEFAULT_TOL
 from spectralbranch.gallery import CurveLemmaFamily, SchrodingerFamily
-from spectralbranch.linalg import dense_eig, operator_norm, tridiagonal_eig
+from spectralbranch.linalg import DEFAULT_TOL, dense_eig, operator_norm, tridiagonal_eig
 from spectralbranch.tracker import minimize_scalar, one_sided_slot_derivatives
 from spectralbranch.util import multiset_distance, one_sided_first, one_sided_second
 
@@ -398,8 +397,9 @@ def test_track_dense_family_forms_no_eigenvectors(order, monkeypatch):
     # every solve of a dense family is values-only, and its values equal
     # dense_eig's: the tracked output is that of the eigenvector path
     fam = _planted_pairs_family()
-    monkeypatch.setattr(spectralbranch.tracker, "_unit_values",
-                        lambda family, t: spectralbranch.tracker._unit_eig(family, t)[0])
+    tracker = spectralbranch.tracker
+    monkeypatch.setattr(tracker, "_unit_values", lambda family, t:
+                        tracker._eigenpairs(family, tracker._read_unit(family, t))[0])
     reference = track_branches(fam, (-1.0, 1.0), 81, order=order)
     monkeypatch.undo()
 
@@ -697,10 +697,12 @@ def test_estimate_derivative_bound_identity_curve():
     assert a == pytest.approx(1.0, abs=1e-12)
 
 
-def test_finite_difference_bound_stays_inside_its_grid():
+@pytest.mark.parametrize("grid", [np.linspace(-1.0, 1.5, 26), np.linspace(0.0, 6e-5, 201)])
+def test_finite_difference_bound_stays_inside_its_grid(grid):
     # A(t) = H0 + sin(2t) H1 + t^3 H2 peaks at the left end of the grid,
     # where the estimate's differences are one-sided: with and without the
-    # analytic A' the bounds agree, and no difference leaves the grid
+    # analytic A' the bounds agree, and no difference leaves the grid, down
+    # to a grid 6 h_fd wide, the least width that holds its one-sided stencils
     rng = np.random.default_rng(3)
     H0, H1, H2 = (random_hermitian(rng, 4) for _ in range(3))
     seen = []
@@ -711,7 +713,6 @@ def test_finite_difference_bound_stays_inside_its_grid():
 
     fd = HermitianFamily(name="sin-cubic", dim=4, matrix=matrix)
     exact = dataclasses.replace(fd, deriv=lambda t: 2.0 * np.cos(2.0 * t) * H1 + 3.0 * t * t * H2)
-    grid = np.linspace(-1.0, 1.5, 26)
     norms = [np.linalg.norm(spectralbranch.tracker._damped_derivative(exact, t, None), 2)
              for t in grid]
     assert int(np.argmax(norms)) == 0
@@ -758,7 +759,8 @@ def screen_points(family, grid):
 def assert_screen_bounds_hold(family, grid):
     """Every point's screen bounds hold the SVD norm taken there."""
     for t, side in screen_points(family, grid):
-        lower, upper = spectralbranch.tracker._screen_bound(family, t, family.derivative(t, side))
+        unit, Ad = spectralbranch.tracker._read_unit(family, t), family.derivative(t, side)
+        lower, upper = spectralbranch.tracker._screen_bound(family, unit, Ad)
         norm = operator_norm(spectralbranch.tracker._damped_derivative(family, t, side))
         assert lower <= norm <= upper, (family.name, t, lower, norm, upper)
 
@@ -819,7 +821,7 @@ def test_screened_bound_constant_family(norm_calls):
 @pytest.mark.parametrize("deriv_scale", [1e-170, 1e150])
 def test_screened_bound_extreme_entries(deriv_scale, norm_calls):
     # X = A'(t) damp(t) has entries near deriv_scale; at 1e-170, X^H X would
-    # underflow to zero without the power-of-two scaling
+    # underflow to zero, so every norm taken must scale as gesdd does
     fam = quadratic_family(7, 9, deriv_scale=deriv_scale)
     grid = np.linspace(-1.0, 1.0, 41)
     a = estimate_derivative_bound(fam, grid)
@@ -878,20 +880,20 @@ def test_screened_bound_shipped_schrodinger_family(norm_calls):
 @pytest.fixture
 def eig_calls(monkeypatch):
     calls = []
-    original = spectralbranch.tracker._unit_eig
+    original = spectralbranch.tracker._eigenpairs
 
-    def counting(family, t):
-        calls.append(t)
-        return original(family, t)
+    def counting(family, unit):
+        calls.append(unit)
+        return original(family, unit)
 
-    monkeypatch.setattr(spectralbranch.tracker, "_unit_eig", counting)
+    monkeypatch.setattr(spectralbranch.tracker, "_eigenpairs", counting)
     return calls
 
 
-def test_screen_grams_keep_the_head_of_the_shipped_schrodinger_family(monkeypatch, eig_calls):
+def test_screen_svds_keep_the_head_of_the_shipped_schrodinger_family(monkeypatch, eig_calls):
     # f_k = (1 + w_k^2)^{-1/2} falls like 1/(pi^2 k^2), so most columns of
-    # A' V F go to the tail term: every Gram that runs is smaller than
-    # m x m, and the certificate leaves at most one point to the screen
+    # A' V F go to the tail term: every head SVD that runs has fewer than
+    # m columns, and the certificate leaves at most one point to the screen
     fam = SchrodingerFamily(m=99, potential="t*x").family()
     grid = np.linspace(0.0, 1.0, 201)
     widths = []
@@ -1051,6 +1053,11 @@ def test_screened_bound_seeded_schrodinger_potentials(m, estimate_dtypes, certif
 def test_screen_bound_holds_pointwise_on_quadratic_families():
     for _, fam in screen_quadratic_families():
         assert_screen_bounds_hold(fam, np.linspace(-1.0, 1.5, 26))
+    # the scales of test_screened_bound_extreme_entries, where a product of
+    # Y^H with Y underflows or overflows: every bound must still hold
+    for deriv_scale in (1e-170, 1e150):
+        assert_screen_bounds_hold(quadratic_family(7, 9, deriv_scale=deriv_scale),
+                                  np.linspace(-1.0, 1.0, 41))
 
 
 @pytest.mark.parametrize("m", [3, 25, 26, 64, 120])
@@ -1111,7 +1118,7 @@ def assert_certificate_sound(family, grid, proves_near_norm=False):
     SVD norm s taken there, and with proves_near_norm it proves 1.01 s."""
     clears = spectralbranch.tracker._clears
     for t, side in screen_points(family, grid):
-        unit, Ad = spectralbranch.tracker._checked_unit(family, t), family.derivative(t, side)
+        unit, Ad = spectralbranch.tracker._read_unit(family, t), family.derivative(t, side)
         s = operator_norm(spectralbranch.tracker._damped_derivative(family, t, side))
         assert not clears(family, unit, Ad, s * (1.0 - 2.0**-30)), (family.name, t, s)
         if proves_near_norm:
@@ -1147,7 +1154,7 @@ def test_certificate_bounds_every_eigenpair_the_solver_would_accept():
     moved = operator_norm(Ad @ ((V * f) @ V.T))
     s = operator_norm(spectralbranch.tracker._damped_derivative(fam, 0.5, None))
     assert moved > s * (1.0 + 1e-6)
-    unit = spectralbranch.tracker._checked_unit(fam, 0.5)
+    unit = spectralbranch.tracker._read_unit(fam, 0.5)
     assert not spectralbranch.tracker._clears(fam, unit, Ad, moved * (1.0 - 2.0**-30))
 
 
@@ -1181,16 +1188,16 @@ def test_eigenvector_phases_reach_only_the_last_bits_of_the_bound(monkeypatch):
     grid = np.linspace(-1.0, 1.0, 31)
     plain = [(track_branches(fam, (-1.0, 1.0), 201), estimate_derivative_bound(fam, grid))
              for fam in fams]
-    real_unit_eig = spectralbranch.tracker._unit_eig
+    real_eigenpairs = spectralbranch.tracker._eigenpairs
     draws = np.random.default_rng(11)
 
-    def rephased(family, t):
-        w, V = real_unit_eig(family, t)
+    def rephased(family, unit):
+        w, V = real_eigenpairs(family, unit)
         if np.iscomplexobj(V):
             return w, V * np.exp(2j * np.pi * draws.random(V.shape[1]))
         return w, V * draws.choice([-1.0, 1.0], V.shape[1])
 
-    monkeypatch.setattr(spectralbranch.tracker, "_unit_eig", rephased)
+    monkeypatch.setattr(spectralbranch.tracker, "_eigenpairs", rephased)
     for fam, (bs, a) in zip(fams, plain):
         again = track_branches(fam, (-1.0, 1.0), 201)
         assert again.values.tobytes() == bs.values.tobytes(), fam.name
@@ -1313,14 +1320,14 @@ def test_one_blas_thread_nested_run(fake_pools, monkeypatch, tmp_path):
     # entry sets and restores
     from spectralbranch import parse_config, run
 
-    real = spectralbranch.tracker._unit_eig
+    real = spectralbranch.tracker._eigenpairs
     seen = []
 
     def recording(*args, **kwargs):
         seen.append([p.count for p in fake_pools])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectralbranch.tracker, "_unit_eig", recording)
+    monkeypatch.setattr(spectralbranch.tracker, "_eigenpairs", recording)
     config = parse_config("[run]\ncommand = track\nt_range = -1.0, 1.0\ngrid_size = 21\n\n"
                           "[family]\nname = expr\ndim = 2\nrow0 = 0, t\nrow1 = t, 0\n")
     assert run(config, out_dir=tmp_path) == 0
