@@ -12,10 +12,11 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, ensure_hermitian
+from .linalg import DEFAULT_TOL, Tolerances, _checked_tridiagonal, as_matrix, ensure_hermitian
 from .util import central_first, one_sided_first
 
 MatrixFn = Callable[[float], np.ndarray]
+BandsFn = Callable[[float], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,11 @@ class HermitianFamily:
     A real symmetric tridiagonal family may also give
     ``tridiagonal(t) -> (d, e)``, the diagonal and off-diagonal of the same
     ``matrix(t)``; the tracker's eigensolves then never form the dense matrix.
+    Such a family may give its unit-scale A'(t) the same way, in place of
+    ``deriv``: ``tridiagonal_deriv(t) -> (dd, de)``, a real diagonal and the
+    off-diagonal A'[i, i + 1], which may be complex; the Gronwall estimate's
+    certificate then runs on the bands in O(m), and ``derivative`` places
+    them in the dense matrix.
     """
 
     name: str
@@ -39,13 +45,18 @@ class HermitianFamily:
     deriv: MatrixFn | None = None
     scale_prefactor: float = 1.0
     tol: Tolerances = DEFAULT_TOL
-    tridiagonal: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
+    tridiagonal: BandsFn | None = None
+    tridiagonal_deriv: BandsFn | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
         if not (self.scale_prefactor > 0.0 and np.isfinite(self.scale_prefactor)):
             raise ValueError(f"scale_prefactor must be positive, got {self.scale_prefactor}")
+        if self.tridiagonal_deriv is not None and self.tridiagonal is None:
+            raise ValueError(f"family {self.name!r} gives tridiagonal_deriv without tridiagonal")
+        if self.tridiagonal_deriv is not None and self.deriv is not None:
+            raise ValueError(f"family {self.name!r} gives both deriv and tridiagonal_deriv")
 
     def _checked(self, raw) -> np.ndarray:
         A = as_matrix(raw)
@@ -63,12 +74,31 @@ class HermitianFamily:
         """True-scale matrix scale_prefactor * unit(t)."""
         return self.scale_prefactor * self.unit(t)
 
+    def derivative_bands(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """True-scale (dd, de) of tridiagonal_deriv(t), checked as the
+        tridiagonal eigensolver checks (d, e), with de real or complex."""
+        dd, de = self.tridiagonal_deriv(float(t))
+        de = np.asarray(de)
+        dd, de, _ = _checked_tridiagonal(dd, de, self.tol, np.result_type(de, np.float64))
+        if dd.size != self.dim:
+            raise ValueError(f"family {self.name!r} produced a diagonal of length {dd.size}, "
+                             f"expected {self.dim}")
+        return self.scale_prefactor * dd, self.scale_prefactor * de
+
     def derivative(self, t: float, side: str | None = None) -> np.ndarray:
         """True-scale A'(t): the analytic A' when the family has one (side is
-        then ignored), else five-point differences of unit(t) with step
+        then ignored), placed from derivative_bands(t) or checked from
+        deriv(t), else five-point differences of unit(t) with step
         h_fd max(1, |t|), central when side is None and one-sided toward
         side ("left" or "right") otherwise, symmetrised as (D + D^H) / 2."""
         t = float(t)
+        if self.tridiagonal_deriv is not None:
+            dd, de = self.derivative_bands(t)
+            D = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            D.flat[::self.dim + 1] = dd
+            D.flat[1::self.dim + 1] = de
+            D.flat[self.dim::self.dim + 1] = de.conj()
+            return D
         if self.deriv is not None:
             return self.scale_prefactor * self._checked(self.deriv(t))
         h = self.tol.h_fd * max(1.0, abs(t))

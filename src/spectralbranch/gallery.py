@@ -413,18 +413,19 @@ class SchrodingerFamily:
             # the same sums as the diagonal of matrix(t), so the same bits
             return diag + vf(t, xs), off
 
-        def deriv(t: float) -> np.ndarray:
+        no_off = np.zeros(m - 1)
+
+        def tridiagonal_deriv(t: float) -> tuple[np.ndarray, np.ndarray]:
             # The Laplacian part is t-independent, so difference only the
             # potential: the O(1/h^2) diagonal drops exactly instead of
-            # through roundoff.
+            # through roundoff, and A' is diagonal.
             ht = 1e-6 * max(1.0, abs(t))
-            vp = (vf(t + ht, xs) - vf(t - ht, xs)) / (2.0 * ht)
-            return np.diag(vp).astype(np.complex128)
+            return (vf(t + ht, xs) - vf(t - ht, xs)) / (2.0 * ht), no_off
 
         name = "schrodinger" if self.potential is None else f"schrodinger[{self.potential}]"
         return HermitianFamily(
-            name=name, dim=m, matrix=matrix, deriv=deriv, scale_prefactor=1.0, tol=self.tol,
-            tridiagonal=tridiagonal,
+            name=name, dim=m, matrix=matrix, scale_prefactor=1.0, tol=self.tol,
+            tridiagonal=tridiagonal, tridiagonal_deriv=tridiagonal_deriv,
         )
 
     def free_eigenvalues(self) -> np.ndarray:

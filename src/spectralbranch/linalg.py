@@ -74,7 +74,7 @@ def _hermitian_defect(A: np.ndarray) -> float:
     """max_ij |a_ij - conj(a_ji)|, zero for exactly Hermitian input."""
     if A.size == 0:
         return 0.0
-    return float(np.max(np.abs(A - A.conj().T)))
+    return float(np.abs(A - A.conj().T).max())
 
 
 def _frobenius(x: np.ndarray) -> float:
@@ -191,10 +191,12 @@ def tridiagonal_eig(d, e, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np
     return w, V
 
 
-def _checked_tridiagonal(d, e, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float]:
-    """tridiagonal_eig's checks: the real (d, e) it solves and max(1, ||T||_F)."""
+def _checked_tridiagonal(d, e, tol: Tolerances,
+                         e_dtype=np.float64) -> tuple[np.ndarray, np.ndarray, float]:
+    """tridiagonal_eig's checks: the real d and the e of e_dtype that it
+    solves, and max(1, ||T||_F); T's entries below e are conj(e)."""
     d = np.asarray(d)
-    e = np.asarray(e, dtype=np.float64)
+    e = np.asarray(e, dtype=e_dtype)
     if d.ndim != 1 or d.size == 0 or e.shape != (d.size - 1,):
         raise ValueError(f"need d of length m >= 1 and e of length m - 1, "
                          f"got {d.shape} and {e.shape}")
@@ -339,10 +341,20 @@ def operator_norm(A) -> float:
     return float(np.linalg.norm(A, 2))
 
 
+@functools.lru_cache(maxsize=16)
+def _band_rows(kd: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row j + l of the slot ab[l, j] of lower band storage, clipped to
+    m - 1, and where it is inside the matrix; read-only, shared by calls."""
+    rows = np.arange(kd + 1)[:, None] + np.arange(m)
+    clipped, inside = np.minimum(rows, m - 1), rows < m
+    clipped.flags.writeable = inside.flags.writeable = False
+    return clipped, inside
+
+
 def _band(X: np.ndarray, kd: int) -> np.ndarray:
     """LAPACK lower band storage of X: ab[l, j] = X[j + l, j], 0 past row m."""
-    rows = np.arange(kd + 1)[:, None] + np.arange(X.shape[0])
-    return np.where(rows < X.shape[0], X[np.minimum(rows, X.shape[0] - 1), rows[0]], 0)
+    rows, inside = _band_rows(kd, X.shape[0])
+    return np.where(inside, X[rows, rows[0]], 0)
 
 
 def _psd_certified(ab: np.ndarray, err: Callable[[np.ndarray], np.ndarray]) -> bool:
@@ -361,12 +373,12 @@ def _psd_certified(ab: np.ndarray, err: Callable[[np.ndarray], np.ndarray]) -> b
     "Verification of positive definiteness", BIT 2006).
     """
     kd, m = ab.shape[0] - 1, ab.shape[1]
-    if not (np.all(ab[0].real > 0.0) and np.all(np.isfinite(ab))):
+    if not ((ab[0].real > 0.0).all() and np.isfinite(ab).all()):
         return False
     inv = np.ldexp(1.0, -np.frexp(np.sqrt(ab[0].real))[1])
     g = 4.0 * (kd + 2) * 2.0**-53
-    delta = 2.0 * (float(np.max(inv * err(inv))) + g * (2 * kd + 2))
-    S = ab * inv[np.minimum(np.arange(kd + 1)[:, None] + np.arange(m), m - 1)] * inv
+    delta = 2.0 * (float((inv * err(inv)).max()) + g * (2 * kd + 2))
+    S = ab * inv[_band_rows(kd, m)[0]] * inv
     S[0] -= delta
     # written so that a NaN delta fails the test
     return (zpbtrf if np.iscomplexobj(S) else dpbtrf)(S, lower=1)[1] == 0 and delta < np.inf

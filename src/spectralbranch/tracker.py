@@ -41,6 +41,14 @@ def _read_unit(family: HermitianFamily, t: float) -> tuple:
     return family.unit(t), None
 
 
+def _read_derivative(family: HermitianFamily, t: float, side: str | None) -> tuple:
+    """A'(t) at true scale as _clears takes it: the family's own checked
+    bands (dd, de), else (family.derivative(t, side), None)."""
+    if family.tridiagonal_deriv is not None:
+        return family.derivative_bands(t)
+    return family.derivative(t, side), None
+
+
 def _unit_form(family: HermitianFamily, unit: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(d, e) of unit = _read_unit(family, t): its own, or zheevd's of the matrix."""
     return unit if unit[1] is not None else _tridiagonal_form(unit[0], family.tol)
@@ -624,11 +632,13 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
 # _psd_certified decides M = c^2 I + (c H)^2 - A'^H A' >= 0, A' and c
 # scaled by the power of two that puts A''s largest entry in [1/2, 1), c
 # capped at 2^480 (a lower c proves a lower threshold).  M's entries are
-# sums of at most n products (n = m, or 5 in O(m) for a tridiagonal H and
-# diagonal A'), so they err by at most 2 (n + 8) u (c^2 I + |cH| |cH| +
-# |A'|^T |A'|); underflow adds 2^-1074 an entry, inside that once
-# c^2 > 2^-960.  A cleared point runs no eigensolver, so it raises no
-# EigenConvergenceError.
+# sums of at most n real products: n = m for dense products, and n = 9 in
+# O(m) for a tridiagonal H and an A' given as bands (dd, de), where M is
+# pentadiagonal and a diagonal entry sums (c H)_ii^2, two (c H)_i,i+-1^2,
+# dd_i^2, two |de|^2 of two products each, and c^2.  So they err by at
+# most 2 (n + 8) u (c^2 I + |cH| |cH| + |A'|^T |A'|); underflow adds
+# 2^-1074 an entry, inside that once c^2 > 2^-960.  A cleared point runs no
+# eigensolver, so it raises no EigenConvergenceError.
 _SCREEN_SLACK = 1e-8
 _SCREEN_HEAD = 2.0**-10
 
@@ -651,11 +661,13 @@ def _norm_estimate(Y: np.ndarray) -> float:
     return float(np.linalg.svd(Y, compute_uv=False)[0])
 
 
-def _screen_terms(family: HermitianFamily, Ad: np.ndarray, fmax: float) -> tuple[float, float]:
-    """The chain's slack and rounding 4 (m + 2)^2 u ||A'||_F max f (above _SCREEN_SLACK)."""
+def _screen_terms(family: HermitianFamily, norm_fro: float,
+                  fmax: float) -> tuple[float, float]:
+    """The chain's slack and rounding 4 (m + 2)^2 u ||A'||_F max f (above
+    _SCREEN_SLACK), norm_fro = ||A'||_F."""
     m = family.dim
     return (max(_SCREEN_SLACK, m * m * 2.0**-53) + family.tol.eig_tol * m,
-            4.0 * (m + 2) ** 2 * 2.0**-53 * _frobenius(Ad) * fmax)
+            4.0 * (m + 2) ** 2 * 2.0**-53 * norm_fro * fmax)
 
 
 def _screen_bound(family: HermitianFamily, unit: tuple, Ad: np.ndarray) -> tuple[float, float]:
@@ -676,7 +688,7 @@ def _screen_bound(family: HermitianFamily, unit: tuple, Ad: np.ndarray) -> tuple
     f = 1.0 / np.sqrt(1.0 + w**2)
     if not np.iscomplexobj(V) and not np.any(Ad.imag):
         Ad = np.ascontiguousarray(Ad.real)
-    slack, rounding = _screen_terms(family, Ad, float(np.max(f)))
+    slack, rounding = _screen_terms(family, _frobenius(Ad), float(np.max(f)))
     head = f >= _SCREEN_HEAD * float(np.max(f))
     estimate = _norm_estimate(Ad @ (V[:, head] * f[head]))
     lower = max(0.0, estimate * (1.0 - slack) - rounding)
@@ -688,44 +700,71 @@ def _screen_bound(family: HermitianFamily, unit: tuple, Ad: np.ndarray) -> tuple
     return lower, estimate * (1.0 + slack) + rounding
 
 
-def _clears(family: HermitianFamily, unit: tuple, Ad: np.ndarray, threshold: float) -> bool:
+def _tridiagonal_product(bands: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """T x for the symmetric tridiagonal T with bands = (diagonal, off-diagonal)."""
+    d, e = bands
+    y = d * x
+    y[1:] += e * x[:-1]
+    y[:-1] += e * x[1:]
+    return y
+
+
+def _clears(family: HermitianFamily, unit: tuple, deriv: tuple, threshold: float) -> bool:
     """True only if ||_damped_derivative(family, t, side)|| <= threshold is
     proved with no eigensolve (derived above _SCREEN_SLACK), unit =
-    _read_unit(family, t) and Ad = family.derivative(t, side)."""
+    _read_unit(family, t) and deriv = _read_derivative(family, t, side)."""
     tol, m, p = family.tol, family.dim, family.scale_prefactor
     d, e = unit
-    if not np.any(Ad):
+    # as in unit, dd is the dense A' where de is None
+    dd, de = deriv
+    amax = float(np.abs(dd).max() if de is None else
+                 max(np.abs(dd).max(), np.abs(de).max(initial=0.0)))
+    if amax == 0.0:
         return threshold >= 0.0
-    slack, rounding = _screen_terms(family, Ad, 1.0)
+    slack, rounding = _screen_terms(
+        family, _frobenius(dd if de is None else np.concatenate([dd, de, de])), 1.0)
     # max(1, ||H_u||_F), the scale the eigensolver checks H_u against
     scale = max(1.0, _frobenius(d if e is None else np.concatenate([d, e, e])))
     r = p * scale * (tol.eig_tol + (m + 2) ** 2 * 2.0**-53)
     c = (threshold - rounding) / ((1.0 + slack) * (1.0 + r)) * (1.0 - 2.0**-40)
-    k = max(math.frexp(float(np.max(np.abs(Ad))))[1], -1021)
+    k = max(math.frexp(amax)[1], -1021)
     c = math.ldexp(c, min(-k, 480 - math.frexp(c)[1]))
     if not c > 2.0**-480:
         return False
-    Ad = Ad * math.ldexp(1.0, -k)
-    a, n = np.abs(np.diagonal(Ad)), m
-    if e is not None and np.count_nonzero(Ad) == np.count_nonzero(a):
-        hd, he, n = c * p * d, c * p * e, 5
-        M = np.zeros((3, m))
-        M[0] = hd * hd + np.r_[0.0, he * he] + np.r_[he * he, 0.0] - a * a
-        M[1, :-1] = he * (hd[:-1] + hd[1:])
-        M[2, :-2] = he[:-1] * he[1:]
+    s = math.ldexp(1.0, -k)
+    if de is not None:
+        # M = c^2 I + (c H)^2 - A'^2, pentadiagonal, from the bands of cH and A'
+        hd, he, bd, be, n = c * p * d, c * p * e, dd * s, de * s, 9
+        b2 = (be.conj() * be).real
+        M = np.zeros((3, m), dtype=be.dtype)
+        M[0] = hd * hd
+        M[0, 1:] += he * he
+        M[0, :-1] += he * he
+        B0 = bd * bd
+        B0[1:] += b2
+        B0[:-1] += b2
+        M[0] -= B0
+        M[1, :-1] = he * (hd[:-1] + hd[1:]) - be.conj() * (bd[:-1] + bd[1:])
+        M[2, :-2] = he[:-1] * he[1:] - (be[:-1] * be[1:]).conj()
+        abs_h, abs_d = (np.abs(hd), np.abs(he)), (np.abs(bd), np.abs(be))
 
         def gram_err(x):
-            y = x
-            for _ in range(2):  # y = |H| |H| x
-                y = abs(hd) * y + np.r_[0.0, abs(he) * y[:-1]] + np.r_[abs(he) * y[1:], 0.0]
-            return y + a * a * x
+            return (_tridiagonal_product(abs_h, _tridiagonal_product(abs_h, x))
+                    + _tridiagonal_product(abs_d, _tridiagonal_product(abs_d, x)))
     else:
-        A = d if e is None else np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        if _hermitian_defect(A):
-            return False
-        H, Ad = (X if np.any(X.imag) else X.real for X in (c * p * A, Ad))
+        if e is None:
+            if _hermitian_defect(d):
+                return False
+            H = c * p * d
+            if not H.imag.any():
+                H = H.real
+        else:
+            H = c * p * (np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        Ad = dd * s
+        if not Ad.imag.any():
+            Ad = Ad.real
         M = _band(H.conj().T @ H - Ad.conj().T @ Ad, m - 1)
-        abs_h, abs_d = np.abs(H), np.abs(Ad)
+        abs_h, abs_d, n = np.abs(H), np.abs(Ad), m
 
         def gram_err(x):
             return abs_h.T @ (abs_h @ x) + abs_d.T @ (abs_d @ x)
@@ -767,8 +806,10 @@ def estimate_derivative_bound(family: HermitianFamily, grid) -> float:
     # coarse to fine: both ends, then each index by the largest power of two dividing it
     for i in [0, last][:len(ts)] + sorted(range(1, last), key=lambda i: -(i & -i)):
         # A(t) is read, and checked, before A'(t) is formed
-        unit, Ad = _read_unit(family, ts[i]), family.derivative(ts[i], sides[i])
-        if not (threshold >= 0.0 and _clears(family, unit, Ad, threshold)):
+        unit, deriv = _read_unit(family, ts[i]), _read_derivative(family, ts[i], sides[i])
+        if not (threshold >= 0.0 and _clears(family, unit, deriv, threshold)):
+            # the screen takes the dense A'; bands are placed in it only here
+            Ad = deriv[0] if deriv[1] is None else family.derivative(ts[i], sides[i])
             lower, bounds[i] = _screen_bound(family, unit, Ad)
             threshold = max(threshold, lower)
     best = 0.0

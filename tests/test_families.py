@@ -12,6 +12,7 @@ from spectralbranch import (
     graph_norm_equivalence_ratio,
 )
 from spectralbranch.families import _graph_norm
+from spectralbranch.linalg import tridiagonal_eig
 from spectralbranch.gallery import CurveLemmaFamily, ResolventExampleFamily, SchrodingerFamily
 from spectralbranch.util import central_first, one_sided_first
 
@@ -130,6 +131,83 @@ def test_fd_derivative_rejects_unknown_side(rng):
     fam = dense_cubic_family(rng, 3, 1.0)
     with pytest.raises(ValueError, match="side"):
         fam.derivative(0.0, "up")
+
+
+def banded_family(bands, m=4, **kwargs):
+    """A tridiagonal family whose A' is tridiagonal_deriv's bands."""
+    return HermitianFamily(name="banded", dim=m, matrix=lambda t: np.eye(m, dtype=complex),
+                           tridiagonal=lambda t: (np.ones(m), np.zeros(m - 1)),
+                           tridiagonal_deriv=bands, **kwargs)
+
+
+@pytest.mark.parametrize("prefactor", [1.0, 3.0, 2.0**-144])
+def test_band_derivative_places_its_entries(prefactor):
+    # the dense A' holds the bands' values, entry for entry, with conj(de)
+    # below the diagonal and zeros elsewhere, whatever side is asked for
+    dd, de = np.array([1.5, -2.0, 0.0, 3.25]), np.array([0.5j, -1.0, 2.0 - 0.25j])
+    fam = banded_family(lambda t: (t * dd, t * de), scale_prefactor=prefactor)
+    for t in (-0.3, 0.0, 2.0):
+        want = np.zeros((4, 4), dtype=complex)
+        for i in range(4):
+            want[i, i] = prefactor * (t * dd[i])
+        for i in range(3):
+            want[i, i + 1] = prefactor * (t * de[i])
+            want[i + 1, i] = np.conj(prefactor * (t * de[i]))
+        for side in (None, "left", "right"):
+            assert fam.derivative(t, side).tobytes() == want.tobytes(), (t, side)
+
+
+def test_schrodinger_band_derivative_is_the_dense_diagonal():
+    # the same bytes as the dense derivative it replaced: the central
+    # difference of the potential on the diagonal, as complex
+    sch = SchrodingerFamily(m=15, potential="t*x + sin(3*t*x)")
+    fam, xs = sch.family(), sch.grid_points()
+    for t in (-2.5, 0.0, 0.4):
+        ht = 1e-6 * max(1.0, abs(t))
+        vp = ((t + ht) * xs + np.sin(3 * (t + ht) * xs)
+              - ((t - ht) * xs + np.sin(3 * (t - ht) * xs))) / (2.0 * ht)
+        assert np.array_equal(fam.derivative_bands(t)[0], vp)
+        assert fam.derivative(t).tobytes() == np.diag(vp).astype(np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("bands, error", [
+    # de one short, dd one long: the tridiagonal check's ValueError
+    (lambda t: (np.ones(4), np.zeros(2)), ValueError),
+    (lambda t: (np.ones(5), np.zeros(4)), ValueError),
+    # non-finite entries and an imaginary diagonal beyond hermitian_tol:
+    # its NotHermitianError
+    (lambda t: (np.array([1.0, np.nan, 0.0, 0.0]), np.zeros(3)), NotHermitianError),
+    (lambda t: (np.ones(4), np.array([0.0, np.inf * 1j, 0.0])), NotHermitianError),
+    (lambda t: (np.array([1.0, 1e-3j, 0.0, 0.0]), np.zeros(3)), NotHermitianError),
+], ids=["de-short", "dd-long", "nan-diagonal", "inf-off-diagonal", "imaginary-diagonal"])
+def test_band_derivative_is_checked_as_the_tridiagonal_is(bands, error):
+    fam = banded_family(bands)
+    with pytest.raises(error):
+        fam.derivative_bands(0.0)
+    with pytest.raises(error):
+        fam.derivative(0.0)
+    # the same bands as a tridiagonal A(t) raise the same error, where its
+    # check reads them: e must be real there, and only d's length is set
+    d, e = bands(0.0)
+    if not np.iscomplexobj(e) and d.size == 4:
+        with pytest.raises(error):
+            tridiagonal_eig(d, e)
+
+
+def test_band_derivative_within_hermitian_tol_keeps_the_real_diagonal():
+    fam = banded_family(lambda t: (np.array([1.0, 1e-12j, 0.0, 0.0]), np.full(3, 2j)))
+    dd, de = fam.derivative_bands(0.0)
+    assert dd.dtype == np.float64 and np.array_equal(dd, [1.0, 0.0, 0.0, 0.0])
+    assert de.dtype == np.complex128 and np.array_equal(de, np.full(3, 2j))
+
+
+def test_band_derivative_needs_a_tridiagonal_family_and_no_deriv():
+    bands = lambda t: (np.ones(4), np.zeros(3))  # noqa: E731
+    with pytest.raises(ValueError, match="without tridiagonal"):
+        HermitianFamily(name="no-tridiagonal", dim=4, matrix=lambda t: np.eye(4),
+                        tridiagonal_deriv=bands)
+    with pytest.raises(ValueError, match="both deriv and tridiagonal_deriv"):
+        banded_family(bands, deriv=lambda t: np.zeros((4, 4)))
 
 
 def test_graph_norm_oracles():

@@ -528,7 +528,9 @@ def test_track_rejects_non_finite_family(bad):
 def test_track_schrodinger_solves_without_dense_matrices(monkeypatch):
     # every grid eigensolve runs on (d, e); the values equal the dense path's
     fam = SchrodingerFamily(m=60, potential="12.5*t*x + 3.25*sin(4.5*x + 2*t)").family()
-    dense = track_branches(dataclasses.replace(fam, tridiagonal=None), (0.0, 1.0), 41)
+    # the dense twin takes A' as a matrix, since bands need a tridiagonal A
+    dense = track_branches(dataclasses.replace(fam, tridiagonal=None, tridiagonal_deriv=None,
+                                               deriv=fam.derivative), (0.0, 1.0), 41)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense matrix built or solved on the tridiagonal path")
@@ -1039,6 +1041,69 @@ def test_screened_bound_tridiagonal_family_with_complex_derivative(estimate_dtyp
     assert certificate_dtypes and all(dt == np.complex128 for dt in certificate_dtypes)
 
 
+def banded_complex_derivative_tridiagonal_family():
+    """complex_derivative_tridiagonal_family with A' given as its bands."""
+    fam = complex_derivative_tridiagonal_family()
+    slope = np.cos(np.arange(fam.dim))
+    return dataclasses.replace(
+        fam, name="tridiagonal-complex-derivative-bands", deriv=None,
+        tridiagonal_deriv=lambda t: (slope + 2.0 * t, np.full(fam.dim - 1, 0.5j * (2.0 + t))))
+
+
+def test_screened_bound_tridiagonal_family_with_complex_derivative_bands(monkeypatch,
+                                                                         estimate_dtypes):
+    # the bands place the dense twin's A' entry for entry, and the
+    # certificate factors the pentadiagonal pencil in complex
+    fam = banded_complex_derivative_tridiagonal_family()
+    twin = complex_derivative_tridiagonal_family()
+    grid = np.linspace(-1.0, 1.0, 25)
+    for t in grid:
+        assert fam.derivative(t).tobytes() == twin.derivative(t).tobytes()
+    certified = []
+    original = spectralbranch.tracker._psd_certified
+
+    def recording(ab, err):
+        certified.append((ab.dtype, ab.shape))
+        return original(ab, err)
+
+    monkeypatch.setattr(spectralbranch.tracker, "_psd_certified", recording)
+    assert estimate_derivative_bound(fam, grid) == brute_force_bound(fam, grid)
+    assert certified and all(c == (np.complex128, (3, fam.dim)) for c in certified)
+    assert estimate_dtypes and all(dt == np.complex128 for dt in estimate_dtypes)
+    assert_certificate_sound(fam, grid)
+
+
+@pytest.mark.parametrize("m, most", [(99, 3), (399, 5)])
+def test_estimate_places_band_derivatives_only_where_it_screens(monkeypatch, norm_calls,
+                                                                m, most):
+    # a Schrodinger family gives A' as bands, which the certificate reads in
+    # O(m): only a point it leaves to the screen, or the exact pass, forms
+    # the dense A'
+    fam = SchrodingerFamily(m=m, potential="t*x").family()
+    grid = np.linspace(0.0, 1.0, 201)
+    formed, screened = [], []
+    derivative, screen_bound = HermitianFamily.derivative, spectralbranch.tracker._screen_bound
+
+    def forming(self, t, side=None):
+        formed.append(t)
+        return derivative(self, t, side)
+
+    def screening(family, unit, Ad):
+        screened.append(Ad.shape)
+        return screen_bound(family, unit, Ad)
+
+    monkeypatch.setattr(HermitianFamily, "derivative", forming)
+    monkeypatch.setattr(spectralbranch.tracker, "_screen_bound", screening)
+    a = estimate_derivative_bound(fam, grid)
+    assert len(formed) == len(screened) + len(norm_calls) <= most
+    if m == 99:
+        assert a == brute_force_bound(fam, grid)
+    else:
+        # the maximum sits at t = 0: brute_force_bound over all 201 points
+        # gives the same bits, but takes about 20 s at m = 399
+        assert a == brute_force_bound(fam, grid[:1])
+
+
 @pytest.mark.parametrize("m", [3, 25, 26, 64, 120])
 def test_screened_bound_seeded_schrodinger_potentials(m, estimate_dtypes, certificate_dtypes):
     # the tridiagonal family's estimates and certificate run in real arithmetic
@@ -1118,11 +1183,12 @@ def assert_certificate_sound(family, grid, proves_near_norm=False):
     SVD norm s taken there, and with proves_near_norm it proves 1.01 s."""
     clears = spectralbranch.tracker._clears
     for t, side in screen_points(family, grid):
-        unit, Ad = spectralbranch.tracker._read_unit(family, t), family.derivative(t, side)
+        unit = spectralbranch.tracker._read_unit(family, t)
+        deriv = spectralbranch.tracker._read_derivative(family, t, side)
         s = operator_norm(spectralbranch.tracker._damped_derivative(family, t, side))
-        assert not clears(family, unit, Ad, s * (1.0 - 2.0**-30)), (family.name, t, s)
+        assert not clears(family, unit, deriv, s * (1.0 - 2.0**-30)), (family.name, t, s)
         if proves_near_norm:
-            assert clears(family, unit, Ad, 1.01 * s), (family.name, t, s)
+            assert clears(family, unit, deriv, 1.01 * s), (family.name, t, s)
 
 
 def test_certificate_is_sound_and_tight_on_quadratic_and_schrodinger_families():
@@ -1155,7 +1221,8 @@ def test_certificate_bounds_every_eigenpair_the_solver_would_accept():
     s = operator_norm(spectralbranch.tracker._damped_derivative(fam, 0.5, None))
     assert moved > s * (1.0 + 1e-6)
     unit = spectralbranch.tracker._read_unit(fam, 0.5)
-    assert not spectralbranch.tracker._clears(fam, unit, Ad, moved * (1.0 - 2.0**-30))
+    deriv = spectralbranch.tracker._read_derivative(fam, 0.5, None)
+    assert not spectralbranch.tracker._clears(fam, unit, deriv, moved * (1.0 - 2.0**-30))
 
 
 def test_certificate_refuses_below_the_norm_on_hard_families():
