@@ -8,7 +8,7 @@ projector and the requested power sums stabilize below proj_tol, capped at
 max_nodes.
 
 The enclosed eigenvalue count needs no quadrature: it is exact by inertia
-(``Contour.inertia_count``, Sturm counts on zheevd's tridiagonal form of A),
+(``Contour.inertia_count``, Sturm counts on dense_eig's tridiagonal form of A),
 so ``spectral_cluster`` knows N first and one quadrature yields the
 projector and s_0..s_{2N} together.
 

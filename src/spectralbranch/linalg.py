@@ -2,15 +2,16 @@
 
 Matrices are plain numpy complex128 arrays; the helpers here add the contract
 checks (Hermiticity, finiteness, residual bounds, pivot guards) that the rest
-of the package relies on.  The two eigensolvers, ``dense_eig`` (zheevd) and
-``tridiagonal_eig`` (dstevd on a real symmetric tridiagonal matrix, never
-formed dense), return checked (w, V) as LAPACK gives them: ascending
-eigenvalues, orthonormal eigenvectors with whatever phases LAPACK left.  That
-is the only form: nothing the package reports depends on a choice of
-eigenvector phase, and nothing rewrites V.  A solve that needs only w
-skips the dense V: ``_tridiagonal_form`` makes zheevd's own reduction of A to
-real tridiagonal (d, e), and ``tridiagonal_eig`` solves it, with zheevd's w
-bit for bit, and ``_sturm_counts`` counts eigenvalues on the same (d, e).
+of the package relies on.  Every eigensolve is one kernel: zhetrd reduces A
+to a real tridiagonal T = Q^H A Q (``_reduction``) and dstevd solves T.
+``dense_eig`` forms Q from the reflectors and returns V = Q Z; a solve that
+needs only w stops at (d, e) (``_tridiagonal_form``) and ``tridiagonal_eig``
+solves it, with the same w, and ``_sturm_counts`` counts eigenvalues on the
+same (d, e).  ``tridiagonal_eig`` also takes a tridiagonal family's own
+(d, e), never formed dense.  Both return checked (w, V) as LAPACK gives
+them: ascending eigenvalues, orthonormal eigenvectors with whatever phases
+LAPACK left.  That is the only form: nothing the package reports depends on
+a choice of eigenvector phase, and nothing rewrites V.
 ``_psd_certified`` proves a banded Hermitian matrix positive semidefinite,
 rounding included, with one Cholesky.  The tracker's entry points run every
 OpenBLAS pool on one thread (``_one_blas_thread``), because at their sizes
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.blas import dnrm2, dznrm2
-from scipy.linalg.lapack import dpbtrf, dstevd, zhetrd, zhetrd_lwork, zpbtrf
+from scipy.linalg.lapack import dpbtrf, dstevd, zhetrd, zhetrd_lwork, zpbtrf, zungqr
 
 from .errors import EigenConvergenceError, NotHermitianError, SpectrumTouchError
 
@@ -127,7 +128,7 @@ def _check_eigenpairs(resid: float, V: np.ndarray, scale: float, tol: Tolerances
 
 
 def _lower_hermitian(A: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix that eigh solves for A: A's strictly lower
+    """The Hermitian matrix that zhetrd reduces for A: A's strictly lower
     triangle, its mirror above and the real part of A's diagonal."""
     m = A.shape[0]
     H = np.where(np.tri(m, k=-1, dtype=bool), A, A.conj().T)
@@ -138,19 +139,32 @@ def _lower_hermitian(A: np.ndarray) -> np.ndarray:
 def dense_eig(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues w and orthonormal eigenvectors V of Hermitian A.
 
-    LAPACK zheevd through numpy's eigh, with V as it returns it.  A must be
-    finite and Hermitian to hermitian_tol, and the reconstruction and
-    orthonormality residuals must meet eig_tol.  eigh solves the Hermitian
-    matrix in A's lower triangle, with a real diagonal: where the residual
-    of A as given fails, that matrix's residual is the one checked, so a
-    defect that hermitian_tol admits is not charged to eig_tol.
+    One reduction A = Q T Q^H (_reduction, zhetrd on the lower triangle),
+    then (w, Z) of the real tridiagonal T by dstevd, as tridiagonal_eig
+    solves it, and V = Q Z, with Q formed from the reflectors by zungqr on
+    their trailing (m - 1) x (m - 1) block, which is LAPACK's zungtr for a
+    lower reduction (Golub & Van Loan, Matrix Computations, 4th ed., 2013,
+    sec. 8.3.1).  The values path, tridiagonal_eig(*_tridiagonal_form(A)),
+    runs the same reduction and the same dstevd, so its w is this w.
+
+    A must be finite and Hermitian to hermitian_tol, and the reconstruction
+    and orthonormality residuals must meet eig_tol.  zhetrd reads the
+    Hermitian matrix in A's lower triangle, with a real diagonal: where the
+    residual of A as given fails, that matrix's residual is the one checked,
+    so a defect that hermitian_tol admits is not charged to eig_tol.
     """
     A = as_matrix(A)
     scale = _hermitian_scale(_frobenius(A), lambda: _hermitian_defect(A), tol)
-    try:
-        w, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigensolver failed: {exc}") from exc
+    m = A.shape[0]
+    if m == 0:
+        # scipy's zhetrd wrapper refuses an empty matrix
+        return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
+    c, d, e, tau = _reduction(A, tol)
+    w, Z = _dstevd(d, e)
+    Q = np.eye(m, dtype=np.complex128)
+    if m > 1:
+        Q[1:, 1:] = zungqr(c[1:, :-1], tau, lwork=32 * (m - 1))[0]
+    V = Q @ Z
     resid = _frobenius(A @ V - V * w)
     if not resid <= tol.eig_tol * scale:
         # built only here: on exactly Hermitian A it equals A, and the copy
@@ -160,30 +174,28 @@ def dense_eig(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
     return w, V
 
 
+def _dstevd(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK dstevd's (w, Z) of the real tridiagonal (d, e), unchecked but
+    for its info: divide and conquer (dstedc), QR below 26 rows."""
+    # the wrapper wants at least one off-diagonal entry even at m = 1
+    w, Z, info = dstevd(d, e if d.size > 1 else np.zeros(1), compute_v=1)
+    if info != 0:
+        raise EigenConvergenceError(f"eigensolver failed: dstevd returned info={info}")
+    return w, Z
+
+
 def tridiagonal_eig(d, e, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues w and real orthonormal eigenvectors V of the
-    symmetric tridiagonal T with diagonal d and off-diagonal e.
-
-    LAPACK dstevd: divide and conquer (dstedc), QR below 26 rows.  On T
-    written as a dense Hermitian matrix, every Householder reflector of
-    zheevd's reduction is the identity, so zheevd hands the same (d, e) to
-    the same dstedc: w equals dense_eig's w on the dense T bit for bit, and
-    V, once cast to complex, equals its V (below 26 rows up to the sign of
-    zeros, which zheevd's complex QR rotations set).  dstevd and zheevd
-    rescale differently below entries of about 1e-140, so this is a solver
-    for tridiagonal families, not a fast path to detect in dense_eig.
+    symmetric tridiagonal T with diagonal d and off-diagonal e, by dstevd.
 
     e is real.  d may carry an imaginary part: beyond hermitian_tol x
     max(1, ||T||_F) it is rejected as ensure_hermitian rejects the dense
-    matrix, and otherwise the real part is solved, as zheevd reads a
+    matrix, and otherwise the real part is solved, as zhetrd reads a
     Hermitian diagonal.  The residual and orthogonality checks are
     dense_eig's, one _check_eigenpairs, with a banded product for T V.
     """
     d, e, scale = _checked_tridiagonal(d, e, tol)
-    # the wrapper wants at least one off-diagonal entry even at m = 1
-    w, V, info = dstevd(d, e if d.size > 1 else np.zeros(1), compute_v=1)
-    if info != 0:
-        raise EigenConvergenceError(f"eigensolver failed: dstevd returned info={info}")
+    w, V = _dstevd(d, e)
     R = d[:, None] * V - V * w
     R[:-1] += e[:, None] * V[1:]
     R[1:] += e[:, None] * V[:-1]
@@ -208,34 +220,23 @@ def _checked_tridiagonal(d, e, tol: Tolerances,
 
 @functools.cache
 def _zhetrd_lwork(m: int) -> int:
-    """The blocked workspace zhetrd asks for at m rows, as zheevd queries it."""
+    """The blocked workspace zhetrd asks for at m rows."""
     work, _ = zhetrd_lwork(m, lower=1)
     return int(work.real)
 
 
-def _tridiagonal_form(A: np.ndarray,
-                      tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal d and off-diagonal e of the real symmetric tridiagonal T = Q^H A Q
-    that zheevd solves for A, an already checked finite Hermitian matrix.
+def _reduction(A: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """zhetrd's reduction of A, an already checked finite Hermitian matrix
+    with at least one row, to the real symmetric tridiagonal T = Q^H A Q:
+    its reflectors c and tau, and T's diagonal d and off-diagonal e.
 
-    zheevd reduces A's lower triangle with zhetrd, blocked above 32 rows,
-    and hands the real (d, e) to dstedc; its back-transformation V = Q Z never
-    changes w.  This is the same call, on the lower triangle and with the
-    workspace zhetrd_lwork gives, so tridiagonal_eig(d, e)'s w equals
-    dense_eig(A)'s bit for bit (the upper triangle, or the default unblocked
-    workspace, rounds differently).  The exception is scaling.  Entries above
-    about 1e+145 or below about 1e-146, and below about 1e-123 at 25 rows or
-    fewer (where zheevd runs complex QR), make zheevd and dstevd rescale
-    under their own rules, so there the bits may differ, though w is still
-    checked.  Entries of 1e-100 and 1e+140 matched; 1e+150 and 1e-150 did
-    not, nor did 1e-125 at 2 to 25 rows.
-
-    T is tied to A by the Frobenius norm, which a unitary similarity keeps:
-    | ||T||_F - ||A||_F | must be within eig_tol x max(1, ||A||_F), against A
-    as given or, where that fails, the matrix zhetrd read (_lower_hermitian),
-    else EigenConvergenceError.
+    zhetrd reads A's lower triangle, blocked above 32 rows with the
+    workspace zhetrd_lwork gives.  T is tied to A by the Frobenius norm,
+    which a unitary similarity keeps: | ||T||_F - ||A||_F | must be within
+    eig_tol x max(1, ||A||_F), against A as given or, where that fails, the
+    matrix zhetrd read (_lower_hermitian), else EigenConvergenceError.
     """
-    _, d, e, _, info = zhetrd(A, lower=1, lwork=_zhetrd_lwork(A.shape[0]))
+    c, d, e, tau, info = zhetrd(A, lower=1, lwork=_zhetrd_lwork(A.shape[0]))
     if info != 0:
         raise EigenConvergenceError(f"tridiagonal reduction failed: zhetrd returned info={info}")
     norm, norm_t = _frobenius(A), _frobenius(np.concatenate([d, e, e]))
@@ -248,6 +249,14 @@ def _tridiagonal_form(A: np.ndarray,
                 f"tridiagonal reduction lost the matrix: ||T||_F={norm_t:.17g} but "
                 f"||A||_F={norm:.17g}"
             )
+    return c, d, e, tau
+
+
+def _tridiagonal_form(A: np.ndarray,
+                      tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal d and off-diagonal e of dense_eig's reduction of A (_reduction),
+    for the solves and counts that need no eigenvectors."""
+    _, d, e, _ = _reduction(A, tol)
     return d, e
 
 
@@ -320,9 +329,10 @@ def _sturm_counts(d, e, shifts) -> list[int]:
 def eigenvalue_count(A, lo: float, hi: float, tol: Tolerances = DEFAULT_TOL) -> int:
     """Exact number of eigenvalues of Hermitian A in the open interval (lo, hi).
 
-    Spectrum slicing: A = Q T Q^H for the tridiagonal T that zheevd reduces A
-    to, so the count is T's Sturm count below hi less that below lo.  An end
-    within delta of the spectrum (_sturm_counts) raises SpectrumTouchError.
+    Spectrum slicing: A = Q T Q^H for the tridiagonal T of dense_eig's
+    reduction, so the count is T's Sturm count below hi less that below lo.
+    An end within delta of the spectrum (_sturm_counts) raises
+    SpectrumTouchError.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")

@@ -35,9 +35,14 @@ _H_FD2 = 1e-4
 
 def _read_unit(family: HermitianFamily, t: float) -> tuple:
     """A(t) at unit scale, the only read of the family in this module: its own
-    (d, e), checked as tridiagonal_eig checks them, else (family.unit(t), None)."""
+    (d, e), checked as tridiagonal_eig checks them and held to family.dim,
+    else (family.unit(t), None)."""
     if family.tridiagonal is not None:
-        return _checked_tridiagonal(*family.tridiagonal(float(t)), family.tol)[:2]
+        d, e, _ = _checked_tridiagonal(*family.tridiagonal(float(t)), family.tol)
+        if d.size != family.dim:
+            raise ValueError(f"family {family.name!r} produced a tridiagonal of lengths "
+                             f"{d.size} and {e.size}, expected {family.dim} and {family.dim - 1}")
+        return d, e
     return family.unit(t), None
 
 
@@ -50,7 +55,7 @@ def _read_derivative(family: HermitianFamily, t: float, side: str | None) -> tup
 
 
 def _unit_form(family: HermitianFamily, unit: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(d, e) of unit = _read_unit(family, t): its own, or zheevd's of the matrix."""
+    """(d, e) of unit = _read_unit(family, t): its own, or dense_eig's of the matrix."""
     return unit if unit[1] is not None else _tridiagonal_form(unit[0], family.tol)
 
 
@@ -191,7 +196,7 @@ def one_sided_derivatives(family: HermitianFamily, t_star: float, gamma: Contour
         return np.zeros(0)
     C = F.conj().T @ family.derivative(t_star, side) @ F
     C = 0.5 * (C + C.conj().T)
-    return np.sort(np.linalg.eigvalsh(C))
+    return dense_eig(C, family.tol)[0]
 
 
 def _tie_groups(sorted_left: np.ndarray, sorted_right: np.ndarray,

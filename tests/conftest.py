@@ -61,13 +61,11 @@ def assert_dense_bits(A, w, V):
     """(w, V) from tridiagonal_eig equal dense_eig(A) bit for bit, V once
     cast to complex, for the dense form A of the same tridiagonal matrix.
 
-    Below 26 rows zheevd runs QR on complex vectors, whose rotations leave
-    -0.0 where the real rotations of dstevd leave +0.0; adding 0.0 maps both
-    to +0.0 and leaves every other value as it is.
+    Every reflector of zhetrd's reduction of that A is the identity, so
+    dense_eig solves the same (d, e) with the same dstevd, and V = Q Z
+    differs from Z only where the complex product sums -0.0 to +0.0;
+    adding 0.0 maps both to +0.0 and leaves every other value as it is.
     """
     dense_w, dense_V = dense_eig(A)
-    V = V.astype(np.complex128)
     assert w.tobytes() == dense_w.tobytes()
-    if w.size > 25:
-        assert V.tobytes() == dense_V.tobytes()
-    assert (V + 0.0).tobytes() == (dense_V + 0.0).tobytes()
+    assert (V.astype(np.complex128) + 0.0).tobytes() == (dense_V + 0.0).tobytes()

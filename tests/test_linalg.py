@@ -15,9 +15,9 @@ from spectralbranch import (
 import spectralbranch.linalg
 from spectralbranch import EigenConvergenceError
 from spectralbranch.linalg import (DEFAULT_TOL, _PIVOT_FLOOR, _band, _hermitian_defect,
-                                  _one_blas_thread, _psd_certified, _sturm_counts,
-                                  _tridiagonal_form, as_matrix, dense_eig, eigenvalue_count,
-                                  tridiagonal_eig)
+                                  _lower_hermitian, _one_blas_thread, _psd_certified,
+                                  _sturm_counts, _tridiagonal_form, as_matrix, dense_eig,
+                                  eigenvalue_count, tridiagonal_eig)
 
 from conftest import assert_dense_bits, hermitian_with_spectrum, numerical_rank, random_hermitian
 
@@ -300,14 +300,14 @@ def test_large_finite_matrices_accepted(scale):
 
 def test_residual_check_holds_at_large_scale(monkeypatch):
     # with an overflowing scale every residual would pass
-    real = np.linalg.eigh
+    real = spectralbranch.linalg.dstevd
 
-    def wrong_values(A):
-        w, V = real(A)
-        return 1.5 * w, V
+    def wrong_values(*args, **kwargs):
+        w, Z, info = real(*args, **kwargs)
+        return 1.5 * w, Z, info
 
     A = 1e300 * np.diag([1.0, 2.0]).astype(complex)
-    monkeypatch.setattr(np.linalg, "eigh", wrong_values)
+    monkeypatch.setattr(spectralbranch.linalg, "dstevd", wrong_values)
     with pytest.raises(EigenConvergenceError, match="residuals too large"):
         dense_eig(A)
 
@@ -322,12 +322,23 @@ def test_empty_matrix():
 # ---------------------------------------------------------------- dense_eig
 
 
+def assert_kernel_pair(A, tol=DEFAULT_TOL):
+    """dense_eig's w is the values path's bit for bit and agrees with the
+    eigvalsh oracle; V passes the residual and orthogonality bounds."""
+    w, V = dense_eig(A, tol)
+    assert w.tobytes() == tridiagonal_eig(*_tridiagonal_form(A, tol), tol)[0].tobytes()
+    m, scale = A.shape[0], max(1.0, np.linalg.norm(A))
+    assert np.abs(w - np.linalg.eigvalsh(A)).max() <= 1e-14 * scale
+    assert np.linalg.norm(_lower_hermitian(A) @ V - V * w) <= 1e-14 * scale
+    assert np.linalg.norm(V.conj().T @ V - np.eye(m)) <= 1e-14 * m
+    return w, V
+
+
 def test_dense_eig_returns_lapack_pair(rng):
-    # the checked pair is eigh's own output, with no phase or order applied
+    # one reduction, one tridiagonal solve and Q from the reflectors: the
+    # values path's w with V, no phase or order applied
     for A in (random_hermitian(rng, 9), np.diag([2.0, 1.0, 2.0]).astype(complex)):
-        w, V = dense_eig(A)
-        ref_w, ref_V = np.linalg.eigh(A)
-        assert w.tobytes() == ref_w.tobytes() and V.tobytes() == ref_V.tobytes()
+        assert_kernel_pair(A)
     with pytest.raises(NotHermitianError):
         dense_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
@@ -338,13 +349,12 @@ def test_dense_eig_returns_lapack_pair(rng):
     np.array([[1e-7j, 0.0], [0.0, -2e-7j]]),
 ], ids=["lower", "upper", "imaginary-diagonal"])
 def test_dense_eig_residual_is_of_the_matrix_eigh_solves(defect):
-    # eigh reads the lower triangle and the real diagonal, so a defect that
+    # zhetrd reads the lower triangle and the real diagonal, so a defect that
     # hermitian_tol lets through needs no looser eig_tol
     A = np.array([[1.0, 0.5], [0.5, -2.0]], dtype=complex) + defect
     loose = DEFAULT_TOL.replace(hermitian_tol=1e-4)
-    w, V = dense_eig(A, loose)
-    ref_w, ref_V = np.linalg.eigh(A)
-    assert w.tobytes() == ref_w.tobytes() and V.tobytes() == ref_V.tobytes()
+    w, V = assert_kernel_pair(A, loose)
+    assert np.linalg.norm(A @ V - V * w) > loose.eig_tol
     with pytest.raises(NotHermitianError, match="not Hermitian"):
         dense_eig(A)
 
@@ -374,10 +384,8 @@ def test_dense_eig_returns_lapack_pair_on_tie_corpus():
     # exact ties included: no phase is fixed and no tied column reordered
     ties = 0
     for A in tie_corpus():
-        w, V = dense_eig(A)
-        ref_w, ref_V = np.linalg.eigh(A)
+        w, _ = assert_kernel_pair(A)
         ties += int(np.any(w[1:] == w[:-1]))
-        assert w.tobytes() == ref_w.tobytes() and V.tobytes() == ref_V.tobytes()
     assert ties > 100
 
 
@@ -434,7 +442,7 @@ def test_tridiagonal_eig_checks_its_input():
             tridiagonal_eig(np.ones(3), np.array([1.0, bad]))
     with pytest.raises(NotHermitianError, match="not Hermitian"):
         tridiagonal_eig(np.array([1.0, 2.0 + 1e-6j, 3.0]), np.ones(2))
-    # a negligible imaginary part is dropped, as zheevd drops it
+    # a negligible imaginary part is dropped, as zhetrd drops it
     d = np.array([1.0, 2.0 + 1e-15j, 3.0])
     w, V = tridiagonal_eig(d, np.ones(2))
     assert_dense_bits(tridiagonal_dense(d, np.ones(2)), w, V)
@@ -513,7 +521,7 @@ def values_corpus():
 
 @pytest.mark.parametrize("one_thread", [True, False], ids=["one-blas-thread", "default-threads"])
 def test_tridiagonal_form_values_bit_equal_to_dense(one_thread):
-    # zheevd's own reduction, solved by the tridiagonal solver: dense_eig's w
+    # dense_eig's own reduction, solved by the tridiagonal solver: its w
     # without forming V, on one BLAS thread (as the tracker runs) and not
     n = 0
     with _one_blas_thread if one_thread else contextlib.nullcontext():
@@ -530,7 +538,7 @@ def test_tridiagonal_form_values_bit_equal_to_dense(one_thread):
 ], ids=["lower", "upper"])
 def test_tridiagonal_form_is_of_the_matrix_zhetrd_reads(defect):
     # ||T||_F misses ||A||_F by more than eig_tol here, but equals the norm of
-    # the lower triangle with a real diagonal, which zheevd solves too
+    # the lower triangle with a real diagonal, which dense_eig solves too
     A = np.array([[1.0, 0.5], [0.5, -2.0]], dtype=complex) + defect
     loose = DEFAULT_TOL.replace(hermitian_tol=1e-4)
     d, e = _tridiagonal_form(A, loose)

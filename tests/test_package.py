@@ -96,6 +96,25 @@ def test_tracker_reads_the_family_in_one_function():
     assert len(readers) == 1, sorted(readers)
 
 
+def test_one_dense_eigensolver():
+    # every dense eigensolve is dense_eig's reduction: no numpy eigensolver,
+    # and one function that reduces a matrix to tridiagonal form
+    def called(node):
+        return (node.func.attr if isinstance(node.func, ast.Attribute)
+                else getattr(node.func, "id", None))
+
+    numpy_solvers, reducers = [], set()
+    for path in sorted((ROOT / "src" / "spectralbranch").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        numpy_solvers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Call) and called(node) in ("eigh", "eigvalsh")]
+        reducers |= {f"{path.name}:{fn.name}" for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+                     if isinstance(node, ast.Call) and called(node) == "zhetrd"}
+    assert not numpy_solvers, numpy_solvers
+    assert len(reducers) == 1, sorted(reducers)
+
+
 def test_readme_quick_start():
     section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]

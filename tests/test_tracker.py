@@ -407,7 +407,7 @@ def test_track_dense_family_forms_no_eigenvectors(order, monkeypatch):
         raise AssertionError("dense eigenvectors formed during tracking")
 
     monkeypatch.setattr(spectralbranch.tracker, "dense_eig", forbidden)
-    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(spectralbranch.linalg, "zungqr", forbidden)
     bs = track_branches(fam, (-1.0, 1.0), 81, order=order)
     assert len(bs.crossings) == 3
     assert _crossing_bytes(bs) == _crossing_bytes(reference)
@@ -576,6 +576,21 @@ def test_track_schrodinger_rejects_bad_callable_potentials(potential, message):
         track_branches(fam, (0.0, 1.0), 5)
     with pytest.raises(NotHermitianError, match=message):
         estimate_derivative_bound(fam, [0.5])
+
+
+def test_track_holds_a_tridiagonal_family_to_its_dimension():
+    # (d, e) one row short of dim: the dense matrix and the derivative bands
+    # are held to dim, and so is the tridiagonal read
+    fam = HermitianFamily(name="short", dim=4,
+                          matrix=lambda t: np.diag([t, 2.0, 3.0, 4.0]).astype(complex),
+                          tridiagonal=lambda t: (np.array([t, 2.0, 3.0]), np.zeros(2)))
+    message = r"'short' produced a tridiagonal of lengths 3 and 2, expected 4 and 3"
+    with pytest.raises(ValueError, match=message):
+        sorted_eigenvalues(fam, 0.5)
+    with pytest.raises(ValueError, match=message):
+        track_branches(fam, (0.0, 1.0), 11)
+    with pytest.raises(ValueError, match=message):
+        estimate_derivative_bound(fam, [0.0, 0.5, 1.0])
 
 
 def _families_with_hermitian_defect(defect):
