@@ -8,7 +8,7 @@ projector and the requested power sums stabilize below proj_tol, capped at
 max_nodes.
 
 The enclosed eigenvalue count needs no quadrature: it is exact by inertia
-(``Contour.inertia_count``, Sturm counts on dense_eig's tridiagonal form of A),
+(``_enclosed_count``, Sturm counts on dense_eig's tridiagonal form of A),
 so ``spectral_cluster`` knows N first and one quadrature yields the
 projector and s_0..s_{2N} together.
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import QuadratureError, RootRealityError, SeparationError
 from .families import HermitianFamily
-from .linalg import DEFAULT_TOL, Tolerances, eigenvalue_count, solve_shifted
+from .linalg import Tolerances, _sturm_counts, _tridiagonal_form, solve_shifted
 
 # Geometric node error e_M ~ rho**M: the step from M/2 to M nodes is about
 # e_{M/2}, so e_M is about step**2 up to a constant this factor covers.
@@ -77,15 +77,19 @@ class Contour:
         half = float(np.sqrt(max(self.radius**2 - c.imag**2, 0.0)))
         return (c.real - half, c.real + half) if half > 0.0 else None
 
-    def inertia_count(self, A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-        """Exact count of the eigenvalues of Hermitian A inside the circle, by
-        inertia: being real, those in the disk's _real_interval."""
-        interval = self._real_interval()
-        return 0 if interval is None else eigenvalue_count(A, *interval, tol)
-
     def scaled(self, f: float) -> "Contour":
         """Image of the contour under z -> z/f (map to unit coordinates)."""
         return Contour(center=self.center / f, radius=self.radius / f, nodes=self.nodes)
+
+
+def _enclosed_count(g: Contour, d: np.ndarray, e: np.ndarray) -> int:
+    """Exact count of the eigenvalues inside the circle g of the Hermitian
+    matrix reduced to (d, e), by inertia: being real, those in the disk's
+    _real_interval, the Sturm count below its right end less that below its
+    left."""
+    interval = g._real_interval()
+    below = _sturm_counts(d, e, interval) if interval else [0, 0]
+    return below[1] - below[0]
 
 
 def _node_sums(A: np.ndarray, c: complex, r: float, thetas: np.ndarray,
@@ -245,7 +249,7 @@ def spectral_cluster(family: HermitianFamily, t: float, gamma: Contour) -> Spect
     f = family.scale_prefactor
     A = family.unit(t)
     g = gamma.scaled(f)
-    N = g.inertia_count(A, tol)
+    N = _enclosed_count(g, *_tridiagonal_form(A, tol))
     P, s_complex = _quadrature(A, g, 2 * N, tol)
     s_unit = _realize(s_complex)
     s0 = float(s_unit[0])

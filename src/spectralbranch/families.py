@@ -67,7 +67,9 @@ class HermitianFamily:
         return ensure_hermitian(A, self.tol)
 
     def unit(self, t: float) -> np.ndarray:
-        """Unit-scale matrix at t, validated Hermitian."""
+        """Unit-scale matrix at t as the Hermitian check hands it on
+        (ensure_hermitian): matrix(t) itself when exactly Hermitian, else the
+        Hermitian matrix in its lower triangle that zhetrd reads."""
         return self._checked(self.matrix(float(t)))
 
     def eval(self, t: float) -> np.ndarray:
@@ -90,7 +92,9 @@ class HermitianFamily:
         then ignored), placed from derivative_bands(t) or checked from
         deriv(t), else five-point differences of unit(t) with step
         h_fd max(1, |t|), central when side is None and one-sided toward
-        side ("left" or "right") otherwise, symmetrised as (D + D^H) / 2."""
+        side ("left" or "right") otherwise, symmetrised as (D + D^H) / 2.
+        The central stencil weighs A(t) by 0, so an exact zero stands in for
+        it and A(t) is not read."""
         t = float(t)
         if self.tridiagonal_deriv is not None:
             dd, de = self.derivative_bands(t)
@@ -103,7 +107,9 @@ class HermitianFamily:
             return self.scale_prefactor * self._checked(self.deriv(t))
         h = self.tol.h_fd * max(1.0, abs(t))
         if side is None:
-            D = central_first(np.stack([self.unit(t + k * h) for k in (-2, -1, 0, 1, 2)]), h)
+            zero = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            D = central_first(np.stack([self.unit(t + k * h) if k else zero
+                                        for k in (-2, -1, 0, 1, 2)]), h)
         elif side in ("left", "right"):
             sgn = 1.0 if side == "right" else -1.0
             D = one_sided_first(np.stack([self.unit(t + sgn * j * h) for j in range(5)]), h, side)

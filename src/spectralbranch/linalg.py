@@ -2,8 +2,15 @@
 
 Matrices are plain numpy complex128 arrays; the helpers here add the contract
 checks (Hermiticity, finiteness, residual bounds, pivot guards) that the rest
-of the package relies on.  Every eigensolve is one kernel: zhetrd reduces A
-to a real tridiagonal T = Q^H A Q (``_reduction``) and dstevd solves T.
+of the package relies on.  The Hermitian check (``_checked_hermitian``,
+public as ``ensure_hermitian``) is the one place that decides what a matrix
+Hermitian only to hermitian_tol stands for: the Hermitian matrix zhetrd
+reads, A's lower triangle, its mirror and the real part of its diagonal
+(``_lower_hermitian``), which is A itself, not copied, when A is exactly
+Hermitian.  Every consumer works from the matrix the check hands on, as
+``tridiagonal_eig`` works from the real part of d.
+Every eigensolve is one kernel: zhetrd reduces A to a real tridiagonal
+T = Q^H A Q (``_reduction``) and dstevd solves T.
 ``dense_eig`` forms Q from the reflectors and returns V = Q Z; a solve that
 needs only w stops at (d, e) (``_tridiagonal_form``) and ``tridiagonal_eig``
 solves it, with the same w, and ``_sturm_counts`` counts eigenvalues on the
@@ -90,9 +97,10 @@ def _frobenius(x: np.ndarray) -> float:
     return float((dznrm2 if np.iscomplexobj(x) else dnrm2)(x))
 
 
-def _hermitian_scale(norm: float, defect: Callable[[], float], tol: Tolerances) -> float:
-    """max(1, ||A||_F) from norm = ||A||_F, once A is checked finite and
-    Hermitian; defect() is asked for only when the norm is finite."""
+def _hermitian_scale(norm: float, defect: Callable[[], float],
+                     tol: Tolerances) -> tuple[float, float]:
+    """max(1, ||A||_F) and the defect, from norm = ||A||_F, once A is checked
+    finite and Hermitian; defect() is asked for only when the norm is finite."""
     if not math.isfinite(norm):
         raise NotHermitianError(f"matrix has non-finite entries: frobenius norm is {norm}")
     scale = max(1.0, norm)
@@ -102,13 +110,36 @@ def _hermitian_scale(norm: float, defect: Callable[[], float], tol: Tolerances) 
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "
             f"{tol.hermitian_tol:.1e} x max(1, frobenius) = {tol.hermitian_tol * scale:.3e}"
         )
-    return scale
+    return scale, defect
+
+
+def _lower_hermitian(A: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix that zhetrd reduces for A: A's strictly lower
+    triangle, its mirror above and the real part of A's diagonal."""
+    m = A.shape[0]
+    H = np.where(np.tri(m, k=-1, dtype=bool), A, A.conj().T)
+    H.flat[::m + 1] = A.diagonal().real
+    return H
+
+
+def _checked_hermitian(A, tol: Tolerances) -> tuple[np.ndarray, float]:
+    """The matrix that A stands for, and max(1, ||A||_F).
+
+    A must be finite and Hermitian to hermitian_tol x max(1, ||A||_F), else
+    NotHermitianError.  It stands for the Hermitian matrix zhetrd reads: A
+    itself, not copied, where its defect is exactly 0, else
+    _lower_hermitian(A).  Every consumer works from that matrix, so the
+    eigensolves, the contour quadrature and the graph norms agree on it.
+    """
+    A = as_matrix(A)
+    scale, defect = _hermitian_scale(_frobenius(A), lambda: _hermitian_defect(A), tol)
+    return (A if defect == 0.0 else _lower_hermitian(A)), scale
 
 
 def ensure_hermitian(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    A = as_matrix(A)
-    _hermitian_scale(_frobenius(A), lambda: _hermitian_defect(A), tol)
-    return A
+    """A checked finite and Hermitian to hermitian_tol, as the Hermitian
+    matrix zhetrd reads: A itself when exactly Hermitian (_checked_hermitian)."""
+    return _checked_hermitian(A, tol)[0]
 
 
 def _check_eigenpairs(resid: float, V: np.ndarray, scale: float, tol: Tolerances,
@@ -127,15 +158,6 @@ def _check_eigenpairs(resid: float, V: np.ndarray, scale: float, tol: Tolerances
         )
 
 
-def _lower_hermitian(A: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix that zhetrd reduces for A: A's strictly lower
-    triangle, its mirror above and the real part of A's diagonal."""
-    m = A.shape[0]
-    H = np.where(np.tri(m, k=-1, dtype=bool), A, A.conj().T)
-    H.flat[::m + 1] = A.diagonal().real
-    return H
-
-
 def dense_eig(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues w and orthonormal eigenvectors V of Hermitian A.
 
@@ -148,13 +170,12 @@ def dense_eig(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
     runs the same reduction and the same dstevd, so its w is this w.
 
     A must be finite and Hermitian to hermitian_tol, and the reconstruction
-    and orthonormality residuals must meet eig_tol.  zhetrd reads the
-    Hermitian matrix in A's lower triangle, with a real diagonal: where the
-    residual of A as given fails, that matrix's residual is the one checked,
-    so a defect that hermitian_tol admits is not charged to eig_tol.
+    and orthonormality residuals must meet eig_tol.  What is solved, and
+    what the residual is taken of, is the matrix the Hermitian check hands
+    on (_checked_hermitian), the one zhetrd reads, so a defect that
+    hermitian_tol admits is not charged to eig_tol.
     """
-    A = as_matrix(A)
-    scale = _hermitian_scale(_frobenius(A), lambda: _hermitian_defect(A), tol)
+    A, scale = _checked_hermitian(A, tol)
     m = A.shape[0]
     if m == 0:
         # scipy's zhetrd wrapper refuses an empty matrix
@@ -165,12 +186,7 @@ def dense_eig(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
     if m > 1:
         Q[1:, 1:] = zungqr(c[1:, :-1], tau, lwork=32 * (m - 1))[0]
     V = Q @ Z
-    resid = _frobenius(A @ V - V * w)
-    if not resid <= tol.eig_tol * scale:
-        # built only here: on exactly Hermitian A it equals A, and the copy
-        # costs a few percent of the small-m solves the tracker makes
-        resid = _frobenius(_lower_hermitian(A) @ V - V * w)
-    _check_eigenpairs(resid, V, scale, tol, "AV")
+    _check_eigenpairs(_frobenius(A @ V - V * w), V, scale, tol, "AV")
     return w, V
 
 
@@ -213,8 +229,8 @@ def _checked_tridiagonal(d, e, tol: Tolerances,
         raise ValueError(f"need d of length m >= 1 and e of length m - 1, "
                          f"got {d.shape} and {e.shape}")
     # the dense matrix's defect max |t_ij - conj(t_ji)| is 2 max |Im d_i|
-    scale = _hermitian_scale(_frobenius(np.concatenate([d, e, e])),
-                             lambda: 2.0 * float(np.max(np.abs(d.imag))), tol)
+    scale, _ = _hermitian_scale(_frobenius(np.concatenate([d, e, e])),
+                                lambda: 2.0 * float(np.max(np.abs(d.imag))), tol)
     return np.ascontiguousarray(d.real, dtype=np.float64), e, scale
 
 
@@ -226,36 +242,35 @@ def _zhetrd_lwork(m: int) -> int:
 
 
 def _reduction(A: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """zhetrd's reduction of A, an already checked finite Hermitian matrix
-    with at least one row, to the real symmetric tridiagonal T = Q^H A Q:
-    its reflectors c and tau, and T's diagonal d and off-diagonal e.
+    """zhetrd's reduction of A, a matrix with at least one row as the
+    Hermitian check hands it on (_checked_hermitian), to the real symmetric
+    tridiagonal T = Q^H A Q: its reflectors c and tau, and T's diagonal d
+    and off-diagonal e.
 
     zhetrd reads A's lower triangle, blocked above 32 rows with the
-    workspace zhetrd_lwork gives.  T is tied to A by the Frobenius norm,
-    which a unitary similarity keeps: | ||T||_F - ||A||_F | must be within
-    eig_tol x max(1, ||A||_F), against A as given or, where that fails, the
-    matrix zhetrd read (_lower_hermitian), else EigenConvergenceError.
+    workspace zhetrd_lwork gives; a checked A is exactly the Hermitian
+    matrix it reads.  T is tied to A by the Frobenius norm, which a unitary
+    similarity keeps: | ||T||_F - ||A||_F | must be within
+    eig_tol x max(1, ||A||_F), else EigenConvergenceError.
     """
     c, d, e, tau, info = zhetrd(A, lower=1, lwork=_zhetrd_lwork(A.shape[0]))
     if info != 0:
         raise EigenConvergenceError(f"tridiagonal reduction failed: zhetrd returned info={info}")
     norm, norm_t = _frobenius(A), _frobenius(np.concatenate([d, e, e]))
-    bound = tol.eig_tol * max(1.0, norm)
     # written so that a NaN norm fails the test
-    if not abs(norm_t - norm) <= bound:
-        norm = _frobenius(_lower_hermitian(A))
-        if not abs(norm_t - norm) <= bound:
-            raise EigenConvergenceError(
-                f"tridiagonal reduction lost the matrix: ||T||_F={norm_t:.17g} but "
-                f"||A||_F={norm:.17g}"
-            )
+    if not abs(norm_t - norm) <= tol.eig_tol * max(1.0, norm):
+        raise EigenConvergenceError(
+            f"tridiagonal reduction lost the matrix: ||T||_F={norm_t:.17g} but "
+            f"||A||_F={norm:.17g}"
+        )
     return c, d, e, tau
 
 
 def _tridiagonal_form(A: np.ndarray,
                       tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal d and off-diagonal e of dense_eig's reduction of A (_reduction),
-    for the solves and counts that need no eigenvectors."""
+    a matrix as the Hermitian check hands it on, for the solves and counts
+    that need no eigenvectors."""
     _, d, e, _ = _reduction(A, tol)
     return d, e
 
@@ -304,7 +319,8 @@ def _sturm_counts(d, e, shifts) -> list[int]:
     d, e = np.real(d), np.asarray(e, dtype=np.float64)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise NotHermitianError("tridiagonal matrix has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0)))
+    scale = max(1.0, float(np.max(np.abs(d), initial=0.0))
+                + 2.0 * float(np.max(np.abs(e), initial=0.0)))
     delta, pivmin = _PIVOT_FLOOR * scale, float(np.finfo(np.float64).tiny) * scale
     rows = list(zip(d.tolist(), [0.0] + e.tolist()))
 
@@ -324,23 +340,6 @@ def _sturm_counts(d, e, shifts) -> list[int]:
             raise SpectrumTouchError(f"shift {s!r} touches the spectrum, to within {delta:.3e}")
         counts.append(lo)
     return counts
-
-
-def eigenvalue_count(A, lo: float, hi: float, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Exact number of eigenvalues of Hermitian A in the open interval (lo, hi).
-
-    Spectrum slicing: A = Q T Q^H for the tridiagonal T of dense_eig's
-    reduction, so the count is T's Sturm count below hi less that below lo.
-    An end within delta of the spectrum (_sturm_counts) raises
-    SpectrumTouchError.
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
-    A = ensure_hermitian(A, tol)
-    if A.shape[0] == 0:
-        return 0
-    below_lo, below_hi = _sturm_counts(*_tridiagonal_form(A, tol), (lo, hi))
-    return below_hi - below_lo
 
 
 def operator_norm(A) -> float:

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Contour
+from .contour import Contour, _enclosed_count
 from .errors import CountingError, GapCollapseError, RankDriftError
 from .families import HermitianFamily
 from .linalg import (DEFAULT_TOL, Tolerances, _band, _checked_tridiagonal, _frobenius,
-                     _hermitian_defect, _one_blas_thread, _psd_certified, _sturm_counts,
-                     _tridiagonal_form, dense_eig, operator_norm, tridiagonal_eig)
+                     _one_blas_thread, _psd_certified, _tridiagonal_form, dense_eig,
+                     operator_norm, tridiagonal_eig)
 from .util import one_sided_first, one_sided_second, remove_nearest
 
 _SIDES = ("left", "right")
@@ -68,13 +68,6 @@ def _eigenpairs(family: HermitianFamily, unit: tuple) -> tuple[np.ndarray, np.nd
 def _unit_values(family: HermitianFamily, t: float) -> np.ndarray:
     """Unit-scale eigenvalues at t, _eigenpairs' w bit for bit without its V."""
     return tridiagonal_eig(*_unit_form(family, _read_unit(family, t)), family.tol)[0]
-
-
-def _enclosed_count(g: Contour, d: np.ndarray, e: np.ndarray) -> int:
-    """Eigenvalues in the unit-scale circle g of the matrix reduced to (d, e)."""
-    interval = g._real_interval()
-    below = _sturm_counts(d, e, interval) if interval else [0, 0]
-    return below[1] - below[0]
 
 
 def sorted_eigenvalues(family: HermitianFamily, t: float) -> np.ndarray:
@@ -623,9 +616,9 @@ def gronwall_screen(grid, values, a: float) -> GronwallReport:
 #
 # The certificate (_clears) needs no eigensolve.  Take any (w, V) that the
 # eigensolver accepts for the H = p H_u it solves (p the prefactor; H_u is
-# T(d, e) with d real, or A if exactly Hermitian), R = H V - V W with ||R||
-# <= r = p (eig_tol + (m + 2)^2 u) max(1, ||H_u||_F), the check and its
-# rounding, and G = V^H V - I:
+# T(d, e) with d real, or A as the check hands it on), R = H V - V W with
+# ||R|| <= r = p (eig_tol + (m + 2)^2 u) max(1, ||H_u||_F), the check and
+# its rounding, and G = V^H V - I:
 #
 #   F (V^H V + (HV)^H HV) F = F (I + W^2) F + F (G + W G W) F
 #                             + F (W V^H R + R^H V W) F + F R^H R F,
@@ -758,8 +751,6 @@ def _clears(family: HermitianFamily, unit: tuple, deriv: tuple, threshold: float
                     + _tridiagonal_product(abs_d, _tridiagonal_product(abs_d, x)))
     else:
         if e is None:
-            if _hermitian_defect(d):
-                return False
             H = c * p * d
             if not H.imag.any():
                 H = H.real

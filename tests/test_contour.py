@@ -18,6 +18,7 @@ from spectralbranch import (
     riesz_projector,
     spectral_cluster,
 )
+from spectralbranch.contour import _enclosed_count
 from spectralbranch.linalg import dense_eig
 from spectralbranch.util import multiset_distance
 
@@ -91,7 +92,7 @@ def test_cluster_eigenvalues_rejects_complex_roots():
 def test_contour_geometry():
     g = Contour(center=1.5, radius=1.0)
     spectrum = np.array([1.0, 2.0, 5.0])
-    assert g.inertia_count(np.diag(spectrum).astype(complex)) == 2
+    assert _enclosed_count(g, spectrum, np.zeros(2)) == 2
     assert g.circle_distance(spectrum) == pytest.approx(0.5)
     g.validate_against(spectrum)  # margin 0.5 >= 0.1 * 1.0
 
@@ -222,9 +223,9 @@ def test_spectral_cluster_builds_its_matrix_once():
 
 
 def test_spectral_cluster_inertia_count_mismatch_raises(monkeypatch):
-    real = spectralbranch.contour.eigenvalue_count
-    monkeypatch.setattr(spectralbranch.contour, "eigenvalue_count",
-                        lambda A, lo, hi, tol: real(A, lo, hi, tol) + 1)
+    real = spectralbranch.contour._enclosed_count
+    monkeypatch.setattr(spectralbranch.contour, "_enclosed_count",
+                        lambda g, d, e: real(g, d, e) + 1)
     with pytest.raises(QuadratureError, match=r"s_0 = [\d.]+ disagrees with the inertia count 3"):
         spectral_cluster(make_diag_family(1.0, 2.0, 5.0), 0.0, Contour(center=1.5, radius=1.0))
 

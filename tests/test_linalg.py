@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectralbranch import (
+    Contour,
     NotHermitianError,
     SpectrumTouchError,
     ensure_hermitian,
@@ -14,10 +15,11 @@ from spectralbranch import (
 )
 import spectralbranch.linalg
 from spectralbranch import EigenConvergenceError
+from spectralbranch.contour import _enclosed_count
 from spectralbranch.linalg import (DEFAULT_TOL, _PIVOT_FLOOR, _band, _hermitian_defect,
                                   _lower_hermitian, _one_blas_thread, _psd_certified,
                                   _sturm_counts, _tridiagonal_form, as_matrix, dense_eig,
-                                  eigenvalue_count, tridiagonal_eig)
+                                  tridiagonal_eig)
 
 from conftest import assert_dense_bits, hermitian_with_spectrum, numerical_rank, random_hermitian
 
@@ -120,13 +122,20 @@ def test_unitary_invariance_of_spectrum(seed):
 # ------------------------------------------------------------ inertia counts
 
 
-def test_eigenvalue_count_2x2_oracle():
+def _interval_count(A, lo, hi):
+    """Eigenvalues of Hermitian A in (lo, hi): the enclosed count of the
+    circle on that diameter, on the reduction spectral_cluster counts on."""
+    g = Contour(center=(lo + hi) / 2, radius=(hi - lo) / 2)
+    return _enclosed_count(g, *_tridiagonal_form(ensure_hermitian(A)))
+
+
+def test_enclosed_count_2x2_oracle():
     # [[0,1],[1,0]] has eigenvalues -1, +1; the shift 0 leaves a zero diagonal
     A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert eigenvalue_count(A, 0.0, 2.0) == 1
-    assert eigenvalue_count(A, -2.0, 0.0) == 1
-    assert eigenvalue_count(A, -2.0, 2.0) == 2
-    assert eigenvalue_count(A, -0.5, 0.5) == 0
+    assert _interval_count(A, 0.0, 2.0) == 1
+    assert _interval_count(A, -2.0, 0.0) == 1
+    assert _interval_count(A, -2.0, 2.0) == 2
+    assert _interval_count(A, -0.5, 0.5) == 0
 
 
 def _zero_diagonal_hermitian(rng, m):
@@ -137,7 +146,7 @@ def _zero_diagonal_hermitian(rng, m):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000), m=st.integers(1, 60), zero_diag=st.booleans())
-def test_eigenvalue_count_matches_eigvalsh(seed, m, zero_diag):
+def test_enclosed_count_matches_eigvalsh(seed, m, zero_diag):
     rng = np.random.default_rng(seed)
     if zero_diag:
         # the shift 0 keeps the zero diagonal
@@ -151,34 +160,37 @@ def test_eigenvalue_count_matches_eigvalsh(seed, m, zero_diag):
     # an endpoint on the spectrum raises by design (tested below)
     assume(lo < hi and np.min(np.abs(np.subtract.outer(w, [lo, hi]))) > 1e-8)
     want = int(np.count_nonzero((w > lo) & (w < hi)))
-    assert eigenvalue_count(A, lo, hi) == want
+    assert _interval_count(A, lo, hi) == want
 
 
-def test_eigenvalue_count_zero_diagonal():
+def test_enclosed_count_zero_diagonal():
     rng = np.random.default_rng(7)
     for m in (2, 5, 12, 40):
         A = _zero_diagonal_hermitian(rng, m)
         w = np.linalg.eigvalsh(A)
-        assert eigenvalue_count(A, 0.0, 50.0) == np.count_nonzero(w > 0.0)
-        assert eigenvalue_count(A, -50.0, 0.0) == np.count_nonzero(w < 0.0)
+        assert _interval_count(A, 0.0, 50.0) == np.count_nonzero(w > 0.0)
+        assert _interval_count(A, -50.0, 0.0) == np.count_nonzero(w < 0.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_eigenvalue_count_shift_on_eigenvalue_raises(seed):
+def test_enclosed_count_circle_on_eigenvalue_raises(seed):
     rng = np.random.default_rng(seed)
     spectrum = np.array([-1.5, -0.25, 0.5, 0.5, 2.0])
     A = hermitian_with_spectrum(rng, spectrum)
     for lo, hi in ((0.5, 3.0), (-3.0, 0.5), (-1.5, 0.0), (0.0, 2.0)):
         with pytest.raises(SpectrumTouchError):
-            eigenvalue_count(A, lo, hi)
+            _interval_count(A, lo, hi)
     D = np.diag(spectrum).astype(complex)
     with pytest.raises(SpectrumTouchError):
-        eigenvalue_count(D, -0.25, 1.0)
+        _interval_count(D, -0.25, 1.0)
 
 
-def test_eigenvalue_count_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        eigenvalue_count(np.eye(2, dtype=complex), 1.0, 1.0)
+def test_enclosed_count_of_a_circle_off_the_real_axis():
+    # a circle that meets the real axis in no interval, or only touches it,
+    # encloses no eigenvalue of a Hermitian matrix
+    d, e = np.array([1.0, 2.0]), np.zeros(1)
+    assert _enclosed_count(Contour(center=1.5 + 2.0j, radius=1.0), d, e) == 0
+    assert _enclosed_count(Contour(center=1.5 + 1.0j, radius=1.0), d, e) == 0
 
 
 # ------------------------------------------------------------- Sturm counts
@@ -281,7 +293,7 @@ def test_non_finite_matrix_rejected(bad):
     with pytest.raises(NotHermitianError):
         dense_eig(A)
     with pytest.raises(NotHermitianError):
-        eigenvalue_count(A, 0.0, 3.0)
+        _enclosed_count(Contour(center=1.5, radius=1.5), np.array([1.0, 2.0]), np.array([bad]))
 
 
 @pytest.mark.parametrize("scale", [1e154, 1e300])
@@ -316,7 +328,7 @@ def test_empty_matrix():
     E = np.zeros((0, 0), dtype=complex)
     assert ensure_hermitian(E).shape == (0, 0)
     assert dense_eig(E)[0].size == 0
-    assert eigenvalue_count(E, 0.0, 1.0) == 0
+    assert _enclosed_count(Contour(center=0.5, radius=0.5), np.zeros(0), np.zeros(0)) == 0
 
 
 # ---------------------------------------------------------------- dense_eig
@@ -326,7 +338,8 @@ def assert_kernel_pair(A, tol=DEFAULT_TOL):
     """dense_eig's w is the values path's bit for bit and agrees with the
     eigvalsh oracle; V passes the residual and orthogonality bounds."""
     w, V = dense_eig(A, tol)
-    assert w.tobytes() == tridiagonal_eig(*_tridiagonal_form(A, tol), tol)[0].tobytes()
+    assert w.tobytes() == tridiagonal_eig(*_tridiagonal_form(ensure_hermitian(A, tol), tol),
+                                          tol)[0].tobytes()
     m, scale = A.shape[0], max(1.0, np.linalg.norm(A))
     assert np.abs(w - np.linalg.eigvalsh(A)).max() <= 1e-14 * scale
     assert np.linalg.norm(_lower_hermitian(A) @ V - V * w) <= 1e-14 * scale
@@ -349,12 +362,15 @@ def test_dense_eig_returns_lapack_pair(rng):
     np.array([[1e-7j, 0.0], [0.0, -2e-7j]]),
 ], ids=["lower", "upper", "imaginary-diagonal"])
 def test_dense_eig_residual_is_of_the_matrix_eigh_solves(defect):
-    # zhetrd reads the lower triangle and the real diagonal, so a defect that
-    # hermitian_tol lets through needs no looser eig_tol
+    # the Hermitian check hands on the matrix zhetrd reads, the lower
+    # triangle and the real diagonal, so a defect that hermitian_tol lets
+    # through needs no looser eig_tol: A is solved as that matrix
     A = np.array([[1.0, 0.5], [0.5, -2.0]], dtype=complex) + defect
     loose = DEFAULT_TOL.replace(hermitian_tol=1e-4)
     w, V = assert_kernel_pair(A, loose)
     assert np.linalg.norm(A @ V - V * w) > loose.eig_tol
+    w_lower, V_lower = dense_eig(_lower_hermitian(A), loose)
+    assert w.tobytes() == w_lower.tobytes() and V.tobytes() == V_lower.tobytes()
     with pytest.raises(NotHermitianError, match="not Hermitian"):
         dense_eig(A)
 
@@ -538,10 +554,11 @@ def test_tridiagonal_form_values_bit_equal_to_dense(one_thread):
 ], ids=["lower", "upper"])
 def test_tridiagonal_form_is_of_the_matrix_zhetrd_reads(defect):
     # ||T||_F misses ||A||_F by more than eig_tol here, but equals the norm of
-    # the lower triangle with a real diagonal, which dense_eig solves too
+    # the lower triangle with a real diagonal, the matrix the Hermitian check
+    # hands on and dense_eig solves
     A = np.array([[1.0, 0.5], [0.5, -2.0]], dtype=complex) + defect
     loose = DEFAULT_TOL.replace(hermitian_tol=1e-4)
-    d, e = _tridiagonal_form(A, loose)
+    d, e = _tridiagonal_form(ensure_hermitian(A, loose), loose)
     assert abs(np.linalg.norm(np.concatenate([d, e, e])) - np.linalg.norm(A)) > 1e-10
     assert tridiagonal_eig(d, e, loose)[0].tobytes() == dense_eig(A, loose)[0].tobytes()
 

@@ -115,6 +115,20 @@ def test_one_dense_eigensolver():
     assert len(reducers) == 1, sorted(reducers)
 
 
+def test_the_hermitian_check_decides_what_a_matrix_stands_for():
+    # one function hands on the matrix zhetrd reads, and no module but
+    # linalg measures a Hermitian defect, so no consumer decides again
+    def calls(name):
+        return {(path.name, fn.name)
+                for path in sorted((ROOT / "src" / "spectralbranch").glob("*.py"))
+                for fn in ast.walk(ast.parse(path.read_text()))
+                if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name}
+
+    assert len(calls("_lower_hermitian")) == 1, sorted(calls("_lower_hermitian"))
+    assert {module for module, _ in calls("_hermitian_defect")} == {"linalg.py"}
+
+
 def test_readme_quick_start():
     section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]

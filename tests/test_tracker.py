@@ -25,6 +25,7 @@ from spectralbranch import (
     match_crossing,
     one_sided_derivatives,
     sorted_eigenvalues,
+    spectral_cluster,
     track_branches,
 )
 import dataclasses
@@ -613,25 +614,62 @@ def _families_with_hermitian_defect(defect):
                             tridiagonal=lambda t: (diagonal(t), off)))
 
 
+_LOOSE = DEFAULT_TOL.replace(hermitian_tol=1e-4)
+
+
+def _lowest_cluster(fam):
+    # the circle comes from the loosely checked family's values, so that at
+    # the default tolerance it is spectral_cluster's own read that refuses
+    w = sorted_eigenvalues(dataclasses.replace(fam, tol=_LOOSE), 0.5)
+    cluster = spectral_cluster(fam, 0.5, Contour(center=w[0], radius=(w[1] - w[0]) / 2))
+    assert abs(cluster.eigenvalues[0] - w[0]) <= 1e-9
+
+
 _FAMILY_CALLS = (
     lambda fam: sorted_eigenvalues(fam, 0.5),
     lambda fam: track_branches(fam, (-1.0, 1.0), 11),
     lambda fam: one_sided_slot_derivatives(fam, 0.5, [0], "right"),
     lambda fam: estimate_derivative_bound(fam, np.linspace(-1.0, 1.0, 5)),
+    _lowest_cluster,
 )
 
 
 @pytest.mark.parametrize("call", _FAMILY_CALLS)
 def test_family_tolerances_govern_every_check(call):
     # the dense path checks in family.unit and the tridiagonal one in
-    # tridiagonal_eig: both read the family's one Tolerances.  Both solvers
-    # take their residual from the Hermitian matrix they solve, so a defect
-    # that hermitian_tol lets through needs no looser eig_tol on either path
-    loose = DEFAULT_TOL.replace(hermitian_tol=1e-4)
+    # tridiagonal_eig: both read the family's one Tolerances.  Both checks
+    # hand on the Hermitian matrix zhetrd and dstevd read, and every
+    # consumer works from it, so a defect that hermitian_tol lets through
+    # needs no looser eig_tol or proj_tol on either path
     for fam in _families_with_hermitian_defect(1e-7):
         with pytest.raises(NotHermitianError, match="not Hermitian"):
             call(fam)
-        call(dataclasses.replace(fam, tol=loose))
+        call(dataclasses.replace(fam, tol=_LOOSE))
+
+
+def test_a_nearly_hermitian_family_is_its_lower_mirrored_twin(monkeypatch):
+    # the Hermitian check hands on the matrix zhetrd reads, so a defect that
+    # hermitian_tol admits tracks, and bounds A', bit for bit as the exactly
+    # Hermitian matrix mirrored from the lower triangle, with the same solves
+    def matrix(upper):
+        return lambda t: np.array([[1.0 + t, upper, 0.0], [0.5 + 1e-7, -2.0, 0.1],
+                                   [0.0, 0.1, 4.0]], dtype=complex)
+
+    real, calls = spectralbranch.linalg.dstevd, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectralbranch.linalg, "dstevd", counting)
+    results = []
+    for upper in (0.5, 0.5 + 1e-7):
+        fam = HermitianFamily(name="twin", dim=3, matrix=matrix(upper), tol=_LOOSE)
+        calls.clear()
+        a = estimate_derivative_bound(fam, np.linspace(0.0, 1.0, 201))
+        results.append((a, len(calls), track_branches(fam, (0.0, 1.0), 41).values.tobytes()))
+    assert results[0] == results[1]
+    assert results[1][1] == 2
 
 
 # ------------------------------------------------------------------- gronwall
