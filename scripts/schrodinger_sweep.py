@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from spectralbranch import SchrodingerFamily, track_branches
+from spectralbranch import SchrodingerFamily, sorted_eigenvalues, track_branches
 from spectralbranch.linalg import DEFAULT_TOL, dense_eig
 from spectralbranch.tracker import one_sided_slot_derivatives
 
@@ -24,7 +24,7 @@ def main() -> None:
     sch = SchrodingerFamily(m=args.m, potential=args.potential)
     fam = sch.family()
     free = SchrodingerFamily(m=args.m).family()
-    lam0 = float(np.sort(np.linalg.eigvalsh(free.eval(0.0)))[0])
+    lam0 = float(sorted_eigenvalues(free, 0.0)[0])
     print(f"free lowest eigenvalue: {lam0:.9f}  (pi^2 = {np.pi**2:.9f}, "
           f"rel diff {abs(lam0 - np.pi**2) / np.pi**2:.2e})")
 

@@ -47,7 +47,7 @@ class CountingError(SpectralBranchError):
 
 
 class UnderflowGuardError(SpectralBranchError):
-    """Computation refused: scales would underflow without the prefactor."""
+    """Computation refused: a scale it needs is outside double precision."""
 
 
 class ExpressionError(SpectralBranchError):

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, _checked_tridiagonal, as_matrix, ensure_hermitian
+from .linalg import DEFAULT_TOL, Tolerances, _checked_tridiagonal, ensure_hermitian
 from .util import central_first, one_sided_first
 
 MatrixFn = Callable[[float], np.ndarray]
@@ -59,12 +59,12 @@ class HermitianFamily:
             raise ValueError(f"family {self.name!r} gives both deriv and tridiagonal_deriv")
 
     def _checked(self, raw) -> np.ndarray:
-        A = as_matrix(raw)
+        A = ensure_hermitian(raw, self.tol)
         if A.shape != (self.dim, self.dim):
             raise ValueError(
                 f"family {self.name!r} produced shape {A.shape}, expected {(self.dim, self.dim)}"
             )
-        return ensure_hermitian(A, self.tol)
+        return A
 
     def unit(self, t: float) -> np.ndarray:
         """Unit-scale matrix at t as the Hermitian check hands it on
@@ -77,11 +77,11 @@ class HermitianFamily:
         return self.scale_prefactor * self.unit(t)
 
     def derivative_bands(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """True-scale (dd, de) of tridiagonal_deriv(t), checked as the
-        tridiagonal eigensolver checks (d, e), with de real or complex."""
+        """True-scale (dd, de) of tridiagonal_deriv(t), checked as a read of
+        tridiagonal (d, e) is (_checked_tridiagonal), with de real or complex."""
         dd, de = self.tridiagonal_deriv(float(t))
         de = np.asarray(de)
-        dd, de, _ = _checked_tridiagonal(dd, de, self.tol, np.result_type(de, np.float64))
+        dd, de = _checked_tridiagonal(dd, de, self.tol, np.result_type(de, np.float64))
         if dd.size != self.dim:
             raise ValueError(f"family {self.name!r} produced a diagonal of length {dd.size}, "
                              f"expected {self.dim}")

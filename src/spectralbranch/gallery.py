@@ -200,8 +200,7 @@ class HolderQuotient:
 _HOLDER_GRID = 161
 
 
-def holder_quotient(n: int, alpha: float, use_prefactor: bool = True,
-                    tol: Tolerances = DEFAULT_TOL) -> HolderQuotient:
+def holder_quotient(n: int, alpha: float, tol: Tolerances = DEFAULT_TOL) -> HolderQuotient:
     """First-derivative Holder quotient of the upper branch across window n.
 
     The quotient (lambda'(t_n + s_n) - lambda'(t_n)) / s_n^alpha is computed
@@ -210,10 +209,6 @@ def holder_quotient(n: int, alpha: float, use_prefactor: bool = True,
     (the upper branch is 2^(-n*n) sqrt(1 + sigma^2), d/ds = (1/s_n) d/dsigma).
     The sigma grid is binary-exact and contains sigma = 0 and sigma = 1, so
     the only numerical content is the tracked values and the stencil.
-
-    With use_prefactor=False the window matrix carries its true 2^(-n*n)
-    entries into the eigensolver; that route underflows the quotient
-    arithmetic beyond n = 15 and is guarded.
     """
     if n < 2:
         raise ValueError(f"window index must be >= 2, got {n}")
@@ -228,20 +223,7 @@ def holder_quotient(n: int, alpha: float, use_prefactor: bool = True,
             f"window n={n} at alpha={alpha}: the rescaling 2^((1+alpha)(n^2-n)) "
             f"overflows double precision"
         ) from None
-    if not use_prefactor and n > 15:
-        raise UnderflowGuardError(
-            f"window n={n} without prefactor rescaling underflows double precision; "
-            f"enable use_prefactor"
-        )
     fam = CurveLemmaFamily(n_max=n, tol=tol).window_family(n)
-    if not use_prefactor:
-        f = fam.scale_prefactor
-        inner = fam.matrix
-        fam = HermitianFamily(
-            name=fam.name + "-flat", dim=2,
-            matrix=lambda sigma: f * inner(sigma),
-            scale_prefactor=1.0, tol=tol,
-        )
     branches = track_branches(fam, (-1.25, 1.25), _HOLDER_GRID, order=1)
     grid = branches.grid
     upper = branches.values[:, 1]

@@ -2,13 +2,15 @@
 
 Matrices are plain numpy complex128 arrays; the helpers here add the contract
 checks (Hermiticity, finiteness, residual bounds, pivot guards) that the rest
-of the package relies on.  The Hermitian check (``_checked_hermitian``,
-public as ``ensure_hermitian``) is the one place that decides what a matrix
-Hermitian only to hermitian_tol stands for: the Hermitian matrix zhetrd
-reads, A's lower triangle, its mirror and the real part of its diagonal
-(``_lower_hermitian``), which is A itself, not copied, when A is exactly
-Hermitian.  Every consumer works from the matrix the check hands on, as
-``tridiagonal_eig`` works from the real part of d.
+of the package relies on.  The Hermitian check runs once, where A(t) is
+read: ``ensure_hermitian`` for a matrix, ``_checked_tridiagonal`` for bands.
+It is the one place that decides what a matrix Hermitian only to
+hermitian_tol stands for: the Hermitian matrix zhetrd reads, A's lower
+triangle, its mirror and the real part of its diagonal (``_lower_hermitian``),
+which is A itself, not copied, when A is exactly Hermitian; for bands, the
+real part of d.  Every consumer works from what the check hands on, and the
+eigensolvers do not check it again: their post-conditions (LAPACK's info,
+the Frobenius tie, the residual bounds) refuse whatever the check refuses.
 Every eigensolve is one kernel: zhetrd reduces A to a real tridiagonal
 T = Q^H A Q (``_reduction``) and dstevd solves T.
 ``dense_eig`` forms Q from the reflectors and returns V = Q Z; a solve that
@@ -97,10 +99,10 @@ def _frobenius(x: np.ndarray) -> float:
     return float((dznrm2 if np.iscomplexobj(x) else dnrm2)(x))
 
 
-def _hermitian_scale(norm: float, defect: Callable[[], float],
-                     tol: Tolerances) -> tuple[float, float]:
-    """max(1, ||A||_F) and the defect, from norm = ||A||_F, once A is checked
-    finite and Hermitian; defect() is asked for only when the norm is finite."""
+def _hermitian_scale(norm: float, defect: Callable[[], float], tol: Tolerances) -> float:
+    """The defect, once A is checked finite and its defect() within
+    hermitian_tol x max(1, norm), norm = ||A||_F, else NotHermitianError;
+    defect() is asked for only when the norm is finite."""
     if not math.isfinite(norm):
         raise NotHermitianError(f"matrix has non-finite entries: frobenius norm is {norm}")
     scale = max(1.0, norm)
@@ -110,7 +112,7 @@ def _hermitian_scale(norm: float, defect: Callable[[], float],
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "
             f"{tol.hermitian_tol:.1e} x max(1, frobenius) = {tol.hermitian_tol * scale:.3e}"
         )
-    return scale, defect
+    return defect
 
 
 def _lower_hermitian(A: np.ndarray) -> np.ndarray:
@@ -122,36 +124,31 @@ def _lower_hermitian(A: np.ndarray) -> np.ndarray:
     return H
 
 
-def _checked_hermitian(A, tol: Tolerances) -> tuple[np.ndarray, float]:
-    """The matrix that A stands for, and max(1, ||A||_F).
+def ensure_hermitian(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The matrix that A stands for, checked finite and Hermitian to
+    hermitian_tol x max(1, ||A||_F), else NotHermitianError.
 
-    A must be finite and Hermitian to hermitian_tol x max(1, ||A||_F), else
-    NotHermitianError.  It stands for the Hermitian matrix zhetrd reads: A
-    itself, not copied, where its defect is exactly 0, else
-    _lower_hermitian(A).  Every consumer works from that matrix, so the
-    eigensolves, the contour quadrature and the graph norms agree on it.
+    A stands for the Hermitian matrix zhetrd reads: A itself, not copied,
+    where its defect is exactly 0, else _lower_hermitian(A).  Every consumer
+    works from that matrix, so the eigensolves, the contour quadrature and
+    the graph norms agree on it.
     """
     A = as_matrix(A)
-    scale, defect = _hermitian_scale(_frobenius(A), lambda: _hermitian_defect(A), tol)
-    return (A if defect == 0.0 else _lower_hermitian(A)), scale
-
-
-def ensure_hermitian(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """A checked finite and Hermitian to hermitian_tol, as the Hermitian
-    matrix zhetrd reads: A itself when exactly Hermitian (_checked_hermitian)."""
-    return _checked_hermitian(A, tol)[0]
+    defect = _hermitian_scale(_frobenius(A), lambda: _hermitian_defect(A), tol)
+    return A if defect == 0.0 else _lower_hermitian(A)
 
 
 def _check_eigenpairs(resid: float, V: np.ndarray, scale: float, tol: Tolerances,
                       product: str) -> None:
     """Both eigensolvers' check: the reconstruction residual resid, the
-    norm of product - VW ("AV" or "TV"), within eig_tol x scale and
-    ||V^H V - I||_F within eig_tol x m, else EigenConvergenceError."""
+    norm of product - VW ("AV" or "TV"), within eig_tol x scale, scale
+    finite, and ||V^H V - I||_F within eig_tol x m, else
+    EigenConvergenceError."""
     G = V.conj().T @ V
     G.flat[::G.shape[0] + 1] -= 1.0
     ortho = _frobenius(G)
-    # written so that a NaN residual fails the test
-    if not (resid <= tol.eig_tol * scale and ortho <= tol.eig_tol * V.shape[0]):
+    # written so that a NaN residual, or an infinite scale, fails the test
+    if not (resid <= tol.eig_tol * scale < math.inf and ortho <= tol.eig_tol * V.shape[0]):
         raise EigenConvergenceError(
             f"eigendecomposition residuals too large: |{product}-VW|={resid:.3e}, "
             f"|V*V-I|={ortho:.3e}"
@@ -169,18 +166,19 @@ def dense_eig(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
     sec. 8.3.1).  The values path, tridiagonal_eig(*_tridiagonal_form(A)),
     runs the same reduction and the same dstevd, so its w is this w.
 
-    A must be finite and Hermitian to hermitian_tol, and the reconstruction
-    and orthonormality residuals must meet eig_tol.  What is solved, and
-    what the residual is taken of, is the matrix the Hermitian check hands
-    on (_checked_hermitian), the one zhetrd reads, so a defect that
-    hermitian_tol admits is not charged to eig_tol.
+    Precondition: A as the Hermitian check hands it on (ensure_hermitian,
+    so family.unit and family.eval), or a product Hermitian by
+    construction; it is not checked again.  What the check refuses is
+    still refused, as EigenConvergenceError: a non-finite entry or a defect
+    below the diagonal fails the reduction's Frobenius tie, and a defect
+    above it or in its imaginary part fails the residual ||A V - V W||_F <=
+    eig_tol x max(1, ||A||_F), of A as given, with the tie's norm.
     """
-    A, scale = _checked_hermitian(A, tol)
     m = A.shape[0]
     if m == 0:
         # scipy's zhetrd wrapper refuses an empty matrix
         return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
-    c, d, e, tau = _reduction(A, tol)
+    c, d, e, tau, scale = _reduction(A, tol)
     w, Z = _dstevd(d, e)
     Q = np.eye(m, dtype=np.complex128)
     if m > 1:
@@ -200,38 +198,51 @@ def _dstevd(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, Z
 
 
+def _check_lengths(d: np.ndarray, e: np.ndarray) -> None:
+    """ValueError unless d has length m >= 1 and e length m - 1."""
+    if d.ndim != 1 or d.size == 0 or e.shape != (d.size - 1,):
+        raise ValueError(f"need d of length m >= 1 and e of length m - 1, "
+                         f"got {d.shape} and {e.shape}")
+
+
 def tridiagonal_eig(d, e, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues w and real orthonormal eigenvectors V of the
     symmetric tridiagonal T with diagonal d and off-diagonal e, by dstevd.
 
-    e is real.  d may carry an imaginary part: beyond hermitian_tol x
-    max(1, ||T||_F) it is rejected as ensure_hermitian rejects the dense
-    matrix, and otherwise the real part is solved, as zhetrd reads a
-    Hermitian diagonal.  The residual and orthogonality checks are
-    dense_eig's, one _check_eigenpairs, with a banded product for T V.
+    Precondition: real d and e as a read hands them on (tracker._read_unit,
+    checked by _checked_tridiagonal) or as _tridiagonal_form gives them;
+    only their lengths are checked again (_check_lengths).  What the check
+    refuses is still refused, as EigenConvergenceError: a NaN fails
+    dstevd's info, an infinite entry gives a NaN residual or an infinite
+    scale, and an imaginary part of d, which dstevd drops, stays in the
+    residual ||T V - V W||_F <= eig_tol x max(1, ||T||_F).  The checks
+    are dense_eig's, one _check_eigenpairs, with a banded product for T V.
     """
-    d, e, scale = _checked_tridiagonal(d, e, tol)
+    _check_lengths(d, e)
     w, V = _dstevd(d, e)
-    R = d[:, None] * V - V * w
+    R = (d[:, None] - w) * V
     R[:-1] += e[:, None] * V[1:]
     R[1:] += e[:, None] * V[:-1]
+    scale = max(1.0, _frobenius(np.concatenate([d, e, e])))
     _check_eigenpairs(_frobenius(R), V, scale, tol, "TV")
     return w, V
 
 
 def _checked_tridiagonal(d, e, tol: Tolerances,
-                         e_dtype=np.float64) -> tuple[np.ndarray, np.ndarray, float]:
-    """tridiagonal_eig's checks: the real d and the e of e_dtype that it
-    solves, and max(1, ||T||_F); T's entries below e are conj(e)."""
+                         e_dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """The contract check of a tridiagonal T read as bands, its diagonal d
+    and off-diagonal e (T's entries below e are conj(e)): their lengths
+    (_check_lengths), and T finite and Hermitian to hermitian_tol x
+    max(1, ||T||_F) as ensure_hermitian checks the dense matrix, else
+    NotHermitianError.  Returns the real d and the e of e_dtype that
+    tridiagonal_eig solves."""
     d = np.asarray(d)
     e = np.asarray(e, dtype=e_dtype)
-    if d.ndim != 1 or d.size == 0 or e.shape != (d.size - 1,):
-        raise ValueError(f"need d of length m >= 1 and e of length m - 1, "
-                         f"got {d.shape} and {e.shape}")
+    _check_lengths(d, e)
     # the dense matrix's defect max |t_ij - conj(t_ji)| is 2 max |Im d_i|
-    scale, _ = _hermitian_scale(_frobenius(np.concatenate([d, e, e])),
-                                lambda: 2.0 * float(np.max(np.abs(d.imag))), tol)
-    return np.ascontiguousarray(d.real, dtype=np.float64), e, scale
+    _hermitian_scale(_frobenius(np.concatenate([d, e, e])),
+                     lambda: 2.0 * float(np.max(np.abs(d.imag))), tol)
+    return np.ascontiguousarray(d.real, dtype=np.float64), e
 
 
 @functools.cache
@@ -241,11 +252,10 @@ def _zhetrd_lwork(m: int) -> int:
     return int(work.real)
 
 
-def _reduction(A: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """zhetrd's reduction of A, a matrix with at least one row as the
-    Hermitian check hands it on (_checked_hermitian), to the real symmetric
-    tridiagonal T = Q^H A Q: its reflectors c and tau, and T's diagonal d
-    and off-diagonal e.
+def _reduction(A: np.ndarray, tol: Tolerances) -> tuple:
+    """zhetrd's reduction of A, with at least one row, as dense_eig takes
+    it, to the real symmetric tridiagonal T = Q^H A Q: its reflectors c and
+    tau, T's diagonal d and off-diagonal e, and max(1, ||A||_F).
 
     zhetrd reads A's lower triangle, blocked above 32 rows with the
     workspace zhetrd_lwork gives; a checked A is exactly the Hermitian
@@ -257,21 +267,22 @@ def _reduction(A: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
     if info != 0:
         raise EigenConvergenceError(f"tridiagonal reduction failed: zhetrd returned info={info}")
     norm, norm_t = _frobenius(A), _frobenius(np.concatenate([d, e, e]))
-    # written so that a NaN norm fails the test
-    if not abs(norm_t - norm) <= tol.eig_tol * max(1.0, norm):
+    scale = max(1.0, norm)
+    # written so that a NaN or an infinite norm fails the test
+    if not abs(norm_t - norm) <= tol.eig_tol * scale < math.inf:
         raise EigenConvergenceError(
             f"tridiagonal reduction lost the matrix: ||T||_F={norm_t:.17g} but "
             f"||A||_F={norm:.17g}"
         )
-    return c, d, e, tau
+    return c, d, e, tau, scale
 
 
 def _tridiagonal_form(A: np.ndarray,
                       tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal d and off-diagonal e of dense_eig's reduction of A (_reduction),
-    a matrix as the Hermitian check hands it on, for the solves and counts
-    that need no eigenvectors."""
-    _, d, e, _ = _reduction(A, tol)
+    a matrix as dense_eig takes it, for the solves and counts that need no
+    eigenvectors."""
+    _, d, e, _, _ = _reduction(A, tol)
     return d, e
 
 

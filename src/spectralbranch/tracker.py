@@ -34,11 +34,11 @@ _H_FD2 = 1e-4
 
 
 def _read_unit(family: HermitianFamily, t: float) -> tuple:
-    """A(t) at unit scale, the only read of the family in this module: its own
-    (d, e), checked as tridiagonal_eig checks them and held to family.dim,
-    else (family.unit(t), None)."""
+    """A(t) at unit scale, the only read of the family in this module, checked
+    here once (the eigensolvers do not check again): its own (d, e), by
+    _checked_tridiagonal and held to family.dim, else (family.unit(t), None)."""
     if family.tridiagonal is not None:
-        d, e, _ = _checked_tridiagonal(*family.tridiagonal(float(t)), family.tol)
+        d, e = _checked_tridiagonal(*family.tridiagonal(float(t)), family.tol)
         if d.size != family.dim:
             raise ValueError(f"family {family.name!r} produced a tridiagonal of lengths "
                              f"{d.size} and {e.size}, expected {family.dim} and {family.dim - 1}")

@@ -12,8 +12,8 @@ from spectralbranch import (
     graph_norm_equivalence_ratio,
 )
 from spectralbranch.families import _graph_norm
-from spectralbranch.linalg import tridiagonal_eig
 from spectralbranch.gallery import CurveLemmaFamily, ResolventExampleFamily, SchrodingerFamily
+from spectralbranch.tracker import _read_unit
 from spectralbranch.util import central_first, one_sided_first
 
 from conftest import make_diag_family, make_offdiag_t_family, random_hermitian
@@ -186,12 +186,13 @@ def test_band_derivative_is_checked_as_the_tridiagonal_is(bands, error):
         fam.derivative_bands(0.0)
     with pytest.raises(error):
         fam.derivative(0.0)
-    # the same bands as a tridiagonal A(t) raise the same error, where its
-    # check reads them: e must be real there, and only d's length is set
-    d, e = bands(0.0)
-    if not np.iscomplexobj(e) and d.size == 4:
+    # the same bands as a tridiagonal A(t) raise the same error where they
+    # are read, as _read_unit checks them: e must be real there
+    if not np.iscomplexobj(bands(0.0)[1]):
+        fam = HermitianFamily(name="bands", dim=4, matrix=lambda t: np.eye(4, dtype=complex),
+                              tridiagonal=bands)
         with pytest.raises(error):
-            tridiagonal_eig(d, e)
+            _read_unit(fam, 0.0)
 
 
 def test_band_derivative_within_hermitian_tol_keeps_the_real_diagonal():

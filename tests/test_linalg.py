@@ -1,4 +1,5 @@
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +17,26 @@ from spectralbranch import (
 import spectralbranch.linalg
 from spectralbranch import EigenConvergenceError
 from spectralbranch.contour import _enclosed_count
-from spectralbranch.linalg import (DEFAULT_TOL, _PIVOT_FLOOR, _band, _hermitian_defect,
-                                  _lower_hermitian, _one_blas_thread, _psd_certified,
-                                  _sturm_counts, _tridiagonal_form, as_matrix, dense_eig,
-                                  tridiagonal_eig)
+from spectralbranch.linalg import (DEFAULT_TOL, _PIVOT_FLOOR, _band, _checked_tridiagonal,
+                                  _hermitian_defect, _lower_hermitian, _one_blas_thread,
+                                  _psd_certified, _sturm_counts, _tridiagonal_form, as_matrix,
+                                  dense_eig, tridiagonal_eig)
+from spectralbranch.families import HermitianFamily
+from spectralbranch.tracker import _read_unit
 
 from conftest import assert_dense_bits, hermitian_with_spectrum, numerical_rank, random_hermitian
+
+
+def matrix_family(A):
+    """A constant family whose matrix(t) is A as given, unchecked."""
+    return HermitianFamily(name="matrix", dim=A.shape[0], matrix=lambda t: A)
+
+
+def bands_family(d, e):
+    """A constant tridiagonal family whose tridiagonal(t) is (d, e) as given."""
+    m = max(d.size, 1)
+    return HermitianFamily(name="bands", dim=m, matrix=lambda t: np.eye(m, dtype=complex),
+                           tridiagonal=lambda t: (d, e))
 
 
 def test_eig_2x2_oracle():
@@ -47,9 +62,12 @@ def test_eig_eigenvector_residuals(rng):
 
 
 def test_eig_rejects_non_hermitian():
+    # refused where it is read: the check, not the solver, names the defect
     A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotHermitianError):
-        dense_eig(A)
+        ensure_hermitian(A)
+    with pytest.raises(NotHermitianError):
+        _read_unit(matrix_family(A), 0.0)
 
 
 def test_hermitian_defect_zero_for_hermitian(rng):
@@ -291,7 +309,7 @@ def test_non_finite_matrix_rejected(bad):
     with pytest.raises(NotHermitianError):
         ensure_hermitian(A)
     with pytest.raises(NotHermitianError):
-        dense_eig(A)
+        _read_unit(matrix_family(A), 0.0)
     with pytest.raises(NotHermitianError):
         _enclosed_count(Contour(center=1.5, radius=1.5), np.array([1.0, 2.0]), np.array([bad]))
 
@@ -335,11 +353,12 @@ def test_empty_matrix():
 
 
 def assert_kernel_pair(A, tol=DEFAULT_TOL):
-    """dense_eig's w is the values path's bit for bit and agrees with the
-    eigvalsh oracle; V passes the residual and orthogonality bounds."""
-    w, V = dense_eig(A, tol)
-    assert w.tobytes() == tridiagonal_eig(*_tridiagonal_form(ensure_hermitian(A, tol), tol),
-                                          tol)[0].tobytes()
+    """dense_eig's w, of A as the Hermitian check hands it on, is the values
+    path's bit for bit and agrees with the eigvalsh oracle; V passes the
+    residual and orthogonality bounds."""
+    H = ensure_hermitian(A, tol)
+    w, V = dense_eig(H, tol)
+    assert w.tobytes() == tridiagonal_eig(*_tridiagonal_form(H, tol), tol)[0].tobytes()
     m, scale = A.shape[0], max(1.0, np.linalg.norm(A))
     assert np.abs(w - np.linalg.eigvalsh(A)).max() <= 1e-14 * scale
     assert np.linalg.norm(_lower_hermitian(A) @ V - V * w) <= 1e-14 * scale
@@ -353,7 +372,7 @@ def test_dense_eig_returns_lapack_pair(rng):
     for A in (random_hermitian(rng, 9), np.diag([2.0, 1.0, 2.0]).astype(complex)):
         assert_kernel_pair(A)
     with pytest.raises(NotHermitianError):
-        dense_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        assert_kernel_pair(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 @pytest.mark.parametrize("defect", [
@@ -372,7 +391,7 @@ def test_dense_eig_residual_is_of_the_matrix_eigh_solves(defect):
     w_lower, V_lower = dense_eig(_lower_hermitian(A), loose)
     assert w.tobytes() == w_lower.tobytes() and V.tobytes() == V_lower.tobytes()
     with pytest.raises(NotHermitianError, match="not Hermitian"):
-        dense_eig(A)
+        ensure_hermitian(A)
 
 
 def tie_corpus():
@@ -447,23 +466,84 @@ def test_tridiagonal_eig_matches_dense_on_tridiagonal_solves(rng, m):
 
 
 def test_tridiagonal_eig_checks_its_input():
+    # the lengths are checked by the solver; the contract, where (d, e) is read
     with pytest.raises(ValueError):
         tridiagonal_eig(np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
         tridiagonal_eig(np.zeros(0), np.zeros(0))
+    for d, e in ((np.ones(3), np.ones(3)), (np.zeros(0), np.zeros(0))):
+        with pytest.raises(ValueError):
+            _read_unit(bands_family(d, e), 0.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(NotHermitianError, match="non-finite"):
-            tridiagonal_eig(np.array([1.0, bad, 2.0]), np.ones(2))
+            _read_unit(bands_family(np.array([1.0, bad, 2.0]), np.ones(2)), 0.0)
         with pytest.raises(NotHermitianError, match="non-finite"):
-            tridiagonal_eig(np.ones(3), np.array([1.0, bad]))
+            _read_unit(bands_family(np.ones(3), np.array([1.0, bad])), 0.0)
     with pytest.raises(NotHermitianError, match="not Hermitian"):
-        tridiagonal_eig(np.array([1.0, 2.0 + 1e-6j, 3.0]), np.ones(2))
+        _read_unit(bands_family(np.array([1.0, 2.0 + 1e-6j, 3.0]), np.ones(2)), 0.0)
     # a negligible imaginary part is dropped, as zhetrd drops it
     d = np.array([1.0, 2.0 + 1e-15j, 3.0])
-    w, V = tridiagonal_eig(d, np.ones(2))
-    assert_dense_bits(tridiagonal_dense(d, np.ones(2)), w, V)
+    w, V = tridiagonal_eig(*_read_unit(bands_family(d, np.ones(2)), 0.0))
+    assert_dense_bits(ensure_hermitian(tridiagonal_dense(d, np.ones(2))), w, V)
     w, V = tridiagonal_eig(np.array([-2.5]), np.zeros(0))
     assert np.array_equal(w, [-2.5]) and np.array_equal(V, [[1.0]])
+
+
+_NAN, _INF, _HUGE = np.nan, np.inf, 1.7e308
+
+
+@contextlib.contextmanager
+def _quietly():
+    """Silence the invalid-value and complex-cast warnings that bad input
+    raises on its way to the solvers' own error."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        yield
+
+
+@pytest.mark.parametrize("A", [
+    [[0.0, 1.0], [-1.0, 0.0]],
+    [[0.0, 1.0], [0.0, 0.0]],
+    [[1.0, _NAN], [_NAN, 2.0]],
+    [[1.0, _INF], [_INF, 2.0]],
+    [[1.0, -_INF], [-_INF, 2.0]],
+    [[1.0, _INF], [0.0, 1.0]],
+    [[1.0, 0.5], [0.5 + 1e-6, -2.0]],
+    [[1.0, 0.5 + 1e-6], [0.5, -2.0]],
+    [[1.0 + 1e-6j, 0.5], [0.5, -2.0]],
+    [[_HUGE, _HUGE], [_HUGE, _HUGE]],
+], ids=["skew", "upper-only", "nan", "inf", "-inf", "inf-above-diagonal", "lower-defect",
+        "upper-defect", "imaginary-diagonal", "norm-overflows"])
+def test_dense_eig_refuses_what_the_check_refuses(A):
+    # the check is at the read; a matrix it refuses that reaches dense_eig
+    # anyway fails the Frobenius tie or the residual, and is never solved
+    A = np.array(A, dtype=complex)
+    with pytest.raises(NotHermitianError):
+        ensure_hermitian(A)
+    with _quietly(), pytest.raises(EigenConvergenceError):
+        dense_eig(A)
+
+
+@pytest.mark.parametrize("d, e, error", [
+    ([1.0, _NAN, 2.0], [1.0, 1.0], EigenConvergenceError),
+    ([1.0, _INF, 2.0], [1.0, 1.0], EigenConvergenceError),
+    ([1.0, -_INF, 2.0], [0.0, 0.0], EigenConvergenceError),
+    ([1.0, 1.0, 1.0], [1.0, _INF], EigenConvergenceError),
+    ([1.0, 1.0, 1.0], [_NAN, 0.0], EigenConvergenceError),
+    ([_INF], [], EigenConvergenceError),
+    ([1.0, 2.0 + 1e-6j, 3.0], [1.0, 1.0], EigenConvergenceError),
+    ([_HUGE, _HUGE], [_HUGE], EigenConvergenceError),
+    ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], ValueError),
+    ([1.0], [1.0], ValueError),
+    ([], [], ValueError),
+], ids=["nan-d", "inf-d", "-inf-d", "inf-e", "nan-e", "inf-one-row", "imaginary-d",
+        "norm-overflows", "e-long", "e-at-one-row", "empty"])
+def test_tridiagonal_eig_refuses_what_the_check_refuses(d, e, error):
+    d, e = np.array(d), np.array(e, dtype=np.float64)
+    with pytest.raises((NotHermitianError, ValueError)):
+        _checked_tridiagonal(d, e, DEFAULT_TOL)
+    with _quietly(), pytest.raises(error):
+        tridiagonal_eig(d, e)
 
 
 def test_tridiagonal_eig_rejects_failed_solves(monkeypatch):
@@ -560,7 +640,8 @@ def test_tridiagonal_form_is_of_the_matrix_zhetrd_reads(defect):
     loose = DEFAULT_TOL.replace(hermitian_tol=1e-4)
     d, e = _tridiagonal_form(ensure_hermitian(A, loose), loose)
     assert abs(np.linalg.norm(np.concatenate([d, e, e])) - np.linalg.norm(A)) > 1e-10
-    assert tridiagonal_eig(d, e, loose)[0].tobytes() == dense_eig(A, loose)[0].tobytes()
+    assert tridiagonal_eig(d, e, loose)[0].tobytes() == dense_eig(ensure_hermitian(A, loose),
+                                                                  loose)[0].tobytes()
 
 
 def test_tridiagonal_form_rejects_a_reduction_that_lost_the_matrix(monkeypatch, rng):
@@ -585,6 +666,13 @@ def test_tridiagonal_form_rejects_a_reduction_that_lost_the_matrix(monkeypatch, 
     # A's norm rejects it
     _, d, e, _, _ = perturbed(A, lower=1)
     tridiagonal_eig(d, e)
+
+
+def test_tridiagonal_form_refuses_an_infinite_norm():
+    # zhetrd never reads the entry above the diagonal, so T is finite; the
+    # tie still refuses A, whose norm is infinite
+    with pytest.raises(EigenConvergenceError, match="lost the matrix"):
+        _tridiagonal_form(np.array([[1.0, np.inf], [0.0, 1.0]], dtype=complex))
 
 
 def test_band_storage_holds_the_lower_diagonals(rng):

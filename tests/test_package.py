@@ -96,37 +96,50 @@ def test_tracker_reads_the_family_in_one_function():
     assert len(readers) == 1, sorted(readers)
 
 
-def test_one_dense_eigensolver():
-    # every dense eigensolve is dense_eig's reduction: no numpy eigensolver,
-    # and one function that reduces a matrix to tridiagonal form
-    def called(node):
-        return (node.func.attr if isinstance(node.func, ast.Attribute)
-                else getattr(node.func, "id", None))
+def _called(node: ast.Call) -> str | None:
+    return (node.func.attr if isinstance(node.func, ast.Attribute)
+            else getattr(node.func, "id", None))
 
-    numpy_solvers, reducers = [], set()
-    for path in sorted((ROOT / "src" / "spectralbranch").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        numpy_solvers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                          if isinstance(node, ast.Call) and called(node) in ("eigh", "eigvalsh")]
-        reducers |= {f"{path.name}:{fn.name}" for fn in ast.walk(tree)
-                     if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
-                     if isinstance(node, ast.Call) and called(node) == "zhetrd"}
+
+def _callers(name: str) -> set[tuple[str, str]]:
+    """(module, function) of every function in the package that calls name."""
+    return {(path.name, fn.name)
+            for path in sorted((ROOT / "src" / "spectralbranch").glob("*.py"))
+            for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and _called(node) == name}
+
+
+def test_one_dense_eigensolver():
+    # every dense eigensolve, the scripts' included, is dense_eig's
+    # reduction: no numpy eigensolver, and one function that reduces a
+    # matrix to tridiagonal form
+    numpy_solvers = [f"{path.name}:{node.lineno}"
+                     for path in sorted([*(ROOT / "src" / "spectralbranch").glob("*.py"),
+                                         *(ROOT / "scripts").glob("*.py")])
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Call) and _called(node) in ("eigh", "eigvalsh")]
     assert not numpy_solvers, numpy_solvers
-    assert len(reducers) == 1, sorted(reducers)
+    assert len(_callers("zhetrd")) == 1, sorted(_callers("zhetrd"))
 
 
 def test_the_hermitian_check_decides_what_a_matrix_stands_for():
     # one function hands on the matrix zhetrd reads, and no module but
     # linalg measures a Hermitian defect, so no consumer decides again
-    def calls(name):
-        return {(path.name, fn.name)
-                for path in sorted((ROOT / "src" / "spectralbranch").glob("*.py"))
-                for fn in ast.walk(ast.parse(path.read_text()))
-                if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name}
+    assert len(_callers("_lower_hermitian")) == 1, sorted(_callers("_lower_hermitian"))
+    assert {module for module, _ in _callers("_hermitian_defect")} == {"linalg.py"}
 
-    assert len(calls("_lower_hermitian")) == 1, sorted(calls("_lower_hermitian"))
-    assert {module for module, _ in calls("_hermitian_defect")} == {"linalg.py"}
+
+def test_each_matrix_is_checked_where_it_is_read():
+    # the contract check runs in the reads of A(t) and A'(t) alone; the
+    # eigensolvers take what it hands on and do not check again
+    assert _callers("_hermitian_scale") == {("linalg.py", "ensure_hermitian"),
+                                            ("linalg.py", "_checked_tridiagonal")}
+    assert _callers("_checked_tridiagonal") == {("tracker.py", "_read_unit"),
+                                                ("families.py", "derivative_bands")}
+    solvers = {("linalg.py", name) for name in ("dense_eig", "tridiagonal_eig", "_reduction")}
+    for check in ("ensure_hermitian", "_hermitian_scale", "_checked_tridiagonal"):
+        assert not _callers(check) & solvers, check
 
 
 def test_readme_quick_start():

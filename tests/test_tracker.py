@@ -672,6 +672,56 @@ def test_a_nearly_hermitian_family_is_its_lower_mirrored_twin(monkeypatch):
     assert results[1][1] == 2
 
 
+def _counting_reads(fam):
+    """fam with every callable that gives A(t) or A'(t) counted, and the count."""
+    reads = [0]
+
+    def counted(fn):
+        def read(t):
+            reads[0] += 1
+            return fn(t)
+        return None if fn is None else read
+
+    return dataclasses.replace(fam, matrix=counted(fam.matrix), deriv=counted(fam.deriv),
+                               tridiagonal=counted(fam.tridiagonal),
+                               tridiagonal_deriv=counted(fam.tridiagonal_deriv)), reads
+
+
+def _curves_with_derivative():
+    return diag_curve_family([np.sin, np.cos, lambda t: t * t],
+                             [np.cos, lambda t: -np.sin(t), lambda t: 2.0 * t])
+
+
+@pytest.mark.parametrize("make, run, vectors", [
+    (_planted_pairs_family, lambda fam: track_branches(fam, (-1.0, 1.0), 41), False),
+    (lambda: SchrodingerFamily(m=12, potential="40*t*x").family(),
+     lambda fam: track_branches(fam, (0.0, 1.0), 21), False),
+    # points that no Cholesky clears take dense_eig's V
+    (_curves_with_derivative,
+     lambda fam: estimate_derivative_bound(fam, np.linspace(0.0, 1.0, 17)), True),
+], ids=["dense-track", "schrodinger-track", "dense-estimate"])
+def test_each_read_is_checked_once(make, run, vectors, monkeypatch):
+    # the contract check runs where A(t) or A'(t) is read, once a read: the
+    # eigensolvers take what it handed on and do not check again
+    fam, reads = _counting_reads(make())
+    checks, vector_solves = [0], [0]
+    check, dense = spectralbranch.linalg._hermitian_scale, spectralbranch.tracker.dense_eig
+
+    def counted_check(*args):
+        checks[0] += 1
+        return check(*args)
+
+    def counted_dense(*args):
+        vector_solves[0] += 1
+        return dense(*args)
+
+    monkeypatch.setattr(spectralbranch.linalg, "_hermitian_scale", counted_check)
+    monkeypatch.setattr(spectralbranch.tracker, "dense_eig", counted_dense)
+    run(fam)
+    assert reads[0] > 0 and checks[0] == reads[0]
+    assert (vector_solves[0] > 0) == vectors
+
+
 # ------------------------------------------------------------------- gronwall
 
 
