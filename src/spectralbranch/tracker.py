@@ -65,14 +65,25 @@ def _eigenpairs(family: HermitianFamily, unit: tuple) -> tuple[np.ndarray, np.nd
     return dense_eig(x, family.tol) if e is None else tridiagonal_eig(x, e, family.tol)
 
 
-def _unit_values(family: HermitianFamily, t: float) -> np.ndarray:
-    """Unit-scale eigenvalues at t, _eigenpairs' w bit for bit without its V."""
-    return tridiagonal_eig(*_unit_form(family, _read_unit(family, t)), family.tol)[0]
+@dataclass(frozen=True)
+class _Solve:
+    """A values solve at t: unit-scale (d, e) and w, _eigenpairs' w without V."""
+
+    t: float
+    d: np.ndarray
+    e: np.ndarray
+    w: np.ndarray
+
+
+def _solve(family: HermitianFamily, t: float) -> _Solve:
+    """The tracker's only values solve: one read of A(t), one reduction."""
+    d, e = _unit_form(family, _read_unit(family, t))
+    return _Solve(t, d, e, tridiagonal_eig(d, e, family.tol)[0])
 
 
 def sorted_eigenvalues(family: HermitianFamily, t: float) -> np.ndarray:
     """Ascending true-scale eigenvalues of A(t)."""
-    return _unit_values(family, t) * family.scale_prefactor
+    return _solve(family, t).w * family.scale_prefactor
 
 
 @dataclass(frozen=True)
@@ -137,25 +148,25 @@ def one_sided_slot_derivatives(family: HermitianFamily, t_star: float, slots,
     slots = list(slots)
     if not all(isinstance(s, (int, np.integer)) and 0 <= s < family.dim for s in slots):
         raise ValueError(f"slots must be integers in [0, {family.dim}), got {slots}")
-    return _slot_derivatives(family, t_star, _unit_values(family, t_star), slots, side, second)
+    return _slot_derivatives(family, _solve(family, t_star), slots, side, second)
 
 
-def _slot_derivatives(family: HermitianFamily, t_star: float, w_star: np.ndarray,
-                      slots: list[int], side: str, second: bool):
-    """one_sided_slot_derivatives with w_star, the unit-scale eigenvalues at
-    t_star, as every stencil's j = 0 sample; ``slots`` is a list."""
+def _slot_derivatives(family: HermitianFamily, star: _Solve, slots: list[int], side: str,
+                      second: bool):
+    """one_sided_slot_derivatives at star.t with star.w, the solve there, as
+    every stencil's j = 0 sample; ``slots`` is a list."""
     sgn = 1.0 if side == "right" else -1.0
 
     def samples(h: float) -> np.ndarray:
-        return np.stack([w_star[slots]] + [_unit_values(family, t_star + sgn * j * h)[slots]
+        return np.stack([star.w[slots]] + [_solve(family, star.t + sgn * j * h).w[slots]
                                            for j in range(1, 5)])
 
     f = family.scale_prefactor
-    h1 = family.tol.h_fd * max(1.0, abs(t_star))
+    h1 = family.tol.h_fd * max(1.0, abs(star.t))
     first = one_sided_first(samples(h1), h1, side) * f
     if not second:
         return first, None
-    h2 = _H_FD2 * max(1.0, abs(t_star))
+    h2 = _H_FD2 * max(1.0, abs(star.t))
     return first, one_sided_second(samples(h2), h2) * f
 
 
@@ -348,45 +359,38 @@ def minimize_scalar(f, a: float, b: float, xatol: float) -> float:
                 v, fv = u, fu
 
 
-def _refine_t_star(family: HermitianFamily, grid: np.ndarray,
-                   det: _Detection) -> tuple[float, np.ndarray]:
-    """Parameter of minimal cluster spread inside the detection box, and the
-    unit-scale eigenvalues there, kept from the minimizer's own solve."""
+def _refine_t_star(family: HermitianFamily, grid: np.ndarray, det: _Detection) -> _Solve:
+    """The minimizer's own solve at t*, the parameter of minimal cluster
+    spread inside the detection box."""
     a = float(grid[max(det.k_start - 1, 0)])
     b = float(grid[min(det.k_end + 1, grid.shape[0] - 1)])
-    if a == b:
-        return a, _unit_values(family, a)
-    solved: dict[float, np.ndarray] = {}
+    solved: dict[float, _Solve] = {}
 
     def spread(t: float) -> float:
-        w = solved[t] = _unit_values(family, t)
-        return float(w[det.hi] - w[det.lo])
+        s = solved[t] = _solve(family, t)
+        return float(s.w[det.hi] - s.w[det.lo])
 
-    t_star = minimize_scalar(spread, a, b, 1e-10 * max(1.0, abs(a), abs(b)))
-    return t_star, solved[t_star]
-
-
-_PROBE_OFFSETS = (0.0, -3.0, -1.5, 1.5, 3.0)  # units of the grid step
+    return solved[minimize_scalar(spread, a, b, 1e-10 * max(1.0, abs(a), abs(b)))]
 
 
-def _verify_window(family: HermitianFamily, t_star: float, w_star_unit: np.ndarray,
-                   glo: int, ghi: int, dt: float) -> None:
+_PROBE_OFFSETS = (-3.0, -1.5, 1.5, 3.0)  # units of the grid step
+
+
+def _verify_window(family: HermitianFamily, star: _Solve, glo: int, ghi: int, dt: float) -> None:
     """Check a circle about the value group [glo, ghi]; nothing is kept.
 
     The radius must cover the cluster's drift across the probe box (3 grid
-    steps each side) while keeping the rest of the spectrum outside, so it is
-    sized from eigensolves at the probe times, not from t_star alone.  That
-    rule already keeps the circle clear of the spectrum at t_star (the group
-    lies at least 0.23 r inside it, the rest at least 0.33 r outside), and
-    its count at each probe time, a Sturm count on the (d, e) that the probe's
-    eigensolve solves, is the group's size.
+    steps each side of t*) while keeping the rest of the spectrum outside, so
+    it is sized from solves at the probe times; the probe at t* is star, so
+    A(t*) is not read or reduced again.  That rule keeps the circle clear of
+    the spectrum at t* (the group lies at least 0.23 r inside it, the rest at
+    least 0.33 r outside), and its Sturm count on each probe's (d, e) is the
+    group's size.
     """
     f = family.scale_prefactor
-    center = float(np.mean(w_star_unit[glo:ghi + 1])) * f
-    times = [t_star + off * dt for off in _PROBE_OFFSETS]
-    forms = [_unit_form(family, _read_unit(family, t)) for t in times]
-    values = [tridiagonal_eig(*form, family.tol)[0] * f if off != 0.0 else w_star_unit * f
-              for off, form in zip(_PROBE_OFFSETS, forms)]
+    center = float(np.mean(star.w[glo:ghi + 1])) * f
+    probes = [star] + [_solve(family, star.t + off * dt) for off in _PROBE_OFFSETS]
+    values = [p.w * f for p in probes]
     spread = max(np.max(np.abs(w[glo:ghi + 1] - center)) for w in values)
     rest = [np.concatenate([w[:glo], w[ghi + 1:]]) for w in values]
     d_out = min((float(np.min(np.abs(r - center))) for r in rest if r.size),
@@ -399,12 +403,12 @@ def _verify_window(family: HermitianFamily, t_star: float, w_star_unit: np.ndarr
         )
     expected = ghi - glo + 1
     g = Contour(center=center, radius=radius).scaled(f)
-    for t_probe, form in zip(times, forms):
-        count = _enclosed_count(g, *form)
+    for p in probes:
+        count = _enclosed_count(g, p.d, p.e)
         if count != expected:
             raise RankDriftError(
                 f"rank drift: contour around {center!r} encloses {count} eigenvalues "
-                f"at t={t_probe!r}, expected {expected}"
+                f"at t={p.t!r}, expected {expected}"
             )
 
 
@@ -415,36 +419,31 @@ class _PendingEvent:
     report: MatchReport            # holds t* and the pairing
 
 
-def _match_group(family: HermitianFamily, t_star: float, w_star: np.ndarray,
-                 slots: tuple[int, ...], order: int) -> MatchReport:
-    dl, sl = _slot_derivatives(family, t_star, w_star, list(slots), "left", order == 2)
-    dr, sr = _slot_derivatives(family, t_star, w_star, list(slots), "right", order == 2)
-    return match_crossing(dl, dr, order=order, second_left=sl, second_right=sr,
-                          tol=family.tol, t_star=t_star)
-
-
 def _grid_events(family: HermitianFamily, grid: np.ndarray, values_unit: np.ndarray,
                  order: int) -> list[_PendingEvent]:
     scale = max(1.0, float(np.max(np.abs(values_unit))))
     threshold = family.tol.cluster_tol * scale
-    dt = float(grid[1] - grid[0]) if grid.shape[0] > 1 else 1.0
+    dt = float(grid[1] - grid[0])
     events: list[_PendingEvent] = []
     for det in _detect(values_unit, threshold):
-        t_star, w_star = _refine_t_star(family, grid, det)
-        tight = np.diff(w_star) < threshold
+        star = _refine_t_star(family, grid, det)
+        tight = np.diff(star.w) < threshold
         # membership must be decidable: the detected cluster cannot be merging
         # into its neighbors at the refined collision point
         if any(tight[i] for i in (det.lo - 1, det.hi) if 0 <= i < tight.size):
             raise GapCollapseError(
-                f"gap collapse unresolved near t={t_star!r}: cluster membership is "
+                f"gap collapse unresolved near t={star.t!r}: cluster membership is "
                 f"ambiguous at this grid resolution, refine the grid"
             )
         for glo, ghi in _tight_runs(tight[det.lo:det.hi]):
-            slots = tuple(range(det.lo + glo, det.lo + ghi + 1))
-            _verify_window(family, t_star, w_star, slots[0], slots[-1], dt)
+            slots = list(range(det.lo + glo, det.lo + ghi + 1))
+            _verify_window(family, star, slots[0], slots[-1], dt)
+            dl, sl = _slot_derivatives(family, star, slots, "left", order == 2)
+            dr, sr = _slot_derivatives(family, star, slots, "right", order == 2)
             events.append(_PendingEvent(
-                grid_span=(det.k_start, det.k_end), slots=slots,
-                report=_match_group(family, t_star, w_star, slots, order),
+                grid_span=(det.k_start, det.k_end), slots=tuple(slots),
+                report=match_crossing(dl, dr, order=order, second_left=sl, second_right=sr,
+                                      tol=family.tol, t_star=star.t),
             ))
     return events
 
@@ -493,7 +492,7 @@ def track_branches(family: HermitianFamily, t_range, grid_size: int,
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     grid = np.linspace(t0, t1, grid_size)
-    values_unit = np.array([_unit_values(family, t) for t in grid])
+    values_unit = np.array([_solve(family, t).w for t in grid])
     pending = _grid_events(family, grid, values_unit, order)
     values_true = values_unit * family.scale_prefactor
     matched, events = _assemble(grid, values_true, pending)
@@ -840,6 +839,8 @@ def extend_parameterization(branches: BranchSet, mu_partial, order: int = 1,
     complement is only known on the grid).  Returns the (rows, N-k) matrix of
     completing branches.
     """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
     tol = tol if tol is not None else DEFAULT_TOL
     grid = branches.grid
     values = branches.values

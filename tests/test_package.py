@@ -142,6 +142,15 @@ def test_each_matrix_is_checked_where_it_is_read():
         assert not _callers(check) & solvers, check
 
 
+def test_the_tracker_solves_values_in_one_place():
+    # _solve is the tracker's one values solve, and its record is handed on:
+    # every other read of A(t) wants V, A'(t) or a count at a fresh time
+    assert _callers("tridiagonal_eig") == {("tracker.py", "_eigenpairs"),
+                                           ("tracker.py", "_solve")}
+    assert _callers("_read_unit") == {("tracker.py", name) for name in (
+        "_solve", "one_sided_derivatives", "_damped_derivative", "estimate_derivative_bound")}
+
+
 def test_readme_quick_start():
     section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]

@@ -399,8 +399,9 @@ def test_track_dense_family_forms_no_eigenvectors(order, monkeypatch):
     # dense_eig's: the tracked output is that of the eigenvector path
     fam = _planted_pairs_family()
     tracker = spectralbranch.tracker
-    monkeypatch.setattr(tracker, "_unit_values", lambda family, t:
-                        tracker._eigenpairs(family, tracker._read_unit(family, t))[0])
+    real_solve = tracker._solve
+    monkeypatch.setattr(tracker, "_solve", lambda family, t: dataclasses.replace(
+        real_solve(family, t), w=tracker._eigenpairs(family, tracker._read_unit(family, t))[0]))
     reference = track_branches(fam, (-1.0, 1.0), 81, order=order)
     monkeypatch.undo()
 
@@ -1431,6 +1432,16 @@ def test_extend_glues_completion_through_crossing():
     assert np.allclose(completed[:, 0], -bs.grid, atol=1e-9)
 
 
+@pytest.mark.parametrize("order", [0, 3])
+def test_extend_rejects_bad_order_without_a_crossing_to_match(order):
+    # the given branches are the two crossing ones, so the complement 5 has
+    # no crossing: the order is refused up front, as track_branches does
+    fam = diag_curve_family([lambda t: t, lambda t: -t, lambda t: 5.0])
+    bs = track_branches(fam, (-1.0, 1.0), 11)
+    with pytest.raises(ValueError, match=f"order must be 1 or 2, got {order}"):
+        extend_parameterization(bs, bs.values[:, :2], order=order)
+
+
 # -- one BLAS thread per pool inside the entry points ------------------------
 
 
@@ -1881,15 +1892,27 @@ def test_minimize_scalar_rejects_bad_bounds(a, b):
         minimize_scalar(abs, a, b, 1e-10)
 
 
+def _banded_lines_family():
+    """diag(t, -t, 2) given as tridiagonal bands: one crossing, at 0."""
+    return HermitianFamily(name="banded-lines", dim=3,
+                           matrix=lambda t: np.diag([t, -t, 2.0]).astype(complex),
+                           tridiagonal=lambda t: (np.array([t, -t, 2.0]), np.zeros(2)))
+
+
+@pytest.mark.parametrize("make, n_crossings", [(_planted_pairs_family, 3),
+                                                (_banded_lines_family, 1)], ids=["dense", "banded"])
 @pytest.mark.parametrize("order", [1, 2])
-def test_track_reuses_refinement_eigensolve_at_t_star(order, monkeypatch):
+def test_track_reuses_refinement_eigensolve_at_t_star(make, n_crossings, order, monkeypatch):
     # values solves: one per grid point and per minimizer evaluation, and at
     # each crossing four probe times and four stencil points per side and
-    # order; the eigenvalues at t*, each stencil's first point included,
-    # are the minimizer's own
+    # order; the solve at t*, the probe at t* and each stencil's first point
+    # included, is the minimizer's own, so each solve reads and reduces A(t)
+    # once and A(t*) is not read again
+    fam, reads = _counting_reads(make())
     real_eig = spectralbranch.tracker.tridiagonal_eig
     real_min = spectralbranch.tracker.minimize_scalar
-    eigs = evals = 0
+    real_zhetrd = spectralbranch.linalg.zhetrd
+    eigs = evals = reductions = 0
 
     def counting_eig(*args, **kwargs):
         nonlocal eigs
@@ -1904,8 +1927,16 @@ def test_track_reuses_refinement_eigensolve_at_t_star(order, monkeypatch):
 
         return real_min(g, *args, **kwargs)
 
+    def counting_zhetrd(*args, **kwargs):
+        nonlocal reductions
+        reductions += 1
+        return real_zhetrd(*args, **kwargs)
+
     monkeypatch.setattr(spectralbranch.tracker, "tridiagonal_eig", counting_eig)
     monkeypatch.setattr(spectralbranch.tracker, "minimize_scalar", counting_min)
-    bs = track_branches(_planted_pairs_family(), (-1.0, 1.0), 81, order=order)
-    assert len(bs.crossings) == 3
+    monkeypatch.setattr(spectralbranch.linalg, "zhetrd", counting_zhetrd)
+    bs = track_branches(fam, (-1.0, 1.0), 81, order=order)
+    assert len(bs.crossings) == n_crossings
     assert eigs == 81 + evals + len(bs.crossings) * (4 + 8 * order)
+    assert reads[0] == eigs
+    assert reductions == (reads[0] if fam.tridiagonal is None else 0)
